@@ -8,14 +8,15 @@ with 12 significant digits.
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
 
 from . import localg, verify
 from .conjecture import enumerate_candidates, thm31_verdict, tjurina_defect
-from .errors import InternalConsistencyError, TjspectraError
+from .errors import (InternalConsistencyError, InvalidFamilyParameters,
+                     TjspectraError)
 from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
                        TjurinaInstance, brieskorn_two_var, puiseux_instance,
                        swh_instance, three_monomial_instance)
@@ -141,18 +142,21 @@ def _parse_range(text):
 
 
 def sweep_row(family, values, subset):
-    """One sweep row, or None when the tuple is invalid for the family."""
+    """One sweep row, or None when the tuple is invalid for the family or
+    the requested subset is empty; any other failure propagates."""
     try:
         inst, is_swh = build_instance(family, values)
-        if subset == "drop-max":
-            indices = range(1, inst.mu)
-        else:
-            if inst.tjurina_indices is None:
-                return None
-            indices = sorted(inst.tjurina_indices)
-        st = subset_stats(inst.spectrum, indices)
-    except TjspectraError:
+    except InvalidFamilyParameters:
         return None
+    if subset == "drop-max":
+        if inst.mu == 1:
+            return None
+        indices = range(1, inst.mu)
+    else:
+        if inst.tjurina_indices is None:
+            return None
+        indices = sorted(inst.tjurina_indices)
+    st = subset_stats(inst.spectrum, indices)
     full_av = stats_of_values(inst.spectrum.values).av
     sub_inst = TjurinaInstance(inst.spectrum, frozenset(indices), st.tau,
                                inst.defining_poly, inst.family_tag)
@@ -183,10 +187,15 @@ def cmd_sweep(args):
         ranges.append(_parse_range(raw))
     if any(not r for r in ranges):
         raise TjspectraError("empty parameter range")
+    if args.jobs < 1:
+        raise TjspectraError(f"--jobs must be at least 1, got {args.jobs}")
     tuples = sorted(product(*ranges))
     jobs = [(args.family, dict(zip(names, t)), args.subset) for t in tuples]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        # imported here: loading the process pool costs every other CLI call
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]
@@ -263,7 +272,8 @@ def build_parser():
     p.add_argument("--subset", choices=["tjurina", "drop-max"], default="tjurina",
                    help="index subset the delta column is computed over")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count and the tuple count")
     p.set_defaults(func=cmd_sweep)
 
     for name, fn in (("milnor", cmd_milnor), ("tjurina", cmd_tjurina)):

@@ -5,10 +5,17 @@ A *complete* spectrum additionally satisfies the symmetry
 alpha_i + alpha_{mu+1-i} = n.  All statistics here are exact; the defect
 ``delta = Var - width/12`` is the quantity whose sign the (generalized)
 Hertling conjecture constrains.
+
+Arithmetic runs on integers: values are mapped to numerators over the least
+common denominator L of their denominators, statistics are integer power
+sums over those numerators, and a ``Fraction`` is built only for each value
+returned.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import EmptySpectrum, EmptySubset, SymmetryViolation, ValueOutOfRange
@@ -39,39 +46,68 @@ class SubsetStats:
     delta: Fraction
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of exact rationals over their least common denominator.
+
+    Returns ``(nums, L)`` with ``values[i] == nums[i] / L``.  Ints count as
+    ``n/1``; floats and every other type raise TypeError, so that no inexact
+    number enters the arithmetic.
+    """
+    for t in set(map(type, values)):
+        if not issubclass(t, (int, Fraction)):
+            raise TypeError(f"spectral values must be int or Fraction, not {t.__name__}")
+    pairs = [v.as_integer_ratio() for v in values]
+    dens = {d for _, d in pairs}
+    L = lcm(*dens)
+    scale = {d: L // d for d in dens}
+    return [k * scale[d] for k, d in pairs], L
+
+
 def make_spectrum(values: Iterable[Fraction], n: int, complete: bool = False) -> Spectrum:
-    vals = tuple(sorted(Fraction(v) for v in values))
-    if not vals:
+    items = list(values)
+    if not items:
         raise EmptySpectrum("a spectrum must contain at least one value")
-    if vals[0] <= 0 or vals[-1] >= n:
-        bad = vals[0] if vals[0] <= 0 else vals[-1]
-        raise ValueOutOfRange(f"spectral value {bad} outside (0, {n})")
+    nums, L = _over_common_denominator(items)
+    order = sorted(range(len(items)), key=nums.__getitem__)
+    nums = [nums[i] for i in order]
+    top = n * L
+    if nums[0] <= 0 or nums[-1] >= top:
+        bad = nums[0] if nums[0] <= 0 else nums[-1]
+        raise ValueOutOfRange(f"spectral value {Fraction(bad, L)} outside (0, {n})")
     if complete:
-        mu = len(vals)
+        mu = len(nums)
         for i in range(mu):
-            if vals[i] + vals[mu - 1 - i] != n:
+            if nums[i] + nums[mu - 1 - i] != top:
                 raise SymmetryViolation(
-                    f"alpha_{i + 1} + alpha_{mu - i} = {vals[i] + vals[mu - 1 - i]} != {n}")
+                    f"alpha_{i + 1} + alpha_{mu - i} = "
+                    f"{Fraction(nums[i] + nums[mu - 1 - i], L)} != {n}")
+    vals = tuple([v if type(v) is Fraction else Fraction(v)
+                  for v in map(items.__getitem__, order)])
     return Spectrum(vals, n, complete)
 
 
 def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:
-    """Exact statistics of a plain value multiset.
+    """Exact statistics of a plain value multiset of ints and Fractions.
 
-    Uses the sum-of-squares identity
-    sum (a_i - av)^2 = sum a_i^2 - tau * av^2, which is cheaper than
-    recentring; the two sides are cross-checked by the property tests.
+    With numerators k_i over the common denominator L, the power sums
+    S1 = sum k_i and S2 = sum k_i^2 are integers, and
+    av = S1 / (tau L), Var = (tau S2 - S1^2) / (tau^2 L^2) by the
+    sum-of-squares identity sum (a_i - av)^2 = sum a_i^2 - tau * av^2;
+    the property tests compare every field with a Fraction-sum reference.
+    A float raises TypeError.
     """
     tau = len(values)
     if tau == 0:
         raise EmptySubset("statistics of an empty subset are undefined")
-    s1 = sum(values, Fraction(0))
-    s2 = sum((v * v for v in values), Fraction(0))
-    av = s1 / tau
-    var = s2 / tau - av * av
-    lo, hi = min(values), max(values)
-    return SubsetStats(tau=tau, av=av, var=var, alpha_min=lo, alpha_max=hi,
-                       delta=var - (hi - lo) / 12)
+    nums, L = _over_common_denominator(values)
+    s1 = sum(nums)
+    spread = tau * sum(map(mul, nums, nums)) - s1 * s1
+    lo, hi = min(nums), max(nums)
+    return SubsetStats(tau=tau, av=Fraction(s1, tau * L),
+                       var=Fraction(spread, tau * tau * L * L),
+                       alpha_min=Fraction(lo, L), alpha_max=Fraction(hi, L),
+                       delta=Fraction(12 * spread - tau * tau * L * (hi - lo),
+                                      12 * tau * tau * L * L))
 
 
 def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:

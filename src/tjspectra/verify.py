@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from . import localg
 from .conjecture import closed_form_tau_delta_322, enumerate_candidates, tjurina_defect
+from .errors import InvalidFamilyParameters
 from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
                        brieskorn_two_var, puiseux_spectrum, swh_instance,
                        three_monomial_instance)
@@ -43,7 +44,7 @@ def check_sign_pattern():
     for m in range(3, 13):
         try:
             inst = swh_instance(SwhParams(m, m, 1, 1))
-        except Exception:
+        except InvalidFamilyParameters:
             if m >= 5:
                 return f"swh({m},{m},1,1) unexpectedly invalid"
             continue
@@ -59,7 +60,7 @@ def check_small_grid():
                 for d in range(1, (b - 1) // 2 + 1):
                     try:
                         inst = swh_instance(SwhParams(a, b, c, d))
-                    except Exception:
+                    except InvalidFamilyParameters:
                         continue
                     delta = tjurina_defect(inst)
                     if delta > 0 and (a, b, c, d) != (7, 7, 1, 1):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "tjspectra.cli"]
 
 
@@ -180,3 +182,72 @@ def test_ratio_roundtrip():
     from fractions import Fraction
     for r in [Fraction(3, 9604), Fraction(-2257, 28080), Fraction(5), Fraction(0)]:
         assert parse_ratio(format_ratio(r)) == r
+
+
+def test_cli_import_skips_process_pool():
+    code = ("import sys, tjspectra.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+SWH_ARGS = ["sweep", "swh", "--a", "5:7", "--b", "5:7", "--c", "1", "--d", "1"]
+
+
+def test_sweep_internal_error_exits_2(monkeypatch, capsys):
+    from tjspectra import cli
+    from tjspectra.errors import InternalConsistencyError
+
+    def broken(params, cross_check=False):
+        raise InternalConsistencyError("closed-form check failed")
+
+    monkeypatch.setattr(cli, "swh_instance", broken)
+    assert cli.main(SWH_ARGS) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error: closed-form check failed" in err
+
+
+def test_sweep_drop_max_skips_single_value_spectrum(capsys):
+    from tjspectra import cli
+    assert cli.main(["sweep", "brieskorn", "--a", "2:3", "--b", "2",
+                     "--subset", "drop-max"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split("\t")[1] for r in rows] == ["3,2"]
+
+
+def test_sweep_jobs_below_one_exit_1(capsys):
+    from tjspectra import cli
+    assert cli.main(SWH_ARGS + ["--jobs", "0"]) == 1
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    ("64", 3, 3),    # clamped to the CPU count
+    ("64", 16, 9),   # clamped to the 9 tuples
+    ("2", 16, 2),
+    ("4", 1, None),  # one CPU: serial, no pool
+    ("1", 16, None),
+])
+def test_sweep_jobs_are_clamped(monkeypatch, capsys, jobs, cpus, workers):
+    import concurrent.futures
+    from tjspectra import cli
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli.main(SWH_ARGS + ["--jobs", jobs]) == 0
+    assert made == ([] if workers is None else [workers])
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9

@@ -1,10 +1,12 @@
 """Randomized invariant checks: the sum-of-squares identity, the single-swap
-identities, shift invariance, the one-point reduction chain, and soundness of
-the sufficient failure criterion."""
+identities, shift invariance, the one-point reduction chain, soundness of
+the sufficient failure criterion, and integer power sums against Fraction
+sums."""
 
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,8 @@ from tjspectra.conjecture import (enumerate_candidates, prop41_step,
                                   remark32_compare, thm31_verdict,
                                   tjurina_defect)
 from tjspectra.families import SwhParams, brieskorn_two_var, swh_instance
-from tjspectra.spectra import make_spectrum, stats_of_values, subset_stats
+from tjspectra.spectra import (SubsetStats, make_spectrum, stats_of_values,
+                               subset_stats)
 
 rationals = st.fractions(min_value=F(1, 60), max_value=F(119, 60),
                          max_denominator=60)
@@ -25,6 +28,46 @@ def test_identity_43(values):
     lhs = sum(((v - st_.av) ** 2 for v in values), F(0))
     rhs = sum((v * v for v in values), F(0)) - tau * st_.av ** 2
     assert lhs == rhs == tau * st_.var
+
+
+def reference_stats(values):
+    """Statistics by direct Fraction sums: the slow route that the integer
+    power sums of stats_of_values are compared against."""
+    tau = len(values)
+    s1 = sum(values, F(0))
+    s2 = sum((v * v for v in values), F(0))
+    av = s1 / tau
+    var = s2 / tau - av * av
+    lo, hi = min(values), max(values)
+    # F(...) keeps the width exact when every value is an int
+    return SubsetStats(tau=tau, av=av, var=var, alpha_min=lo, alpha_max=hi,
+                       delta=var - F(hi - lo) / 12)
+
+
+# large primes and prime powers make the common denominator a product of
+# big coprime factors
+big_denominators = st.sampled_from([2**31 - 1, 10**9 + 7, 998244353, 3**25, 5**17])
+mixed_values = st.one_of(
+    st.integers(-1000, 1000),
+    st.fractions(min_value=F(-3), max_value=F(3), max_denominator=360),
+    st.builds(F, st.integers(-10**12, 10**12), big_denominators),
+)
+
+
+@given(st.lists(mixed_values, min_size=1, max_size=25))
+def test_integer_power_sums_match_fraction_sums(values):
+    got = stats_of_values(values)
+    assert got == reference_stats(values)
+    assert all(type(x) is F for x in
+               (got.av, got.var, got.alpha_min, got.alpha_max, got.delta))
+
+
+@given(st.lists(mixed_values, max_size=10),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10))
+def test_float_input_raises_type_error(values, x, at):
+    values.insert(at, x)
+    with pytest.raises(TypeError):
+        stats_of_values(values)
 
 
 @given(st.lists(rationals, min_size=2, max_size=15),

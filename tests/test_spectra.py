@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tjspectra.errors import (EmptySpectrum, EmptySubset, SymmetryViolation,
                               ValueOutOfRange)
@@ -109,3 +112,46 @@ def test_variance_centers_at_average_not_half_n():
     st = stats_of_values([F(1, 2), F(3, 4)])
     assert st.av == F(5, 8)
     assert st.var == F(1, 64)
+
+
+def reference_check(values, n, complete):
+    """Range and symmetry checks on sorted Fractions, the slow route for the
+    integer checks in make_spectrum: (exception type, message) or None."""
+    vals = sorted(values)
+    if vals[0] <= 0 or vals[-1] >= n:
+        bad = vals[0] if vals[0] <= 0 else vals[-1]
+        return ValueOutOfRange, f"spectral value {bad} outside (0, {n})"
+    if complete:
+        mu = len(vals)
+        for i in range(mu):
+            if vals[i] + vals[mu - 1 - i] != n:
+                return SymmetryViolation, (f"alpha_{i + 1} + alpha_{mu - i} = "
+                                           f"{vals[i] + vals[mu - 1 - i]} != {n}")
+    return None
+
+
+@given(st.sampled_from([(2, 3), (5, 4), (7, 7), (9, 6)]), st.data(),
+       st.fractions(min_value=F(-3), max_value=F(3), max_denominator=1009),
+       st.booleans(), st.booleans())
+def test_integer_checks_match_fraction_checks(ab, data, shift, complete, append):
+    values = list(brieskorn_two_var(*ab).values)
+    if append:
+        values.append(values[-1] + shift)
+    else:
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] += shift
+    expected = reference_check(values, 2, complete)
+    if expected is None:
+        s = make_spectrum(values, n=2, complete=complete)
+        assert s.values == tuple(sorted(values))
+    else:
+        with pytest.raises(expected[0], match=re.escape(expected[1]) + "$"):
+            make_spectrum(values, n=2, complete=complete)
+
+
+def test_make_spectrum_accepts_ints_and_rejects_floats():
+    s = make_spectrum([1, F(1, 2), F(3, 2)], n=2, complete=True)
+    assert s.values == (F(1, 2), F(1), F(3, 2))
+    assert all(type(v) is F for v in s.values)
+    with pytest.raises(TypeError):
+        make_spectrum([0.5, F(3, 2)], n=2)
