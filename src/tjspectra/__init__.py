@@ -13,6 +13,6 @@ from .conjecture import (CandidateRecord, EnumerationResult, Thm31Verdict,
 from .poly import Poly, jacobian, parse_poly
 from .localg import (StdBasisResult, colength_oracle, local_std_basis, milnor,
                      tjurina)
-from .rational import Ratio, decimal_str, format_ratio, parse_ratio
+from .rational import decimal_str, format_ratio
 
 __version__ = "0.1.0"

@@ -59,6 +59,13 @@ def build_instance(family, values, cross_check=False):
     raise TjspectraError(f"unknown family {family!r}")
 
 
+def print_subset_source(family):
+    """Say so when the Tjurina subset is assumed, not computed: build_instance
+    takes the top tau values of every Puiseux spectrum."""
+    if family == "puiseux":
+        print("tjurina_subset: assumed-top-block")
+
+
 def sign_marker(x: Fraction) -> str:
     return "+" if x > 0 else ("-" if x < 0 else "0")
 
@@ -70,6 +77,7 @@ def cmd_spectrum(args):
     inst, _ = build_instance(args.family, values, cross_check=args.cross_check)
     s = inst.spectrum
     print(f"family: {inst.family_tag}")
+    print_subset_source(args.family)
     print(f"mu = {s.mu}")
     print(f"tau = {inst.tau}")
     print("spectrum:", " ".join(format_ratio(v) for v in s.values))
@@ -91,6 +99,7 @@ def cmd_check(args):
     delta = tjurina_defect(inst)
     v = thm31_verdict(inst, is_swh)
     print(f"family: {inst.family_tag}")
+    print_subset_source(args.family)
     print(f"mu = {inst.mu}  tau = {inst.tau}")
     print(f"delta = {format_ratio(delta)} ({sign_marker(delta)}) ~ {decimal_str(delta)}")
     print(f"thm31_guaranteed_failure = {str(v.guaranteed_failure).lower()}")

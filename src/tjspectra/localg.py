@@ -3,9 +3,14 @@
 The monomial order is the local degree order: smaller total degree is
 *larger*, ties broken by reverse lexicographic with x > y > z.  Standard
 bases are computed with Mora's tangent-cone algorithm (ecart-controlled
-weak normal form), which terminates for polynomial input.  Colengths are
-counted from the lead ideal; an independent truncated linear-algebra
-oracle (:func:`colength_oracle`) double-checks them.
+weak normal form), which terminates for polynomial input.  Each basis
+element's lead and ecart are computed once, when it enters the basis, and
+every normal form starts its reducer pool from those stored triples.
+Pending S-pairs wait on one heap ordered by the degree of their lead lcm,
+ties going to the pair made last.  Colengths are counted from the lead
+ideal by staircase: for each exponent of the first n - 1 variables, the
+least last exponent a minimal lead allows.  An independent truncated
+linear-algebra oracle (:func:`colength_oracle`) double-checks them.
 
 Coefficient arithmetic is exact.  Internally polynomials are handled with
 integer coefficients, with the content divided out after every reduction
@@ -14,8 +19,10 @@ to bound coefficient growth.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from heapq import heappop, heappush
+from itertools import count, product
 from math import gcd
+from operator import add, le, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NonIsolatedSingularity, NonzeroConstantTerm
@@ -53,20 +60,25 @@ def _strip_content(p: IntPoly) -> IntPoly:
     return p
 
 
+def _lead_key(e: Exponent):
+    # ascending here is descending in order_key, without negating
+    return sum(e), e[::-1]
+
+
 def _lead(p: IntPoly) -> Exponent:
-    return max(p, key=order_key)
+    return min(p, key=_lead_key)
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _ecart(p: IntPoly, lm: Exponent) -> int:
-    return max(sum(e) for e in p) - sum(lm)
+    return max(map(sum, p)) - sum(lm)
 
 
 def _mul_monomial(p: IntPoly, delta: Exponent, coeff: int) -> IntPoly:
-    return {tuple(a + b for a, b in zip(e, delta)): coeff * c for e, c in p.items()}
+    return {tuple(map(add, e, delta)): coeff * c for e, c in p.items()}
 
 
 def _add(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -85,65 +97,82 @@ def _reduce_once(h: IntPoly, lm_h: Exponent, g: IntPoly, lm_g: Exponent) -> IntP
     ch, cg = h[lm_h], g[lm_g]
     d = gcd(ch, cg)
     a, b = cg // d, ch // d
-    delta = tuple(x - y for x, y in zip(lm_h, lm_g))
+    delta = tuple(map(sub, lm_h, lm_g))
     out = _add({e: a * c for e, c in h.items()}, _mul_monomial(g, delta, -b))
     return _strip_content(out)
 
 
-def _spoly(f: IntPoly, g: IntPoly) -> IntPoly:
-    lm_f, lm_g = _lead(f), _lead(g)
-    lcm = tuple(max(a, b) for a, b in zip(lm_f, lm_g))
+def _spoly(f: IntPoly, lm_f: Exponent, g: IntPoly, lm_g: Exponent) -> IntPoly:
+    lcm = tuple(map(max, lm_f, lm_g))
     cf, cg = f[lm_f], g[lm_g]
     d = gcd(cf, cg)
     a, b = cg // d, cf // d
-    df = tuple(x - y for x, y in zip(lcm, lm_f))
-    dg = tuple(x - y for x, y in zip(lcm, lm_g))
+    df = tuple(map(sub, lcm, lm_f))
+    dg = tuple(map(sub, lcm, lm_g))
     return _strip_content(_add(_mul_monomial(f, df, a), _mul_monomial(g, dg, -b)))
 
 
-def _mora_nf(f: IntPoly, basis: Sequence[IntPoly]) -> IntPoly:
+Reducer = tuple[IntPoly, Exponent, int]  # (polynomial, lead, ecart)
+
+
+def _mora_nf(f: IntPoly, basis: Sequence[Reducer]) -> IntPoly:
     """Mora's weak normal form of f with respect to basis.
 
     Reducers are chosen with minimal ecart, earliest-generated first;
     intermediate remainders with larger ecart join the reducer pool, which
-    is what makes the loop terminate for local orders.
+    is what makes the loop terminate for local orders.  The pool starts as
+    a copy of basis, whose leads and ecarts the caller computed once.
     """
-    pool = [(g, _lead(g), _ecart(g, _lead(g))) for g in basis]
+    pool = list(basis)
     h = f
     while h:
         lm_h = _lead(h)
         best = None
-        for g, lm_g, ec in pool:
-            if _divides(lm_g, lm_h) and (best is None or ec < best[2]):
-                best = (g, lm_g, ec)
+        for r in pool:
+            if (best is None or r[2] < best[2]) and _divides(r[1], lm_h):
+                best = r
+                if not r[2]:
+                    break
         if best is None:
             return h
-        ec_h = _ecart(h, lm_h)
-        if best[2] > ec_h:
-            pool.append((h, lm_h, ec_h))
+        if best[2]:
+            ec_h = _ecart(h, lm_h)
+            if best[2] > ec_h:
+                pool.append((h, lm_h, ec_h))
         h = _reduce_once(h, lm_h, best[0], best[1])
     return h
 
 
-def _std_int(gens: Iterable[IntPoly]) -> list[IntPoly]:
-    """Standard basis of the ideal generated by gens (Buchberger + Mora NF)."""
-    basis = [g for g in (dict(g) for g in gens) if g]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+def _std_int(gens: Iterable[IntPoly]) -> list[Reducer]:
+    """Standard basis of the ideal generated by gens (Buchberger + Mora NF),
+    as (generator, lead, ecart) triples in the order they were produced.
 
-    def lcm_deg(i, j):
-        return sum(max(a, b) for a, b in zip(_lead(basis[i]), _lead(basis[j])))
+    Each generator's lead and ecart are computed once, when it enters the
+    basis.  Pending S-pairs sit on one heap keyed by (lcm degree, -seq): the
+    least lcm degree first, and among ties the pair made last.
+    """
+    basis: list[Reducer] = []
+    pairs: list[tuple[int, int, int, int]] = []
+    seq = count()
 
+    def enter(g: IntPoly) -> None:
+        j = len(basis)
+        lm_j = _lead(g)
+        for i, (_, lm_i, _) in enumerate(basis):
+            # product criterion: coprime lead monomials reduce to zero
+            if any(map(mul, lm_i, lm_j)):
+                heappush(pairs, (sum(map(max, lm_i, lm_j)), -next(seq), i, j))
+        basis.append((g, lm_j, _ecart(g, lm_j)))
+
+    for g in gens:
+        if g:
+            enter(dict(g))
     while pairs:
-        pairs.sort(key=lambda ij: lcm_deg(*ij), reverse=True)
-        i, j = pairs.pop()
-        lm_i, lm_j = _lead(basis[i]), _lead(basis[j])
-        # product criterion: coprime lead monomials reduce to zero
-        if all(a == 0 or b == 0 for a, b in zip(lm_i, lm_j)):
-            continue
-        h = _mora_nf(_spoly(basis[i], basis[j]), basis)
+        _, _, i, j = heappop(pairs)
+        (f, lm_f, _), (g, lm_g, _) = basis[i], basis[j]
+        h = _mora_nf(_spoly(f, lm_f, g, lm_g), basis)
         if h:
-            basis.append(h)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            enter(h)
     return basis
 
 
@@ -157,6 +186,15 @@ def _minimal_leads(leads: Iterable[Exponent]) -> list[Exponent]:
 
 
 def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]:
+    """Number of standard monomials, or INFINITE without a pure power of
+    every variable.
+
+    Counted by staircase: over each point p of the box spanned by the first
+    nvars - 1 exponents, the monomials (p, t) outside the lead ideal are
+    those with t below the least last exponent of a minimal lead whose
+    other exponents divide p.  The pure power of the last variable always
+    qualifies, so no count exceeds its exponent.
+    """
     leads = _minimal_leads(leads)
     bounds = []
     for v in range(nvars):
@@ -164,11 +202,11 @@ def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]
         if not pure:
             return INFINITE
         bounds.append(min(pure))
-    count = 0
-    for e in product(*(range(b) for b in bounds)):
-        if not any(_divides(m, e) for m in leads):
-            count += 1
-    return count
+    steps = sorted((e[-1], e[:-1]) for e in leads)
+    total = 0
+    for p in product(*(range(b) for b in bounds[:-1])):
+        total += next(t for t, head in steps if _divides(head, p))
+    return total
 
 
 # --- public surface ---
@@ -192,9 +230,9 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     """
     nvars = gens[0].nvars
     basis = _std_int(_to_int_poly(g) for g in gens)
-    leads = tuple(_lead(g) for g in basis)
+    leads = tuple(lm for _, lm, _ in basis)
     return StdBasisResult(
-        generators=tuple(_to_poly(g, nvars) for g in basis),
+        generators=tuple(_to_poly(g, nvars) for g, _, _ in basis),
         lead_exponents=leads,
         colength=_colength_of_leads(leads, nvars),
     )

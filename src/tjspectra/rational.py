@@ -9,8 +9,6 @@ boundary.
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-Ratio = Fraction
-
 DECIMAL_DIGITS = 12
 
 
@@ -19,11 +17,6 @@ def format_ratio(r: Fraction) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
-
-
-def parse_ratio(text: str) -> Fraction:
-    """Parse "p/q" or "p" back into an exact rational."""
-    return Fraction(text)
 
 
 def decimal_str(r: Fraction, digits: int = DECIMAL_DIGITS) -> str:

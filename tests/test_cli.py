@@ -17,12 +17,20 @@ def test_spectrum_swh_counterexample():
     assert "mu = 36" in r.stdout
     assert "tau = 35" in r.stdout
     assert "missing: 12/7" in r.stdout
+    assert "tjurina_subset" not in r.stdout  # computed, not assumed
 
 
 def test_spectrum_brieskorn():
     r = run("spectrum", "brieskorn", "--a", "2", "--b", "3")
     assert r.returncode == 0
     assert "spectrum: 5/6 7/6" in r.stdout
+
+
+@pytest.mark.parametrize("command", ["spectrum", "check"])
+def test_puiseux_says_tjurina_subset_is_assumed(command):
+    r = run(command, "puiseux", "--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1")
+    assert r.returncode == 0
+    assert "tjurina_subset: assumed-top-block" in r.stdout.splitlines()
 
 
 def test_spectrum_invalid_params_exit_1():
@@ -35,6 +43,7 @@ def test_check_counterexample():
     r = run("check", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1")
     assert r.returncode == 0
     assert "delta = 3/9604 (+)" in r.stdout
+    assert "tjurina_subset" not in r.stdout  # computed, not assumed
 
 
 def test_check_nonpositive_is_not_an_error():
@@ -106,10 +115,11 @@ def test_sweep_deterministic_and_roundtrip():
     args = ("sweep", "swh", "--a", "5:7", "--b", "5:7", "--c", "1", "--d", "1")
     r1, r2 = run(*args), run(*args)
     assert r1.stdout == r2.stdout and r1.returncode == 0
-    from tjspectra.rational import format_ratio, parse_ratio
+    from tjspectra.rational import format_ratio
+    from fractions import Fraction
     for line in r1.stdout.splitlines()[1:]:
         exact = line.split("\t")[4]
-        assert format_ratio(parse_ratio(exact)) == exact
+        assert format_ratio(Fraction(exact)) == exact
 
 
 def test_sweep_jobs_match_serial():
@@ -178,10 +188,10 @@ def test_verify_detects_corruption(monkeypatch):
 
 
 def test_ratio_roundtrip():
-    from tjspectra.rational import format_ratio, parse_ratio
+    from tjspectra.rational import format_ratio
     from fractions import Fraction
     for r in [Fraction(3, 9604), Fraction(-2257, 28080), Fraction(5), Fraction(0)]:
-        assert parse_ratio(format_ratio(r)) == r
+        assert Fraction(format_ratio(r)) == r
 
 
 def test_cli_import_skips_process_pool():

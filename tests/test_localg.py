@@ -1,10 +1,16 @@
+from fractions import Fraction
+from itertools import product
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tjspectra.errors import NonIsolatedSingularity, NonzeroConstantTerm
 from tjspectra.families import SwhParams, swh_instance
-from tjspectra.localg import (INFINITE, colength_oracle, local_std_basis,
-                              milnor, order_key, tjurina)
-from tjspectra.poly import parse_poly
+from tjspectra.localg import (INFINITE, _colength_of_leads, colength_oracle,
+                              local_std_basis, milnor, order_key, tjurina)
+from tjspectra.poly import Poly, jacobian, parse_poly
 
 
 def gens_of(*texts):
@@ -86,7 +92,6 @@ ORACLE_CORPUS = [
 
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
 def test_oracle_equivalence(text):
-    from tjspectra.poly import jacobian
     gens = [g for g in jacobian(parse_poly(text)) if not g.is_zero()]
     assert local_std_basis(gens).colength == colength_oracle(gens, 14)
 
@@ -130,3 +135,163 @@ def test_swh_family_cross_checks():
                     inst = swh_instance(p)
                     assert milnor(inst.defining_poly) == (a - 1) * (b - 1)
                     assert tjurina(inst.defining_poly) == inst.tau
+
+
+# --- pins of the fast paths against their earlier, direct forms ---
+
+def _ref_lead(p):
+    return max(p, key=order_key)
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_ecart(p, lm):
+    return max(sum(e) for e in p) - sum(lm)
+
+
+def _ref_content_free(p):
+    g = 0
+    for c in p.values():
+        g = gcd(g, c)
+    return {e: c // g for e, c in p.items()} if g > 1 else p
+
+
+def _ref_combine(f, df, a, g, dg, b):
+    """a * x^df * f - b * x^dg * g, content removed."""
+    out = {}
+    for p, d, k in ((f, df, a), (g, dg, -b)):
+        for e, c in p.items():
+            e = tuple(x + y for x, y in zip(e, d))
+            out[e] = out.get(e, 0) + k * c
+    return _ref_content_free({e: c for e, c in out.items() if c})
+
+
+def _ref_cancel(f, lm_f, g, lm_g, lcm):
+    cf, cg = f[lm_f], g[lm_g]
+    d = gcd(cf, cg)
+    return _ref_combine(f, tuple(x - y for x, y in zip(lcm, lm_f)), cg // d,
+                        g, tuple(x - y for x, y in zip(lcm, lm_g)), cf // d)
+
+
+def _ref_mora_nf(f, basis):
+    pool = [(g, _ref_lead(g), _ref_ecart(g, _ref_lead(g))) for g in basis]
+    h = f
+    while h:
+        lm_h = _ref_lead(h)
+        best = None
+        for g, lm_g, ec in pool:
+            if _ref_divides(lm_g, lm_h) and (best is None or ec < best[2]):
+                best = (g, lm_g, ec)
+        if best is None:
+            return h
+        ec_h = _ref_ecart(h, lm_h)
+        if best[2] > ec_h:
+            pool.append((h, lm_h, ec_h))
+        h = _ref_cancel(h, lm_h, best[0], best[1], lm_h)
+    return h
+
+
+def _ref_std(gens):
+    """The standard-basis loop as first written, re-sorting every pending
+    pair on each step and recomputing every lead: local_std_basis must
+    return the same generators in the same order."""
+    basis = [g for g in gens if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+
+    def lcm(i, j):
+        return tuple(max(a, b) for a, b in zip(_ref_lead(basis[i]), _ref_lead(basis[j])))
+
+    while pairs:
+        pairs.sort(key=lambda ij: sum(lcm(*ij)), reverse=True)
+        i, j = pairs.pop()
+        lm_i, lm_j = _ref_lead(basis[i]), _ref_lead(basis[j])
+        if all(a == 0 or b == 0 for a, b in zip(lm_i, lm_j)):
+            continue
+        h = _ref_mora_nf(_ref_cancel(basis[i], lm_i, basis[j], lm_j, lcm(i, j)), basis)
+        if h:
+            basis.append(h)
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    return basis
+
+
+def _int_poly(p):
+    denom = 1
+    for c in p.terms.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    return _ref_content_free({e: int(c * denom) for e, c in p.terms.items()})
+
+
+def assert_matches_reference(gens):
+    got = local_std_basis(gens)
+    want = _ref_std([_int_poly(g) for g in gens])
+    assert [_int_poly(g) for g in got.generators] == want
+    assert got.lead_exponents == tuple(_ref_lead(g) for g in want)
+
+
+@pytest.mark.parametrize("text", ORACLE_CORPUS)
+def test_std_basis_matches_reference_loop(text):
+    f = parse_poly(text)
+    jac = [g for g in jacobian(f) if not g.is_zero()]
+    assert_matches_reference(jac)
+    assert_matches_reference(jac + [f])
+
+
+@pytest.mark.parametrize("texts", [("x*y^2", "x^2*y"), ("y", "x^3+x^4"),
+                                   ("x^2", "y^2"), ("1+x", "y^3")])
+def test_std_basis_matches_reference_loop_on_fixed_ideals(texts):
+    assert_matches_reference(gens_of(*texts))
+
+
+@st.composite
+def small_ideals(draw):
+    """One or two random polynomials plus a pure power of every variable: a
+    zero-dimensional ideal, so the normal forms stay inside the box under
+    the pure powers (without them, coefficients can grow for minutes)."""
+    nvars = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    gens = [Poly({e: Fraction(c) for e, c in t.items()}, nvars)
+            for t in draw(st.lists(terms, min_size=1, max_size=2))]
+    for v in range(nvars):
+        k = draw(st.integers(1, 6))
+        gens.append(Poly.monomial(tuple(k if w == v else 0 for w in range(nvars))))
+    return gens
+
+
+@given(small_ideals())
+@settings(max_examples=100, deadline=None)
+def test_std_basis_matches_reference_loop_on_random_ideals(gens):
+    assert_matches_reference(gens)
+
+
+def brute_force_colength(leads, nvars):
+    """Monomials of the box under the pure powers that no lead divides."""
+    bounds = []
+    for v in range(nvars):
+        pure = [e[v] for e in leads if sum(e) == e[v]]
+        if not pure:
+            return INFINITE
+        bounds.append(min(pure))
+    return sum(1 for m in product(*(range(b) for b in bounds))
+               if not any(_ref_divides(e, m) for e in leads))
+
+
+@st.composite
+def lead_sets(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 6)] * nvars)
+    leads = draw(st.lists(exps, max_size=8))
+    # usually add a pure power of every variable, else INFINITE dominates
+    for v in range(nvars):
+        if draw(st.booleans()) or draw(st.booleans()):
+            leads.append(tuple(draw(st.integers(0, 7)) if w == v else 0 for w in range(nvars)))
+    return nvars, leads
+
+
+@given(lead_sets())
+@settings(max_examples=200)
+def test_staircase_colength_matches_box_count(case):
+    nvars, leads = case
+    assert _colength_of_leads(leads, nvars) == brute_force_colength(leads, nvars)

@@ -1,10 +1,12 @@
 """Randomized invariant checks: the sum-of-squares identity, the single-swap
 identities, shift invariance, the one-point reduction chain, soundness of
-the sufficient failure criterion, and integer power sums against Fraction
-sums."""
+the sufficient failure criterion, integer power sums against Fraction
+sums, and the standard-basis engine against the linear-algebra oracle."""
 
 import random
 from fractions import Fraction as F
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from tjspectra.conjecture import (enumerate_candidates, prop41_step,
                                   remark32_compare, thm31_verdict,
                                   tjurina_defect)
 from tjspectra.families import SwhParams, brieskorn_two_var, swh_instance
+from tjspectra.localg import colength_oracle, local_std_basis, milnor
+from tjspectra.poly import Poly, jacobian
 from tjspectra.spectra import (SubsetStats, make_spectrum, stats_of_values,
                                subset_stats)
 
@@ -209,3 +213,34 @@ def test_complete_spectrum_properties(a, b):
 def test_sorting_idempotence(values):
     s = make_spectrum(values, n=2)
     assert make_spectrum(s.values, n=2).values == s.values
+
+
+@st.composite
+def semi_quasihomogeneous(draw):
+    """x^a + y^b (a, b <= 6) or x^a + y^b + z^c (a, b, c <= 4), plus up to
+    three small integer multiples of monomials strictly above the Newton
+    boundary and of degree at most max(a, b, c); mu is (a - 1)(b - 1)(c - 1).
+
+    The degree bound keeps the engine fast: with terms of higher degree it
+    can take minutes (x^2 + y^4 + z^3 + xyz + x^2 y^3 z^2 is one such input).
+    """
+    nvars = draw(st.integers(2, 3))
+    top = 6 if nvars == 2 else 4
+    weights = draw(st.tuples(*[st.integers(2, top)] * nvars))
+    terms = {tuple(w if u == v else 0 for u in range(nvars)): F(1)
+             for v, w in enumerate(weights)}
+    above = [e for e in product(*(range(w + 1) for w in weights))
+             if sum(F(k, w) for k, w in zip(e, weights)) > 1 and sum(e) <= max(weights)]
+    extras = draw(st.lists(st.sampled_from(above), max_size=3, unique=True)) if above else []
+    for e in extras:  # never a pure power, which lies on the boundary
+        terms[e] = F(draw(st.integers(-3, 3).filter(bool)))
+    return Poly(terms, nvars), weights
+
+
+@given(semi_quasihomogeneous())
+@settings(max_examples=30, deadline=None)
+def test_engine_matches_oracle_on_semi_quasihomogeneous(case):
+    f, weights = case
+    assert milnor(f) == prod(w - 1 for w in weights)
+    gens = [g for g in jacobian(f) if not g.is_zero()]
+    assert local_std_basis(gens).colength == colength_oracle(gens, sum(weights))
