@@ -142,12 +142,13 @@ def _as_brieskorn(f):
 
 def _parse_range(text):
     """Accept "5", "3:12" (inclusive), or "1,3,5"."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
+    lo, colon, hi = text.partition(":")
+    try:
+        if colon:
+            return list(range(int(lo), int(hi) + 1))
         return [int(t) for t in text.split(",")]
-    return [int(text)]
+    except ValueError:
+        raise TjspectraError(f"bad range {text!r}: expected N, LO:HI or N,N,...") from None
 
 
 def sweep_row(family, values, subset):

@@ -13,7 +13,7 @@ from typing import Iterable, Literal, Sequence
 
 from .errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
                      NotSingleSwap, SubsetTooSmall, TauExceedsMu,
-                     TjurinaSubsetUnset, WrongDirection)
+                     TjspectraError, TjurinaSubsetUnset, WrongDirection)
 from .families import TjurinaInstance
 from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
 
@@ -169,7 +169,7 @@ def enumerate_candidates(s: Spectrum, tau_actual: int, slack: int) -> Enumeratio
     if tau_actual > mu:
         raise TauExceedsMu(f"tau = {tau_actual} > mu = {mu}")
     if slack < 0:
-        raise ValueError("slack must be non-negative")
+        raise TjspectraError(f"slack must be non-negative, got {slack}")
     limit = s.values[0] + 1
     k = mu + 1
     for i in range(mu):

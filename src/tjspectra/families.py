@@ -35,11 +35,6 @@ class TjurinaInstance:
     def mu(self) -> int:
         return self.spectrum.mu
 
-    def tjurina_values(self) -> list[Fraction]:
-        if self.tjurina_indices is None:
-            raise InternalConsistencyError("Tjurina subset unset")
-        return [self.spectrum.value_at(i) for i in sorted(self.tjurina_indices)]
-
 
 @dataclass(frozen=True)
 class SwhParams:

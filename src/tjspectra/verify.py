@@ -2,18 +2,20 @@
 
 Every check recomputes a known quantity end to end and compares exactly;
 a failure prints the discrepancy and the command exits with code 2.
-Checks that need the standard-basis engine can be skipped.
+Checks that need the standard-basis engine can be skipped.  The test
+suite runs the same `CHECKS` and draws its corpora and grids from here.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from . import localg
 from .conjecture import closed_form_tau_delta_322, enumerate_candidates, tjurina_defect
-from .errors import InvalidFamilyParameters
+from .errors import Condition81Violated, InternalConsistencyError, InvalidFamilyParameters
 from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
                        brieskorn_two_var, puiseux_spectrum, swh_instance,
                        three_monomial_instance)
-from .poly import parse_poly
+from .poly import jacobian, parse_poly
 from .spectra import hertling_defect, subset_stats
 
 NEEDS_LOCALG = "localg"
@@ -22,6 +24,25 @@ COUNTEREXAMPLE_DELTA = Fraction(3, 9604)
 
 THREE_MONOMIAL_TUPLES = [(2, 4, 7, 6), (2, 3, 9, 7), (2, 3, 7, 10),
                          (2, 4, 9, 9), (3, 4, 8, 9), (2, 5, 6, 11)]
+
+# Jacobian ideals on which the standard basis must agree with the oracle
+ORACLE_CORPUS = ["x^3+y^3", "x^2+y^2", "x^5+y^4", "(y^2-x^3)^2-x^5*y",
+                 "x^5+y^4+x^3*y^2", "x^4+y^4+x^2*y^2", "x^3+x*y^3",
+                 "x^2*y+y^4", "x^6+y^3", "x^3-y^2", "x^7+y^7+x^5*y^5"]
+ORACLE_CAP = 14
+
+
+def swh_grid(a_max):
+    """Every valid SwhParams with b <= a <= a_max."""
+    for a in range(2, a_max + 1):
+        for b in range(2, a + 1):
+            for c, d in product(range(1, (a + 1) // 2), range(1, (b + 1) // 2)):
+                p = SwhParams(a, b, c, d)
+                try:
+                    p.validate()
+                except InvalidFamilyParameters:
+                    continue
+                yield p
 
 
 def check_counterexample():
@@ -41,30 +62,20 @@ def check_counterexample_localg():
 
 
 def check_sign_pattern():
-    for m in range(3, 13):
-        try:
-            inst = swh_instance(SwhParams(m, m, 1, 1))
-        except InvalidFamilyParameters:
-            if m >= 5:
-                return f"swh({m},{m},1,1) unexpectedly invalid"
-            continue
-        delta = tjurina_defect(inst)
+    valid = [p.a for p in swh_grid(12) if p == SwhParams(p.a, p.a, 1, 1)]
+    if valid != list(range(5, 13)):
+        return f"swh(m,m,1,1) is valid for m in {valid}, expected 5..12"
+    for m in valid:
+        delta = tjurina_defect(swh_instance(SwhParams(m, m, 1, 1)))
         if (delta > 0) != (m >= 7):
             return f"m = {m}: delta = {delta} has the wrong sign"
 
 
 def check_small_grid():
-    for a in range(2, 8):
-        for b in range(2, a + 1):
-            for c in range(1, (a - 1) // 2 + 1):
-                for d in range(1, (b - 1) // 2 + 1):
-                    try:
-                        inst = swh_instance(SwhParams(a, b, c, d))
-                    except InvalidFamilyParameters:
-                        continue
-                    delta = tjurina_defect(inst)
-                    if delta > 0 and (a, b, c, d) != (7, 7, 1, 1):
-                        return f"positive delta at (a,b,c,d)=({a},{b},{c},{d}): {delta}"
+    for p in swh_grid(7):
+        delta = tjurina_defect(swh_instance(p))
+        if delta > 0 and p != SwhParams(7, 7, 1, 1):
+            return f"positive delta at (a,b,c,d)=({p.a},{p.b},{p.c},{p.d}): {delta}"
 
 
 def check_weighted_homogeneous_equality():
@@ -78,22 +89,19 @@ def check_weighted_homogeneous_equality():
 def check_closed_forms_322():
     for c in range(1, 22, 2):
         s = puiseux_spectrum(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1))
-        mu = s.mu
-        got_nc = (c + 14) * subset_stats(s, range(1, mu)).delta
-        got_co = (c + 13) * subset_stats(s, range(1, mu - 1)).delta
-        want_nc = closed_form_tau_delta_322(c, "nonconsecutive")
-        want_co = closed_form_tau_delta_322(c, "consecutive")
-        if got_nc != want_nc:
-            return f"c = {c}: nonconsecutive tau*delta = {got_nc}, expected {want_nc}"
-        if got_co != want_co:
-            return f"c = {c}: consecutive tau*delta = {got_co}, expected {want_co}"
+        # T drops the top 1 (nonconsecutive) or 2 (consecutive) of mu = c + 15
+        for mode, dropped in (("nonconsecutive", 1), ("consecutive", 2)):
+            got = (c + 15 - dropped) * subset_stats(s, range(1, s.mu + 1 - dropped)).delta
+            want = closed_form_tau_delta_322(c, mode)
+            if got != want:
+                return f"c = {c}: {mode} tau*delta = {got}, expected {want}"
 
 
 def check_three_monomial_localg():
     for a, b, c, d in THREE_MONOMIAL_TUPLES:
         try:
             three_monomial_instance(ThreeMonomialParams(a, b, c, d), cross_check=True)
-        except Exception as exc:
+        except (InternalConsistencyError, Condition81Violated) as exc:
             return f"(a,b,c,d)=({a},{b},{c},{d}): {exc}"
 
 
@@ -110,14 +118,10 @@ def check_enumeration_parity():
 
 
 def check_oracle_equivalence():
-    corpus = ["x^3+y^3", "x^2+y^2", "x^5+y^4", "(y^2-x^3)^2-x^5*y",
-              "x^5+y^4+x^3*y^2", "x^4+y^4+x^2*y^2", "x^3+x*y^3",
-              "x^2*y+y^4", "x^6+y^3", "x^3-y^2"]
-    for text in corpus:
-        f = parse_poly(text)
-        gens = [g for g in (f.derivative(0), f.derivative(1)) if not g.is_zero()]
+    for text in ORACLE_CORPUS:
+        gens = [g for g in jacobian(parse_poly(text)) if not g.is_zero()]
         basis = localg.local_std_basis(gens)
-        oracle = localg.colength_oracle(gens, 12)
+        oracle = localg.colength_oracle(gens, ORACLE_CAP)
         if basis.colength != oracle:
             return f"{text}: standard basis gives {basis.colength}, oracle {oracle}"
     # non-isolated case rejected by both routes

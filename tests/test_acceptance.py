@@ -1,208 +1,44 @@
-"""Acceptance suite: one test per criterion, exact comparisons, with the
-stated runtime budgets enforced.  Each test prints a pass/fail line."""
+"""Acceptance suite: every criterion of `tjspectra verify` (verify.CHECKS)
+must pass within its runtime budget.  The criteria themselves live only in
+tjspectra.verify; the unit tests hold what a criterion does not assert."""
 
 import time
-from fractions import Fraction as F
 
 import pytest
 
-from tjspectra.conjecture import (closed_form_tau_delta_322,
-                                  enumerate_candidates, thm31_verdict,
-                                  tjurina_defect)
-from tjspectra.families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
-                                brieskorn_two_var, puiseux_spectrum,
-                                swh_instance, three_monomial_instance)
-from tjspectra.localg import (INFINITE, colength_oracle, local_std_basis,
-                              milnor, tjurina)
-from tjspectra.poly import jacobian, parse_poly
-from tjspectra.spectra import (hertling_defect, stats_of_values, subset_stats)
+from tjspectra import verify
+
+# seconds per check, keyed by the check function
+BUDGET_S = {
+    verify.check_counterexample: 1,
+    verify.check_counterexample_localg: 1,
+    verify.check_sign_pattern: 5,
+    verify.check_small_grid: 5,
+    verify.check_weighted_homogeneous_equality: 1,
+    verify.check_closed_forms_322: 1,
+    verify.check_three_monomial_localg: 60,
+    verify.check_enumeration_parity: 5,
+    verify.check_oracle_equivalence: 60,
+}
 
 
-class Budget:
-    def __init__(self, name, seconds):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.monotonic() - self.start
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"{status}  {self.name}  ({elapsed:.2f}s / budget {self.seconds}s)")
-        if exc_type is None:
-            assert elapsed < self.seconds, f"{self.name}: {elapsed:.2f}s over budget"
-        return False
+@pytest.mark.parametrize("name, fn", [(name, fn) for name, fn, _ in verify.CHECKS],
+                         ids=[name for name, _, _ in verify.CHECKS])
+def test_check(name, fn):
+    start = time.monotonic()
+    assert fn() is None
+    elapsed = time.monotonic() - start
+    assert elapsed < BUDGET_S[fn], f"{name}: {elapsed:.2f}s over budget"
 
 
-def swh_grid(a_max, b_max=None):
-    for a in range(2, a_max + 1):
-        for b in range(2, (b_max or a) + 1):
-            if b > a:
-                continue
-            for c in range(1, (a - 1) // 2 + 1):
-                for d in range(1, (b - 1) // 2 + 1):
-                    p = SwhParams(a, b, c, d)
-                    try:
-                        p.validate()
-                    except Exception:
-                        continue
-                    yield p
+def test_every_check_has_a_budget():
+    assert set(BUDGET_S) == {fn for _, fn, _ in verify.CHECKS}
 
 
-def test_criterion_1_counterexample_reproduction(capsys):
-    with Budget("1 counterexample swh(7,7,1,1)", 1):
-        inst = swh_instance(SwhParams(7, 7, 1, 1))
-        assert (inst.mu, inst.tau) == (36, 35)
-        # direct summation oracle over the 35 Tjurina values
-        vals = sorted(F(i + j, 7) for i in range(1, 7) for j in range(1, 7))[:-1]
-        oracle = stats_of_values(vals).delta
-        assert oracle == F(3, 9604)
-        assert tjurina_defect(inst) == F(3, 9604) > 0
-        f = parse_poly("x^7+y^7+x^5*y^5")
-        assert milnor(f) == 36
-        assert tjurina(f) == 35
+def test_three_monomial_check_propagates_programming_errors(monkeypatch):
+    def broken(params, cross_check=False):
+        raise TypeError("not a check failure")
 
-
-def test_criterion_2_sign_pattern(capsys):
-    with Budget("2 sign pattern over the swh grids", 5):
-        seen = {}
-        for m in range(3, 13):
-            try:
-                inst = swh_instance(SwhParams(m, m, 1, 1))
-            except Exception:
-                continue  # m = 3, 4 violate the family constraints
-            seen[m] = tjurina_defect(inst)
-        assert set(seen) == set(range(5, 13))
-        for m, delta in seen.items():
-            assert (delta > 0) == (m >= 7)
-        for p in swh_grid(7):
-            delta = tjurina_defect(swh_instance(p))
-            if (p.a, p.b, p.c, p.d) == (7, 7, 1, 1):
-                assert delta > 0
-            else:
-                assert delta <= 0
-
-
-def test_criterion_3_weighted_homogeneous_equality(capsys):
-    with Budget("3 weighted-homogeneous equality", 1):
-        for b in range(2, 13):
-            for a in range(b, 13):
-                assert hertling_defect(brieskorn_two_var(a, b)) == 0
-
-
-def test_criterion_4_closed_forms(capsys):
-    with Budget("4 (3,2,2) closed forms", 1):
-        for c in range(1, 22, 2):
-            s = puiseux_spectrum(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1))
-            mu = s.mu
-            nc = (c + 14) * subset_stats(s, range(1, mu)).delta
-            co = (c + 13) * subset_stats(s, range(1, mu - 1)).delta
-            assert nc == closed_form_tau_delta_322(c, "nonconsecutive")
-            assert co == closed_form_tau_delta_322(c, "consecutive")
-            assert nc == -F(c**3 + 37 * c**2 + 455 * c + 1764,
-                            144 * c**2 + 3744 * c + 24192)
-            assert co == -F(c**4 + 59 * c**3 + 1247 * c**2 + 10992 * c + 33840,
-                            144 * c**3 + 5328 * c**2 + 65664 * c + 269568)
-        s = puiseux_spectrum(PuiseuxParams(3, 2, 2, -1, 1))
-        assert 15 * subset_stats(s, range(1, 16)).delta == F(-2257, 28080)
-        assert 14 * subset_stats(s, range(1, 15)).delta == F(-46139, 340704)
-
-
-def test_criterion_5_three_monomial_consistency(capsys):
-    with Budget("5 three-monomial consistency", 60):
-        tuples = [(2, 4, 7, 6), (2, 3, 9, 7), (2, 3, 7, 10),
-                  (2, 4, 9, 9), (3, 4, 8, 9), (2, 5, 6, 11)]
-        for a, b, c, d in tuples:
-            inst = three_monomial_instance(ThreeMonomialParams(a, b, c, d))
-            assert milnor(inst.defining_poly) == inst.mu
-            assert tjurina(inst.defining_poly) == inst.tau
-            assert inst.mu - inst.tau == (a - 1) * (b - 1) + max(2 * b - d - 1, 0)
-
-
-def test_criterion_6_oracle_equivalence(capsys):
-    with Budget("6 standard basis vs oracle", 60):
-        corpus = ["x^3+y^3", "x^2+y^2", "x^5+y^4", "(y^2-x^3)^2-x^5*y",
-                  "x^5+y^4+x^3*y^2", "x^4+y^4+x^2*y^2", "x^3+x*y^3",
-                  "x^2*y+y^4", "x^6+y^3", "x^3-y^2", "x^7+y^7+x^5*y^5"]
-        assert len(corpus) >= 10
-        for text in corpus:
-            gens = [g for g in jacobian(parse_poly(text)) if not g.is_zero()]
-            assert local_std_basis(gens).colength == colength_oracle(gens, 14)
-        f = parse_poly("(y^2-x^3)^2-x^5*y")
-        assert milnor(f) == 16 and tjurina(f) == 14
-        assert milnor(parse_poly("x^3+y^3")) == 4
-        bad = [parse_poly("x*y^2"), parse_poly("x^2*y")]
-        assert local_std_basis(bad).colength == INFINITE
-        assert colength_oracle(bad, 10) is None
-
-
-def test_criterion_7_enumeration_parity(capsys):
-    with Budget("7 enumeration parity", 5):
-        s = brieskorn_two_var(7, 7)
-        res = enumerate_candidates(s, s.mu, 10)
-        assert res.k == 31
-        assert res.clamped and res.slack == 6
-        top = [r for r in res.records if r.tau_prime == 35]
-        assert len(top) == 1
-        assert top[0].stats.delta == F(3, 9604)
-
-
-def test_criterion_8_property_suites(capsys):
-    import random
-    with Budget("8 property suites", 120):
-        # symmetry and average = n/2 on every generated complete spectrum
-        spectra = [swh_instance(p).spectrum for p in swh_grid(9)]
-        spectra += [three_monomial_instance(ThreeMonomialParams(*t)).spectrum
-                    for t in [(2, 4, 7, 6), (2, 3, 9, 7), (3, 4, 8, 9)]]
-        spectra += [puiseux_spectrum(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1))
-                    for c in range(1, 22, 2)]
-        for s in spectra:
-            mu = s.mu
-            for i in range(mu):
-                assert s.values[i] + s.values[mu - 1 - i] == 2
-            assert stats_of_values(s.values).av == 1
-
-        # identities (4.3) and (3.7) on randomized subsets and swaps
-        rng = random.Random(8)
-        for _ in range(10_000):
-            tau = rng.randint(1, 10)
-            vals = [F(rng.randint(1, 119), rng.randint(60, 90)) for _ in range(tau)]
-            st = stats_of_values(vals)
-            assert sum(((v - st.av) ** 2 for v in vals), F(0)) == \
-                sum((v * v for v in vals), F(0)) - tau * st.av ** 2
-            if tau < 2:
-                continue
-            beta = max(vals)
-            beta_p = beta - F(1, rng.randint(2, 9))
-            if beta_p <= 0:
-                continue
-            swapped = sorted(vals)[:-1] + [beta_p]
-            st2 = stats_of_values(swapped)
-            assert (sum((v * v for v in vals), F(0))
-                    - sum((v * v for v in swapped), F(0))) == \
-                (beta - beta_p) * (beta + beta_p)
-            assert tau * (st.av ** 2 - st2.av ** 2) == (beta - beta_p) * (st.av + st2.av)
-
-        # Theorem 3.1 soundness across the swh sweep including (51,51,1,1)
-        for p in list(swh_grid(12)) + [SwhParams(51, 51, 1, 1)]:
-            inst = swh_instance(p)
-            if thm31_verdict(inst, is_swh=True).guaranteed_failure:
-                assert tjurina_defect(inst) > 0
-
-        # Proposition 4.1 chain on randomized (T, i0) pairs
-        from tjspectra.conjecture import prop41_step
-        pool = [brieskorn_two_var(a, b) for a, b in [(7, 7), (9, 8), (5, 4), (12, 6)]]
-        checked = 0
-        while checked < 1_000:
-            s = rng.choice(pool)
-            T = rng.sample(range(1, s.mu + 1), rng.randint(3, s.mu))
-            i0 = rng.choice(T)
-            out = prop41_step(s, T, i0)
-            if not (out.hypothesis_42 and out.extremes_preserved):
-                continue
-            checked += 1
-            st_t = subset_stats(s, T)
-            st_rest = subset_stats(s, [i for i in T if i != i0])
-            assert len(T) * st_t.delta >= (len(T) - 1) * st_rest.delta
+    monkeypatch.setattr(verify, "three_monomial_instance", broken)
+    with pytest.raises(TypeError, match="not a check failure"):
+        verify.check_three_monomial_localg()

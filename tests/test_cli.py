@@ -156,10 +156,10 @@ def test_sweep_puiseux_drop_max_matches_closed_form():
 
 
 def test_verify_passes():
+    from tjspectra.verify import CHECKS
     r = run("verify")
     assert r.returncode == 0
-    assert "FAIL" not in r.stdout
-    assert r.stdout.count("PASS") >= 8
+    assert r.stdout.splitlines() == [f"PASS     {name}" for name, _, _ in CHECKS]
 
 
 def test_verify_skip_localg():
@@ -223,6 +223,19 @@ def test_sweep_drop_max_skips_single_value_spectrum(capsys):
                      "--subset", "drop-max"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split("\t")[1] for r in rows] == ["3,2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "swh", "--a", "x", "--b", "5", "--c", "1", "--d", "1"],
+    ["sweep", "swh", "--a", "5:7,", "--b", "5", "--c", "1", "--d", "1"],
+    ["enumerate", "--poly", "x^7+y^7", "--slack", "-1"],
+])
+def test_bad_input_exits_1_with_one_error_line(capsys, argv):
+    from tjspectra import cli
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_sweep_jobs_below_one_exit_1(capsys):

@@ -193,10 +193,15 @@ def test_closed_forms_even_c():
 def test_closed_forms_match_pipeline(c):
     s = puiseux_instance(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1)).spectrum
     mu = s.mu
-    assert (c + 14) * subset_stats(s, range(1, mu)).delta == \
-        closed_form_tau_delta_322(c, "nonconsecutive")
-    assert (c + 13) * subset_stats(s, range(1, mu - 1)).delta == \
-        closed_form_tau_delta_322(c, "consecutive")
+    nc = (c + 14) * subset_stats(s, range(1, mu)).delta
+    co = (c + 13) * subset_stats(s, range(1, mu - 1)).delta
+    assert nc == closed_form_tau_delta_322(c, "nonconsecutive")
+    assert co == closed_form_tau_delta_322(c, "consecutive")
+    # the paper's rational functions, written out
+    assert nc == -F(c**3 + 37 * c**2 + 455 * c + 1764,
+                    144 * c**2 + 3744 * c + 24192)
+    assert co == -F(c**4 + 59 * c**3 + 1247 * c**2 + 10992 * c + 33840,
+                    144 * c**3 + 5328 * c**2 + 65664 * c + 269568)
 
 
 def test_puiseux_322_gap_is_two_for_odd_c():

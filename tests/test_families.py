@@ -10,6 +10,7 @@ from tjspectra.families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
                                 puiseux_spectrum, swh_instance,
                                 three_monomial_instance)
 from tjspectra.spectra import average
+from tjspectra.verify import THREE_MONOMIAL_TUPLES, swh_grid
 
 
 def test_brieskorn_smallest():
@@ -55,8 +56,9 @@ def test_swh_5411():
 def test_swh_invalid_params():
     with pytest.raises(InvalidFamilyParameters):
         swh_instance(SwhParams(4, 4, 2, 1))
-    with pytest.raises(InvalidFamilyParameters):
-        swh_instance(SwhParams(4, 4, 1, 1))  # weighted degree condition fails
+    for m in (3, 4):  # the weighted degree condition fails on the diagonal
+        with pytest.raises(InvalidFamilyParameters):
+            swh_instance(SwhParams(m, m, 1, 1))
 
 
 def test_swh_excluded_value_multiset():
@@ -99,8 +101,7 @@ def test_three_monomial_invalid():
         three_monomial_instance(ThreeMonomialParams(2, 3, 4, 5))
 
 
-@pytest.mark.parametrize("tpl", [(2, 4, 7, 6), (2, 3, 9, 7), (2, 3, 7, 10),
-                                 (2, 4, 9, 9), (3, 4, 8, 9), (2, 5, 6, 11)])
+@pytest.mark.parametrize("tpl", THREE_MONOMIAL_TUPLES)
 def test_three_monomial_cross_checks(tpl):
     inst = three_monomial_instance(ThreeMonomialParams(*tpl), cross_check=True)
     assert inst.mu - inst.tau == (tpl[0] - 1) * (tpl[1] - 1) + max(2 * tpl[1] - tpl[3] - 1, 0)
@@ -140,15 +141,16 @@ def test_puiseux_tjurina_subset_unset_by_default():
 
 
 def test_generated_spectra_complete_and_centered():
-    instances = [
-        swh_instance(SwhParams(7, 7, 1, 1)).spectrum,
-        swh_instance(SwhParams(9, 8, 2, 3)).spectrum,
-        three_monomial_instance(ThreeMonomialParams(2, 4, 7, 6)).spectrum,
-        puiseux_spectrum(PuiseuxParams(3, 2, 2, 1, 1)),
-        brieskorn_two_var(5, 4),
-    ]
-    for s in instances:
+    spectra = [swh_instance(p).spectrum for p in swh_grid(9)]
+    spectra += [three_monomial_instance(ThreeMonomialParams(*t)).spectrum
+                for t in THREE_MONOMIAL_TUPLES]
+    spectra += [puiseux_spectrum(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1))
+                for c in range(1, 22, 2)]
+    spectra.append(brieskorn_two_var(5, 4))
+    for s in spectra:
         assert s.complete  # symmetry verified at construction
+        mu = s.mu
+        assert all(s.values[i] + s.values[mu - 1 - i] == 2 for i in range(mu))
         assert average(s) == 1  # n/2 with n = 2
 
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tjspectra.errors import NonIsolatedSingularity, NonzeroConstantTerm
-from tjspectra.families import SwhParams, swh_instance
+from tjspectra.families import swh_instance
 from tjspectra.localg import (INFINITE, _colength_of_leads, colength_oracle,
                               local_std_basis, milnor, order_key, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
+from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, swh_grid
 
 
 def gens_of(*texts):
@@ -83,17 +84,10 @@ def test_colength_oracle_unstable_on_non_isolated():
     assert colength_oracle(gens_of("x*y^2", "x^2*y"), 8) is None
 
 
-ORACLE_CORPUS = [
-    "x^3+y^3", "x^2+y^2", "x^5+y^4", "(y^2-x^3)^2-x^5*y",
-    "x^5+y^4+x^3*y^2", "x^4+y^4+x^2*y^2", "x^3+x*y^3",
-    "x^2*y+y^4", "x^6+y^3", "x^3-y^2", "x^7+y^7+x^5*y^5",
-]
-
-
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
 def test_oracle_equivalence(text):
     gens = [g for g in jacobian(parse_poly(text)) if not g.is_zero()]
-    assert local_std_basis(gens).colength == colength_oracle(gens, 14)
+    assert local_std_basis(gens).colength == colength_oracle(gens, ORACLE_CAP)
 
 
 def test_puiseux_polynomial_numbers():
@@ -123,18 +117,10 @@ def test_three_variables():
 
 def test_swh_family_cross_checks():
     # closed-form mu and tau of the deformation family vs the engine
-    for a in range(2, 10):
-        for b in range(2, a + 1):
-            for c in range(1, (a - 1) // 2 + 1):
-                for d in range(1, (b - 1) // 2 + 1):
-                    p = SwhParams(a, b, c, d)
-                    try:
-                        p.validate()
-                    except Exception:
-                        continue
-                    inst = swh_instance(p)
-                    assert milnor(inst.defining_poly) == (a - 1) * (b - 1)
-                    assert tjurina(inst.defining_poly) == inst.tau
+    for p in swh_grid(9):
+        inst = swh_instance(p)
+        assert milnor(inst.defining_poly) == (p.a - 1) * (p.b - 1)
+        assert tjurina(inst.defining_poly) == inst.tau
 
 
 # --- pins of the fast paths against their earlier, direct forms ---
