@@ -20,7 +20,7 @@ from .errors import (InternalConsistencyError, InvalidFamilyParameters,
 from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
                        TjurinaInstance, brieskorn_two_var, puiseux_instance,
                        swh_instance, three_monomial_instance)
-from .poly import parse_poly
+from .poly import Poly, parse_poly
 from .rational import decimal_str, format_ratio
 from .spectra import stats_of_values, subset_stats
 
@@ -43,7 +43,7 @@ def build_instance(family, values, cross_check=False):
     """
     if family == "brieskorn":
         s = brieskorn_two_var(values["a"], values["b"])
-        f = parse_poly(f"x^{values['a']}+y^{values['b']}")
+        f = Poly({(values["a"], 0): 1, (0, values["b"]): 1}, 2)
         inst = TjurinaInstance(s, frozenset(range(1, s.mu + 1)), s.mu, f,
                                f"brieskorn({values['a']},{values['b']})")
         return inst, True

@@ -19,7 +19,7 @@ from typing import Optional
 from . import localg
 from .errors import (Condition81Violated, DegenerateExponent, GcdViolation,
                      InternalConsistencyError, InvalidFamilyParameters)
-from .poly import Poly, parse_poly
+from .poly import Poly
 from .spectra import Spectrum, make_spectrum
 
 
@@ -152,8 +152,7 @@ def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstanc
     if actual_sum != expected_sum:
         raise InternalConsistencyError("Tjurina value sum disagrees with the closed form")
 
-    f = (parse_poly(f"x^{a}+y^{b}")
-         + Poly.monomial((a - 1 - c, b - 1 - d)))
+    f = Poly({(a, 0): 1, (0, b): 1, (a - 1 - c, b - 1 - d): 1}, 2)
     if cross_check:
         if localg.milnor(f) != spectrum.mu or localg.tjurina(f) != tau:
             raise InternalConsistencyError(
@@ -202,7 +201,7 @@ def three_monomial_instance(params: ThreeMonomialParams,
     if spectrum.mu - tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
         raise InternalConsistencyError("lattice exclusion count disagrees with the closed form")
 
-    f = parse_poly(f"x^{a}*y^{b}+x^{c}+y^{d}")
+    f = Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2)
     if cross_check:
         if localg.milnor(f) != spectrum.mu:
             raise InternalConsistencyError(
@@ -248,7 +247,7 @@ def puiseux_instance(params: PuiseuxParams,
     """
     spectrum = puiseux_spectrum(params)
     a, b, d, q, r = params.a, params.b, params.d, params.q, params.r
-    f = (parse_poly(f"y^{b}-x^{a}") ** d) - Poly.monomial((a * d + q, r))
+    f = (Poly.monomial((0, b)) - Poly.monomial((a, 0))) ** d - Poly.monomial((a * d + q, r))
     if verify_milnor and localg.milnor(f) != spectrum.mu:
         raise InternalConsistencyError(
             f"lattice count {spectrum.mu} disagrees with the Milnor number")

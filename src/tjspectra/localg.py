@@ -12,9 +12,10 @@ ideal by staircase: for each exponent of the first n - 1 variables, the
 least last exponent a minimal lead allows.  An independent truncated
 linear-algebra oracle (:func:`colength_oracle`) double-checks them.
 
-Coefficient arithmetic is exact.  Internally polynomials are handled with
-integer coefficients, with the content divided out after every reduction
-to bound coefficient growth.
+Coefficient arithmetic is exact: the engine works on the integer term
+maps of :class:`~tjspectra.poly.Poly` directly, with the content divided
+out after every reduction to bound coefficient growth.  Only the oracle
+uses ``Fraction``, for its row reduction.
 """
 
 from dataclasses import dataclass
@@ -26,10 +27,7 @@ from operator import add, le, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NonIsolatedSingularity, NonzeroConstantTerm
-from .poly import Poly, jacobian
-
-Exponent = tuple[int, ...]
-IntPoly = dict[Exponent, int]
+from .poly import Exponent, IntPoly, Poly, add_terms, jacobian
 
 INFINITE = "infinite"
 
@@ -40,14 +38,6 @@ def order_key(e: Exponent):
 
 
 # --- integer-coefficient plumbing ---
-
-def _to_int_poly(p: Poly) -> IntPoly:
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    out = {e: int(c * denom) for e, c in p.terms.items()}
-    return _strip_content(out)
-
 
 def _strip_content(p: IntPoly) -> IntPoly:
     if not p:
@@ -81,24 +71,13 @@ def _mul_monomial(p: IntPoly, delta: Exponent, coeff: int) -> IntPoly:
     return {tuple(map(add, e, delta)): coeff * c for e, c in p.items()}
 
 
-def _add(p: IntPoly, q: IntPoly) -> IntPoly:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
 def _reduce_once(h: IntPoly, lm_h: Exponent, g: IntPoly, lm_g: Exponent) -> IntPoly:
     """Cancel the lead term of h against g; result has content removed."""
     ch, cg = h[lm_h], g[lm_g]
     d = gcd(ch, cg)
     a, b = cg // d, ch // d
     delta = tuple(map(sub, lm_h, lm_g))
-    out = _add({e: a * c for e, c in h.items()}, _mul_monomial(g, delta, -b))
+    out = add_terms({e: a * c for e, c in h.items()}, _mul_monomial(g, delta, -b))
     return _strip_content(out)
 
 
@@ -109,7 +88,7 @@ def _spoly(f: IntPoly, lm_f: Exponent, g: IntPoly, lm_g: Exponent) -> IntPoly:
     a, b = cg // d, cf // d
     df = tuple(map(sub, lcm, lm_f))
     dg = tuple(map(sub, lcm, lm_g))
-    return _strip_content(_add(_mul_monomial(f, df, a), _mul_monomial(g, dg, -b)))
+    return _strip_content(add_terms(_mul_monomial(f, df, a), _mul_monomial(g, dg, -b)))
 
 
 Reducer = tuple[IntPoly, Exponent, int]  # (polynomial, lead, ecart)
@@ -218,10 +197,6 @@ class StdBasisResult:
     colength: Union[int, str]  # int or INFINITE
 
 
-def _to_poly(p: IntPoly, nvars: int) -> Poly:
-    return Poly({e: Fraction(c) for e, c in p.items()}, nvars)
-
-
 def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     """Standard basis under the local degree order, with its colength.
 
@@ -229,10 +204,10 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     they were produced, normalized to integer content-free form.
     """
     nvars = gens[0].nvars
-    basis = _std_int(_to_int_poly(g) for g in gens)
+    basis = _std_int(_strip_content(g.terms) for g in gens)
     leads = tuple(lm for _, lm, _ in basis)
     return StdBasisResult(
-        generators=tuple(_to_poly(g, nvars) for g, _, _ in basis),
+        generators=tuple(Poly(g, nvars) for g, _, _ in basis),
         lead_exponents=leads,
         colength=_colength_of_leads(leads, nvars),
     )
@@ -274,6 +249,9 @@ def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, dict[Exponent
     """Row-reduce all monomial multiples of gens, truncated at total degree cap.
 
     Returns the pivot rows keyed by their lead monomial (local degree order).
+    A row starts with the generators' int coefficients; a new pivot row is
+    divided by its lead coefficient as a Fraction, since int true division
+    would give floats.
     """
     pivots: dict[Exponent, dict[Exponent, Fraction]] = {}
     nvars = gens[0].nvars
@@ -286,18 +264,17 @@ def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, dict[Exponent
             for e, c in g.terms.items():
                 ee = tuple(a + b for a, b in zip(e, m))
                 if sum(ee) <= cap:
-                    row[ee] = row.get(ee, Fraction(0)) + c
-            row = {e: c for e, c in row.items() if c}
+                    row[ee] = c
             while row:
                 lead = max(row, key=order_key)
                 piv = pivots.get(lead)
                 if piv is None:
                     lc = row[lead]
-                    pivots[lead] = {e: c / lc for e, c in row.items()}
+                    pivots[lead] = {e: Fraction(c) / lc for e, c in row.items()}
                     break
                 factor = row[lead]
                 for e, c in piv.items():
-                    s = row.get(e, Fraction(0)) - factor * c
+                    s = row.get(e, 0) - factor * c
                     if s:
                         row[e] = s
                     else:

@@ -1,8 +1,9 @@
-"""Sparse multivariate polynomials over exact rationals (at most 3 variables).
+"""Sparse multivariate polynomials with integer coefficients (at most 3 variables).
 
-Terms are stored as a map from exponent tuples to nonzero Fraction
-coefficients.  The text grammar accepted by :func:`parse_poly` covers the
-input syntax used throughout this package:
+Terms are stored as a map from exponent tuples to nonzero int
+coefficients; the constructor rejects any other coefficient type, so no
+inexact number enters the engine.  The text grammar accepted by
+:func:`parse_poly` covers the input syntax used throughout this package:
 
     poly    := term (('+' | '-') term)*       (optional leading sign)
     term    := factor ('*' factor)*
@@ -13,37 +14,67 @@ Variables are x, y, z (the first ``nvars`` of them).  Whitespace is ignored.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import PolySyntaxError, TooManyVariables
 
 VAR_NAMES = ("x", "y", "z")
 MAX_VARS = 3
 
+Exponent = tuple[int, ...]
+IntPoly = dict[Exponent, int]
+
+
+def _check_nvars(nvars: int) -> None:
+    if not 1 <= nvars <= MAX_VARS:
+        raise TooManyVariables(f"nvars must be in [1, {MAX_VARS}]")
+
+
+def add_terms(p: IntPoly, q: IntPoly) -> IntPoly:
+    """The term map of p + q, without the terms that cancel."""
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
 
 @dataclass(frozen=True)
 class Poly:
-    terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    """A polynomial in nvars variables.  Construction raises TypeError for
+    a coefficient that is not an int (a Fraction, float or bool), ValueError
+    for a zero coefficient or an exponent that is not a tuple of nvars
+    non-negative ints, and TooManyVariables for nvars outside [1, MAX_VARS]."""
+
+    terms: IntPoly = field(default_factory=dict)
     nvars: int = 2
 
     def __post_init__(self):
-        if self.nvars > MAX_VARS:
-            raise TooManyVariables(f"at most {MAX_VARS} variables supported")
+        _check_nvars(self.nvars)
+        for e, c in self.terms.items():
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be int, not {type(c).__name__}")
+            if not c:
+                raise ValueError(f"zero coefficient at exponent {e!r}")
+            if (type(e) is not tuple or len(e) != self.nvars
+                    or not all(type(k) is int and k >= 0 for k in e)):
+                raise ValueError(f"exponent {e!r} is not a tuple of "
+                                 f"{self.nvars} non-negative ints")
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
         return Poly({}, nvars)
 
     @staticmethod
-    def constant(c, nvars: int) -> "Poly":
-        c = Fraction(c)
+    def constant(c: int, nvars: int) -> "Poly":
         if c == 0:
             return Poly.zero(nvars)
         return Poly({(0,) * nvars: c}, nvars)
 
     @staticmethod
-    def monomial(exps: tuple[int, ...], coeff=1) -> "Poly":
-        coeff = Fraction(coeff)
+    def monomial(exps: Exponent, coeff: int = 1) -> "Poly":
         if coeff == 0:
             return Poly.zero(len(exps))
         return Poly({tuple(exps): coeff}, len(exps))
@@ -51,18 +82,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> int:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(out, self.nvars)
+        return Poly(add_terms(self.terms, other.terms), self.nvars)
 
     def __neg__(self) -> "Poly":
         return Poly({e: -c for e, c in self.terms.items()}, self.nvars)
@@ -71,11 +95,11 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: IntPoly = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -94,14 +118,8 @@ class Poly:
             k >>= 1
         return result
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly.zero(self.nvars)
-        return Poly({e: c * t for e, t in self.terms.items()}, self.nvars)
-
     def derivative(self, var: int) -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: IntPoly = {}
         for e, c in self.terms.items():
             if e[var] == 0:
                 continue
@@ -140,8 +158,7 @@ def jacobian(f: Poly) -> list[Poly]:
 
 class _Parser:
     def __init__(self, text: str, nvars: int):
-        if nvars < 1 or nvars > MAX_VARS:
-            raise TooManyVariables(f"nvars must be in [1, {MAX_VARS}]")
+        _check_nvars(nvars)
         self.text = text
         self.pos = 0
         self.nvars = nvars
@@ -169,10 +186,8 @@ class _Parser:
         return p
 
     def parse_sum(self) -> Poly:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        p = self.parse_term().scale(sign)
+        negate = self.peek() in ("+", "-") and self.take() == "-"
+        p = -self.parse_term() if negate else self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.take()
             t = self.parse_term()

@@ -24,6 +24,10 @@ def test_spectrum_brieskorn():
     r = run("spectrum", "brieskorn", "--a", "2", "--b", "3")
     assert r.returncode == 0
     assert "spectrum: 5/6 7/6" in r.stdout
+    from tjspectra.cli import build_instance
+    from tjspectra.poly import parse_poly
+    inst, _ = build_instance("brieskorn", {"a": 2, "b": 3})
+    assert inst.defining_poly == parse_poly("x^2+y^3")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "check"])

@@ -9,6 +9,7 @@ from tjspectra.families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
                                 brieskorn_two_var, puiseux_instance,
                                 puiseux_spectrum, swh_instance,
                                 three_monomial_instance)
+from tjspectra.poly import parse_poly
 from tjspectra.spectra import average
 from tjspectra.verify import THREE_MONOMIAL_TUPLES, swh_grid
 
@@ -122,6 +123,7 @@ def test_puiseux_c5():
     assert (p.c, p.e) == (5, 17)
     inst = puiseux_instance(p, verify_milnor=True)
     assert (inst.mu, inst.tau) == (20, 18)
+    assert inst.defining_poly == parse_poly("(y^2-x^3)^2-x^7*y")
 
 
 def test_puiseux_gcd_violation():

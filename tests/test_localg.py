@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from tjspectra.errors import NonIsolatedSingularity, NonzeroConstantTerm
 from tjspectra.families import swh_instance
-from tjspectra.localg import (INFINITE, _colength_of_leads, colength_oracle,
-                              local_std_basis, milnor, order_key, tjurina)
+from tjspectra.localg import (INFINITE, _colength_of_leads, _span_pivots,
+                              colength_oracle, local_std_basis, milnor,
+                              order_key, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
 from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, swh_grid
 
@@ -36,6 +37,20 @@ def test_std_basis_unit_multiple():
     r = local_std_basis(gens_of("y", "x^3+x^4"))
     assert r.colength == 3
     assert r.colength == colength_oracle(gens_of("y", "x^3+x^4"), 8)
+
+
+def test_std_basis_generators_have_int_coefficients():
+    f = parse_poly("7*x^6+5*x^4*y^5-3*x*y^7")
+    r = local_std_basis(jacobian(f) + [f])
+    assert all(type(c) is int for g in r.generators for c in g.terms.values())
+
+
+def test_oracle_pivots_are_fractions():
+    gens = gens_of("3*x^2+2*y^3", "5*y^2")
+    pivots = _span_pivots(gens, 6)
+    assert pivots
+    assert all(type(c) is Fraction for row in pivots.values() for c in row.values())
+    assert colength_oracle(gens, 6) == local_std_basis(gens).colength
 
 
 def test_std_basis_infinite_colength():
@@ -203,10 +218,7 @@ def _ref_std(gens):
 
 
 def _int_poly(p):
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return _ref_content_free({e: int(c * denom) for e, c in p.terms.items()})
+    return _ref_content_free(dict(p.terms))
 
 
 def assert_matches_reference(gens):
@@ -238,8 +250,7 @@ def small_ideals(draw):
     nvars = draw(st.integers(2, 3))
     exps = st.tuples(*[st.integers(0, 4)] * nvars)
     terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
-    gens = [Poly({e: Fraction(c) for e, c in t.items()}, nvars)
-            for t in draw(st.lists(terms, min_size=1, max_size=2))]
+    gens = [Poly(t, nvars) for t in draw(st.lists(terms, min_size=1, max_size=2))]
     for v in range(nvars):
         k = draw(st.integers(1, 6))
         gens.append(Poly.monomial(tuple(k if w == v else 0 for w in range(nvars))))

@@ -78,3 +78,34 @@ def test_pow_zero_and_one():
     f = parse_poly("x+1")
     assert (f ** 0).terms == {(0, 0): F(1)}
     assert f ** 1 == f
+
+
+INEXACT = [F(1, 2), F(3), 0.5, True]
+
+
+@pytest.mark.parametrize("coeff", INEXACT, ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda c: Poly({(1, 0): c}, 2),
+    lambda c: Poly.constant(c, 2),
+    lambda c: Poly.monomial((1, 2), c),
+], ids=["Poly", "constant", "monomial"])
+def test_non_int_coefficients_raise(build, coeff):
+    with pytest.raises(TypeError):
+        build(coeff)
+
+
+@pytest.mark.parametrize("terms", [
+    {(3,): 1, (0, 3): 1},
+    {(1, -1): 1},
+    {(1.0, 0): 1},
+    {(2, 0): 0},
+])
+def test_malformed_terms_raise(terms):
+    with pytest.raises(ValueError):
+        Poly(terms, 2)
+
+
+@pytest.mark.parametrize("nvars", [0, 4])
+def test_nvars_out_of_range_raises(nvars):
+    with pytest.raises(TooManyVariables, match=r"nvars must be in \[1, 3\]"):
+        Poly({}, nvars)

@@ -216,13 +216,13 @@ def semi_quasihomogeneous(draw):
     nvars = draw(st.integers(2, 3))
     top = 6 if nvars == 2 else 4
     weights = draw(st.tuples(*[st.integers(2, top)] * nvars))
-    terms = {tuple(w if u == v else 0 for u in range(nvars)): F(1)
+    terms = {tuple(w if u == v else 0 for u in range(nvars)): 1
              for v, w in enumerate(weights)}
     above = [e for e in product(*(range(w + 1) for w in weights))
              if sum(F(k, w) for k, w in zip(e, weights)) > 1 and sum(e) <= max(weights)]
     extras = draw(st.lists(st.sampled_from(above), max_size=3, unique=True)) if above else []
     for e in extras:  # never a pure power, which lies on the boundary
-        terms[e] = F(draw(st.integers(-3, 3).filter(bool)))
+        terms[e] = draw(st.integers(-3, 3).filter(bool))
     return Poly(terms, nvars), weights
 
 
