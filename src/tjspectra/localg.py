@@ -12,14 +12,14 @@ ideal by staircase: for each exponent of the first n - 1 variables, the
 least last exponent a minimal lead allows.  An independent truncated
 linear-algebra oracle (:func:`colength_oracle`) double-checks them.
 
-Coefficient arithmetic is exact: the engine works on the integer term
-maps of :class:`~tjspectra.poly.Poly` directly, with the content divided
-out after every reduction to bound coefficient growth.  Only the oracle
-uses ``Fraction``, for its row reduction.
+Coefficient arithmetic is exact and integer throughout: the engine works
+on the integer term maps of :class:`~tjspectra.poly.Poly` directly, with
+the content divided out after every reduction to bound coefficient growth,
+and the oracle row-reduces fraction-free, storing each pivot row
+content-free.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count, product
 from math import gcd
@@ -245,15 +245,15 @@ def _monomials_up_to(nvars: int, cap: int) -> list[Exponent]:
     return [e for e in product(range(cap + 1), repeat=nvars) if sum(e) <= cap]
 
 
-def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, dict[Exponent, Fraction]]:
+def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, IntPoly]:
     """Row-reduce all monomial multiples of gens, truncated at total degree cap.
 
     Returns the pivot rows keyed by their lead monomial (local degree order).
-    A row starts with the generators' int coefficients; a new pivot row is
-    divided by its lead coefficient as a Fraction, since int true division
-    would give floats.
+    Elimination is fraction-free: a row whose lead has a pivot becomes
+    a*row - b*pivot, with a and b the two lead coefficients divided by their
+    gcd, and a new pivot row is stored with its content divided out.
     """
-    pivots: dict[Exponent, dict[Exponent, Fraction]] = {}
+    pivots: dict[Exponent, IntPoly] = {}
     nvars = gens[0].nvars
     for g in gens:
         if g.is_zero():
@@ -262,23 +262,19 @@ def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, dict[Exponent
         for m in _monomials_up_to(nvars, cap - min_deg):
             row = {}
             for e, c in g.terms.items():
-                ee = tuple(a + b for a, b in zip(e, m))
+                ee = tuple(map(add, e, m))
                 if sum(ee) <= cap:
                     row[ee] = c
             while row:
                 lead = max(row, key=order_key)
                 piv = pivots.get(lead)
                 if piv is None:
-                    lc = row[lead]
-                    pivots[lead] = {e: Fraction(c) / lc for e, c in row.items()}
+                    pivots[lead] = _strip_content(row)
                     break
-                factor = row[lead]
-                for e, c in piv.items():
-                    s = row.get(e, 0) - factor * c
-                    if s:
-                        row[e] = s
-                    else:
-                        row.pop(e, None)
+                d = gcd(row[lead], piv[lead])
+                a, b = piv[lead] // d, row[lead] // d
+                row = add_terms({e: a * c for e, c in row.items()},
+                                {e: -b * c for e, c in piv.items()})
     return pivots
 
 

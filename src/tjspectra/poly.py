@@ -2,8 +2,11 @@
 
 Terms are stored as a map from exponent tuples to nonzero int
 coefficients; the constructor rejects any other coefficient type, so no
-inexact number enters the engine.  The text grammar accepted by
-:func:`parse_poly` covers the input syntax used throughout this package:
+inexact number enters the engine.  The arithmetic itself works on those
+term maps (:func:`add_terms`, :func:`mul_terms`, :func:`pow_terms`), so
+only the ``Poly`` a caller gets back is validated.  The text grammar
+accepted by :func:`parse_poly` covers the input syntax used throughout this
+package:
 
     poly    := term (('+' | '-') term)*       (optional leading sign)
     term    := factor ('*' factor)*
@@ -14,6 +17,7 @@ Variables are x, y, z (the first ``nvars`` of them).  Whitespace is ignored.
 """
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import PolySyntaxError, TooManyVariables
 
@@ -39,6 +43,44 @@ def add_terms(p: IntPoly, q: IntPoly) -> IntPoly:
         else:
             out.pop(e, None)
     return out
+
+
+def neg_terms(p: IntPoly) -> IntPoly:
+    return {e: -c for e, c in p.items()}
+
+
+def mul_terms(p: IntPoly, q: IntPoly) -> IntPoly:
+    """The term map of p * q, without the terms that cancel."""
+    out: IntPoly = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def pow_terms(p: IntPoly, k: int, nvars: int) -> IntPoly:
+    """The term map of p ** k (p ** 0 is 1, also for p = 0); ValueError for k < 0.
+
+    A one-term base is raised directly; any other by repeated squaring.
+    """
+    if k < 0:
+        raise ValueError("negative power")
+    if len(p) == 1:
+        ((e, c),) = p.items()
+        return {tuple(k * x for x in e): c ** k}
+    result: IntPoly = {(0,) * nvars: 1}
+    while k:
+        if k & 1:
+            result = mul_terms(result, p)
+        k >>= 1
+        if k:
+            p = mul_terms(p, p)
+    return result
 
 
 @dataclass(frozen=True)
@@ -85,38 +127,26 @@ class Poly:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
 
+    def _same_nvars(self, other: "Poly") -> None:
+        if other.nvars != self.nvars:
+            raise ValueError(f"operands have {self.nvars} and {other.nvars} variables")
+
     def __add__(self, other: "Poly") -> "Poly":
+        self._same_nvars(other)
         return Poly(add_terms(self.terms, other.terms), self.nvars)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, self.nvars)
+        return Poly(neg_terms(self.terms), self.nvars)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: IntPoly = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(out, self.nvars)
+        self._same_nvars(other)
+        return Poly(mul_terms(self.terms, other.terms), self.nvars)
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Poly.constant(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return Poly(pow_terms(self.terms, k, self.nvars), self.nvars)
 
     def derivative(self, var: int) -> "Poly":
         out: IntPoly = {}
@@ -183,33 +213,32 @@ class _Parser:
         p = self.parse_sum()
         if self.peek():
             self.error(f"unexpected character {self.peek()!r}")
-        return p
+        return Poly(p, self.nvars)
 
-    def parse_sum(self) -> Poly:
+    def parse_sum(self) -> IntPoly:
         negate = self.peek() in ("+", "-") and self.take() == "-"
-        p = -self.parse_term() if negate else self.parse_term()
+        p = neg_terms(self.parse_term()) if negate else self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.take()
             t = self.parse_term()
-            p = p - t if op == "-" else p + t
+            p = add_terms(p, neg_terms(t) if op == "-" else t)
         return p
 
-    def parse_term(self) -> Poly:
+    def parse_term(self) -> IntPoly:
         p = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            p = p * self.parse_factor()
+            p = mul_terms(p, self.parse_factor())
         return p
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self) -> IntPoly:
         base = self.parse_base()
         if self.peek() == "^":
             self.take()
-            exp = self.parse_natural()
-            return base ** exp
+            return pow_terms(base, self.parse_natural(), self.nvars)
         return base
 
-    def parse_base(self) -> Poly:
+    def parse_base(self) -> IntPoly:
         ch = self.peek()
         if ch == "(":
             self.take()
@@ -219,15 +248,14 @@ class _Parser:
             self.take()
             return p
         if ch.isdigit():
-            return Poly.constant(self.parse_natural(), self.nvars)
+            c = self.parse_natural()
+            return {(0,) * self.nvars: c} if c else {}
         if ch in VAR_NAMES:
             idx = VAR_NAMES.index(ch)
             if idx >= self.nvars:
                 self.error(f"variable {ch!r} not available with nvars={self.nvars}")
             self.take()
-            exps = [0] * self.nvars
-            exps[idx] = 1
-            return Poly.monomial(tuple(exps))
+            return {tuple(int(v == idx) for v in range(self.nvars)): 1}
         self.error("expected a number, variable, or '('")
 
     def parse_natural(self) -> int:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from tjspectra.errors import NonIsolatedSingularity, NonzeroConstantTerm
 from tjspectra.families import swh_instance
-from tjspectra.localg import (INFINITE, _colength_of_leads, _span_pivots,
-                              colength_oracle, local_std_basis, milnor,
-                              order_key, tjurina)
+from tjspectra.localg import (INFINITE, _colength_of_leads, _monomials_up_to,
+                              _span_pivots, colength_oracle, local_std_basis,
+                              milnor, order_key, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
 from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, swh_grid
 
@@ -45,11 +45,12 @@ def test_std_basis_generators_have_int_coefficients():
     assert all(type(c) is int for g in r.generators for c in g.terms.values())
 
 
-def test_oracle_pivots_are_fractions():
+def test_oracle_pivots_are_ints():
     gens = gens_of("3*x^2+2*y^3", "5*y^2")
     pivots = _span_pivots(gens, 6)
     assert pivots
-    assert all(type(c) is Fraction for row in pivots.values() for c in row.values())
+    assert all(type(c) is int for row in pivots.values() for c in row.values())
+    assert all(gcd(*row.values()) == 1 for row in pivots.values())
     assert colength_oracle(gens, 6) == local_std_basis(gens).colength
 
 
@@ -139,6 +140,46 @@ def test_swh_family_cross_checks():
 
 
 # --- pins of the fast paths against their earlier, direct forms ---
+
+def _fraction_span_pivots(gens, cap):
+    """The oracle's row reduction as first written, over Fraction: every
+    pivot row is divided by its lead coefficient."""
+    pivots = {}
+    nvars = gens[0].nvars
+    for g in gens:
+        min_deg = min(sum(e) for e in g.terms)
+        for m in _monomials_up_to(nvars, cap - min_deg):
+            row = {}
+            for e, c in g.terms.items():
+                ee = tuple(a + b for a, b in zip(e, m))
+                if sum(ee) <= cap:
+                    row[ee] = c
+            while row:
+                lead = max(row, key=order_key)
+                piv = pivots.get(lead)
+                if piv is None:
+                    pivots[lead] = {e: Fraction(c) / row[lead] for e, c in row.items()}
+                    break
+                factor = row[lead]
+                for e, c in piv.items():
+                    s = row.get(e, 0) - factor * c
+                    if s:
+                        row[e] = s
+                    else:
+                        row.pop(e, None)
+    return pivots
+
+
+@pytest.mark.parametrize("text", ORACLE_CORPUS)
+def test_integer_pivots_are_multiples_of_fraction_pivots(text):
+    f = parse_poly(text)
+    gens = [g for g in jacobian(f) if not g.is_zero()] + [f]
+    got = _span_pivots(gens, ORACLE_CAP)
+    want = _fraction_span_pivots(gens, ORACLE_CAP)
+    assert got.keys() == want.keys()
+    for lead, row in got.items():
+        assert row == {e: row[lead] * c for e, c in want[lead].items()}
+
 
 def _ref_lead(p):
     return max(p, key=order_key)

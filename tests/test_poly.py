@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from operator import add, mul, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tjspectra.errors import PolySyntaxError, TooManyVariables
-from tjspectra.poly import Poly, jacobian, parse_poly
+from tjspectra.poly import VAR_NAMES, Poly, jacobian, parse_poly
 
 
 def test_parse_three_terms():
@@ -78,6 +81,172 @@ def test_pow_zero_and_one():
     f = parse_poly("x+1")
     assert (f ** 0).terms == {(0, 0): F(1)}
     assert f ** 1 == f
+
+
+@pytest.mark.parametrize("text", ["x^0", "(x+y)^0", "(-2*y)^0", "0^0", "(x-x)^0"])
+def test_power_zero_is_one(text):
+    assert parse_poly(text).terms == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("text", ["x", "-3*x*y^2", "x+1", "0"])
+def test_negative_power_raises(text):
+    with pytest.raises(ValueError, match="negative power"):
+        parse_poly(text) ** -1
+
+
+@pytest.mark.parametrize("op", [add, sub, mul])
+def test_mixed_nvars_raise(op):
+    p, q = Poly({(1, 0): 1}, 2), Poly({(1, 0, 1): 1}, 3)
+    with pytest.raises(ValueError):
+        op(p, q)
+    with pytest.raises(ValueError):
+        op(q, p)
+
+
+# --- the parser against its first form, which combined checked Polys ---
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly({e: c for e, c in out.items() if c}, p.nvars)
+
+
+def _ref_pow(p, k):
+    result = Poly.constant(1, p.nvars)
+    while k:
+        if k & 1:
+            result = _ref_mul(result, p)
+        p = _ref_mul(p, p)
+        k >>= 1
+    return result
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return Poly({e: c for e, c in out.items() if c}, p.nvars)
+
+
+class _RefParser:
+    def __init__(self, text, nvars):
+        self.text, self.pos, self.nvars = text, 0, nvars
+
+    def error(self, message):
+        raise PolySyntaxError(message, self.pos)
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self):
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def parse(self):
+        p = self.parse_sum()
+        if self.peek():
+            self.error(f"unexpected character {self.peek()!r}")
+        return p
+
+    def parse_sum(self):
+        negate = self.peek() in ("+", "-") and self.take() == "-"
+        p = self.parse_term()
+        if negate:
+            p = _ref_add(Poly.zero(self.nvars), p, -1)
+        while self.peek() in ("+", "-"):
+            sign = -1 if self.take() == "-" else 1
+            p = _ref_add(p, self.parse_term(), sign)
+        return p
+
+    def parse_term(self):
+        p = self.parse_factor()
+        while self.peek() == "*":
+            self.take()
+            p = _ref_mul(p, self.parse_factor())
+        return p
+
+    def parse_factor(self):
+        base = self.parse_base()
+        if self.peek() == "^":
+            self.take()
+            return _ref_pow(base, self.parse_natural())
+        return base
+
+    def parse_base(self):
+        ch = self.peek()
+        if ch == "(":
+            self.take()
+            p = self.parse_sum()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.take()
+            return p
+        if ch.isdigit():
+            return Poly.constant(self.parse_natural(), self.nvars)
+        if ch in VAR_NAMES:
+            idx = VAR_NAMES.index(ch)
+            if idx >= self.nvars:
+                self.error(f"variable {ch!r} not available with nvars={self.nvars}")
+            self.take()
+            return Poly.monomial(tuple(int(v == idx) for v in range(self.nvars)))
+        self.error("expected a number, variable, or '('")
+
+    def parse_natural(self):
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected a natural number")
+        return int(self.text[start:self.pos])
+
+
+@st.composite
+def expressions(draw):
+    """Valid input text in 1-3 variables: signs, constants, nested groups
+    and powers up to 8 (up to 3 on a group, so that nested powers stay
+    small)."""
+    nvars = draw(st.integers(1, 3))
+    atoms = st.one_of(st.integers(0, 20).map(str), st.sampled_from(VAR_NAMES[:nvars]))
+
+    def extend(inner):
+        group = inner.map(lambda t: f"({t})")
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", " - ", "*", " * "]), group).map("".join),
+            st.tuples(st.sampled_from(["-", "+"]), inner.filter(lambda t: t[0] not in "+-")
+                      ).map("".join),
+            st.tuples(group, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+            st.tuples(atoms, st.integers(0, 8)).map(lambda t: f"{t[0]}^{t[1]}"),
+        )
+
+    return draw(st.recursive(atoms, extend, max_leaves=8)), nvars
+
+
+@given(expressions())
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_reference(case):
+    text, nvars = case
+    assert parse_poly(text, nvars) == _RefParser(text, nvars).parse()
+
+
+BAD_INPUTS = [("x^^2", 2), ("x^2)", 2), ("(x+y", 2), ("", 2), ("x+", 2), ("2*", 2),
+              ("x^", 2), ("x+z", 2), ("x^-1", 2), ("x y", 2), ("x**2", 2), ("3.5*x", 2),
+              ("w", 3), ("x*-y", 3), ("+-x", 1), ("(x)(y)", 2), ("y", 1)]
+
+
+@pytest.mark.parametrize("text,nvars", BAD_INPUTS)
+def test_bad_input_errors_match_reference(text, nvars):
+    with pytest.raises(PolySyntaxError) as want:
+        _RefParser(text, nvars).parse()
+    with pytest.raises(PolySyntaxError) as got:
+        parse_poly(text, nvars)
+    assert (str(got.value), got.value.position) == (str(want.value), want.value.position)
 
 
 INEXACT = [F(1, 2), F(3), 0.5, True]
