@@ -3,9 +3,10 @@ and variance-defect checks for the (generalized) Hertling conjecture."""
 
 from .spectra import (Spectrum, SubsetStats, average, hertling_defect,
                       make_spectrum, subset_stats, variance, width)
-from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
-                       TjurinaInstance, brieskorn_two_var, puiseux_instance,
-                       puiseux_spectrum, swh_instance, three_monomial_instance)
+from .families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhParams,
+                       ThreeMonomialParams, TjurinaInstance, brieskorn_instance,
+                       brieskorn_two_var, puiseux_instance, puiseux_spectrum,
+                       swh_instance, three_monomial_instance)
 from .conjecture import (CandidateRecord, EnumerationResult, Thm31Verdict,
                          closed_form_tau_delta_322, enumerate_candidates,
                          mple_failure_bound, prop41_step, remark32_compare,

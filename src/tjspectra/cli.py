@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -17,53 +18,15 @@ from . import localg, verify
 from .conjecture import enumerate_candidates, thm31_verdict, tjurina_defect
 from .errors import (InternalConsistencyError, InvalidFamilyParameters,
                      TjspectraError)
-from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
-                       TjurinaInstance, brieskorn_two_var, puiseux_instance,
-                       swh_instance, three_monomial_instance)
-from .poly import Poly, parse_poly
+from .families import FAMILIES, brieskorn_two_var
+from .poly import parse_poly
 from .rational import decimal_str, format_ratio
 from .spectra import stats_of_values, subset_stats
 
-FAMILY_PARAMS = {
-    "brieskorn": ("a", "b"),
-    "swh": ("a", "b", "c", "d"),
-    "three-monomial": ("a", "b", "c", "d"),
-    "puiseux": ("a", "b", "d", "q", "r"),
-}
+FLAGS = sorted({f.name for params in FAMILIES.values() for f in fields(params)})
 
 TSV_COLUMNS = ("family", "params", "mu", "tau", "delta_exact", "delta_decimal",
                "thm31", "av_obs")
-
-
-def build_instance(family, values, cross_check=False):
-    """Construct a TjurinaInstance for a CLI family spec.
-
-    Returns (instance, is_swh).  Brieskorn instances get the full index set
-    as their Tjurina subset (mu = tau for weighted-homogeneous input).
-    """
-    if family == "brieskorn":
-        s = brieskorn_two_var(values["a"], values["b"])
-        f = Poly({(values["a"], 0): 1, (0, values["b"]): 1}, 2)
-        inst = TjurinaInstance(s, frozenset(range(1, s.mu + 1)), s.mu, f,
-                               f"brieskorn({values['a']},{values['b']})")
-        return inst, True
-    if family == "swh":
-        p = SwhParams(values["a"], values["b"], values["c"], values["d"])
-        return swh_instance(p, cross_check=cross_check), True
-    if family == "three-monomial":
-        p = ThreeMonomialParams(values["a"], values["b"], values["c"], values["d"])
-        return three_monomial_instance(p, cross_check=cross_check), False
-    if family == "puiseux":
-        p = PuiseuxParams(values["a"], values["b"], values["d"], values["q"], values["r"])
-        return puiseux_instance(p, consecutive=True, verify_milnor=cross_check), False
-    raise TjspectraError(f"unknown family {family!r}")
-
-
-def print_subset_source(family):
-    """Say so when the Tjurina subset is assumed, not computed: build_instance
-    takes the top tau values of every Puiseux spectrum."""
-    if family == "puiseux":
-        print("tjurina_subset: assumed-top-block")
 
 
 def sign_marker(x: Fraction) -> str:
@@ -72,34 +35,39 @@ def sign_marker(x: Fraction) -> str:
 
 # --- subcommand bodies ---
 
-def cmd_spectrum(args):
-    values = _collect_params(args, FAMILY_PARAMS[args.family])
-    inst, _ = build_instance(args.family, values, cross_check=args.cross_check)
-    s = inst.spectrum
+def _instance(args):
+    """The instance that the family and its flags on the command line name."""
+    params = FAMILIES[args.family](**_family_values(args))
+    return params.instance(cross_check=args.cross_check)
+
+
+def _print_heading(inst):
     print(f"family: {inst.family_tag}")
-    print_subset_source(args.family)
+    if inst.subset_assumed:
+        print("tjurina_subset: assumed-top-block")
+
+
+def cmd_spectrum(args):
+    inst = _instance(args)
+    s = inst.spectrum
+    _print_heading(inst)
     print(f"mu = {s.mu}")
     print(f"tau = {inst.tau}")
     print("spectrum:", " ".join(format_ratio(v) for v in s.values))
-    if inst.tjurina_indices is not None:
-        mask = "".join("1" if i in inst.tjurina_indices else "0"
-                       for i in range(1, s.mu + 1))
-        print(f"tjurina_mask: {mask}")
-        missing = [format_ratio(s.value_at(i)) for i in range(1, s.mu + 1)
-                   if i not in inst.tjurina_indices]
-        print("missing:", " ".join(missing) if missing else "(none)")
-    else:
-        print("tjurina_mask: (undetermined)")
+    mask = "".join("1" if i in inst.tjurina_indices else "0"
+                   for i in range(1, s.mu + 1))
+    print(f"tjurina_mask: {mask}")
+    missing = [format_ratio(s.value_at(i)) for i in range(1, s.mu + 1)
+               if i not in inst.tjurina_indices]
+    print("missing:", " ".join(missing) if missing else "(none)")
     return 0
 
 
 def cmd_check(args):
-    values = _collect_params(args, FAMILY_PARAMS[args.family])
-    inst, is_swh = build_instance(args.family, values, cross_check=args.cross_check)
+    inst = _instance(args)
     delta = tjurina_defect(inst)
-    v = thm31_verdict(inst, is_swh)
-    print(f"family: {inst.family_tag}")
-    print_subset_source(args.family)
+    v = thm31_verdict(inst)
+    _print_heading(inst)
     print(f"mu = {inst.mu}  tau = {inst.tau}")
     print(f"delta = {format_ratio(delta)} ({sign_marker(delta)}) ~ {decimal_str(delta)}")
     print(f"thm31_guaranteed_failure = {str(v.guaranteed_failure).lower()}")
@@ -155,7 +123,7 @@ def sweep_row(family, values, subset):
     """One sweep row, or None when the tuple is invalid for the family or
     the requested subset is empty; any other failure propagates."""
     try:
-        inst, is_swh = build_instance(family, values)
+        inst = FAMILIES[family](**values).instance()
     except InvalidFamilyParameters:
         return None
     if subset == "drop-max":
@@ -163,17 +131,13 @@ def sweep_row(family, values, subset):
             return None
         indices = range(1, inst.mu)
     else:
-        if inst.tjurina_indices is None:
-            return None
         indices = sorted(inst.tjurina_indices)
     st = subset_stats(inst.spectrum, indices)
     full_av = stats_of_values(inst.spectrum.values).av
-    sub_inst = TjurinaInstance(inst.spectrum, frozenset(indices), st.tau,
-                               inst.defining_poly, inst.family_tag)
-    v = thm31_verdict(sub_inst, is_swh)
+    v = thm31_verdict(replace(inst, tjurina_indices=frozenset(indices)))
     return {
         "family": family,
-        "params": ",".join(str(values[k]) for k in FAMILY_PARAMS[family]),
+        "params": ",".join(map(str, values.values())),
         "mu": inst.mu,
         "tau": inst.tau,
         "delta_exact": format_ratio(st.delta),
@@ -188,13 +152,9 @@ def _sweep_worker(job):
 
 
 def cmd_sweep(args):
-    names = FAMILY_PARAMS[args.family]
-    ranges = []
-    for name in names:
-        raw = getattr(args, name)
-        if raw is None:
-            raise TjspectraError(f"sweep over family {args.family!r} requires --{name}")
-        ranges.append(_parse_range(raw))
+    raw = _family_values(args)
+    names = list(raw)
+    ranges = [_parse_range(text) for text in raw.values()]
     if any(not r for r in ranges):
         raise TjspectraError("empty parameter range")
     if args.jobs < 1:
@@ -233,22 +193,22 @@ def cmd_verify(args):
     return verify.run_checks(skip_localg=args.skip_localg)
 
 
-def _collect_params(args, names):
-    values = {}
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise TjspectraError(f"missing required parameter --{name}")
-        values[name] = v
-    return values
+def _family_values(args):
+    """The family's flag values by parameter name; a missing flag, or one
+    the family does not take, is an input error."""
+    names = [f.name for f in fields(FAMILIES[args.family])]
+    for name in FLAGS:
+        given = getattr(args, name) is not None
+        if given != (name in names):
+            verb = "requires" if name in names else "takes no"
+            raise TjspectraError(f"family {args.family!r} {verb} --{name}")
+    return {name: getattr(args, name) for name in names}
 
 
-def _add_family_flags(sub):
-    sub.add_argument("family", choices=sorted(FAMILY_PARAMS))
-    for name in ("a", "b", "c", "d", "q", "r"):
-        sub.add_argument(f"--{name}", type=int)
-    sub.add_argument("--cross-check", action="store_true",
-                     help="recompute mu/tau with the local standard-basis engine")
+def _add_family_flags(sub, **flag_options):
+    sub.add_argument("family", choices=sorted(FAMILIES))
+    for name in FLAGS:
+        sub.add_argument(f"--{name}", **flag_options)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,13 +221,14 @@ def build_parser():
                      description="Exact Tjurina spectra and Hertling variance defects")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[], help="print a family spectrum")
-    _add_family_flags(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("check", help="defect and failure-criterion verdict for one instance")
-    _add_family_flags(p)
-    p.set_defaults(func=cmd_check)
+    for name, fn, text in (
+            ("spectrum", cmd_spectrum, "print a family spectrum"),
+            ("check", cmd_check, "defect and failure-criterion verdict for one instance")):
+        p = sub.add_parser(name, help=text)
+        _add_family_flags(p, type=int)
+        p.add_argument("--cross-check", action="store_true",
+                       help="recompute mu/tau with the local standard-basis engine")
+        p.set_defaults(func=fn)
 
     p = sub.add_parser("enumerate", help="candidate Tjurina spectra of a Brieskorn polynomial")
     p.add_argument("--poly", required=True)
@@ -276,9 +237,7 @@ def build_parser():
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("sweep", help="tabulate defects over parameter ranges (TSV or JSON)")
-    p.add_argument("family", choices=sorted(FAMILY_PARAMS))
-    for name in ("a", "b", "c", "d", "q", "r"):
-        p.add_argument(f"--{name}", help="integer, lo:hi range, or comma list")
+    _add_family_flags(p, help="integer, lo:hi range, or comma list")
     p.add_argument("--subset", choices=["tjurina", "drop-max"], default="tjurina",
                    help="index subset the delta column is computed over")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")

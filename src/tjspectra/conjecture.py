@@ -13,7 +13,7 @@ from typing import Iterable, Literal, Sequence
 
 from .errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
                      NotSingleSwap, SubsetTooSmall, TauExceedsMu,
-                     TjspectraError, TjurinaSubsetUnset, WrongDirection)
+                     TjspectraError, WrongDirection)
 from .families import TjurinaInstance
 from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
 
@@ -21,8 +21,6 @@ from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
 def tjurina_defect(inst: TjurinaInstance) -> Fraction:
     """delta = Var - width/12 over the Tjurina subset; > 0 means the
     original generalized Hertling inequality fails for this instance."""
-    if inst.tjurina_indices is None:
-        raise TjurinaSubsetUnset(f"{inst.family_tag}: Tjurina index set not determined")
     return subset_stats(inst.spectrum, inst.tjurina_indices).delta
 
 
@@ -36,14 +34,13 @@ class Thm31Verdict:
     guaranteed_failure: bool
 
 
-def thm31_verdict(inst: TjurinaInstance, is_swh: bool) -> Thm31Verdict:
-    """Sufficient condition for the inequality to fail.
+def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
+    """Sufficient condition for the inequality to fail, which the theorem
+    states only for semi-weighted-homogeneous instances (``inst.swh``).
 
     All flags are exact rational comparisons; guaranteed_failure implies
     tjurina_defect(inst) > 0 (sufficiency only, not necessity).
     """
-    if inst.tjurina_indices is None:
-        raise TjurinaSubsetUnset(f"{inst.family_tag}: Tjurina index set not determined")
     s = inst.spectrum
     full = stats_of_values(s.values)
     tj = subset_stats(s, inst.tjurina_indices)
@@ -52,8 +49,8 @@ def thm31_verdict(inst: TjurinaInstance, is_swh: bool) -> Thm31Verdict:
     av_condition = tj.av <= full.av
     width_condition = s.values[-1] - s.values[0] <= 2
     cond_3_3 = Fraction(mu, 12) * (s.values[-1] - tj.alpha_max) >= (mu - tau) * s.values[-1] ** 2
-    guaranteed = (is_swh and mu_ne_tau and (width_condition or av_condition) and cond_3_3)
-    return Thm31Verdict(is_swh, mu_ne_tau, av_condition, width_condition,
+    guaranteed = (inst.swh and mu_ne_tau and (width_condition or av_condition) and cond_3_3)
+    return Thm31Verdict(inst.swh, mu_ne_tau, av_condition, width_condition,
                         cond_3_3, guaranteed)
 
 

@@ -43,10 +43,6 @@ class Condition81Violated(TjspectraError):
 
 # --- conjecture evaluation ---
 
-class TjurinaSubsetUnset(TjspectraError):
-    pass
-
-
 class GapZero(TjspectraError):
     pass
 

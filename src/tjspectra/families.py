@@ -1,9 +1,9 @@
 """Spectrum generators for the four explicit singularity families.
 
-Each generator returns a :class:`TjurinaInstance`: the complete spectrum,
-the Tjurina index subset (when it is known combinatorially), the Tjurina
-number, and the defining polynomial so that every instance can be
-cross-checked by the local-algebra engine.
+:data:`FAMILIES` maps each family name to its parameter class, whose
+``instance`` method returns a :class:`TjurinaInstance`: the complete
+spectrum, the Tjurina index subset, the defining polynomial for the
+local-algebra engine, and what only the family knows about them.
 
 Index convention: within a group of equal spectral values the Tjurina
 members are placed first, so the Tjurina subset is an initial run of each
@@ -14,7 +14,6 @@ on, and it does not change any value multiset.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from . import localg
 from .errors import (Condition81Violated, DegenerateExponent, GcdViolation,
@@ -26,14 +25,33 @@ from .spectra import Spectrum, make_spectrum
 @dataclass(frozen=True)
 class TjurinaInstance:
     spectrum: Spectrum
-    tjurina_indices: Optional[frozenset[int]]  # 1-based; None when unknown
-    tau: int
-    defining_poly: Optional[Poly]
+    tjurina_indices: frozenset[int]  # 1-based
+    defining_poly: Poly
     family_tag: str
+    swh: bool             # semi-weighted-homogeneous: Theorem 3.1 applies
+    subset_assumed: bool  # tjurina_indices is assumed, not computed
 
     @property
     def mu(self) -> int:
         return self.spectrum.mu
+
+    @property
+    def tau(self) -> int:
+        return len(self.tjurina_indices)
+
+
+@dataclass(frozen=True)
+class BrieskornParams:
+    """Weighted-homogeneous x^a + y^b."""
+    a: int
+    b: int
+
+    def validate(self):
+        if min(self.a, self.b) < 2:
+            raise DegenerateExponent(f"need a, b >= 2, got ({self.a}, {self.b})")
+
+    def instance(self, cross_check=False):
+        return brieskorn_instance(self, cross_check)
 
 
 @dataclass(frozen=True)
@@ -45,8 +63,7 @@ class SwhParams:
     d: int
 
     def validate(self):
-        if min(self.a, self.b) < 2:
-            raise DegenerateExponent(f"need a, b >= 2, got ({self.a}, {self.b})")
+        BrieskornParams(self.a, self.b).validate()
         if self.c < 1 or self.d < 1:
             raise InvalidFamilyParameters("c and d must be positive")
         if not (2 * self.c < self.a and 2 * self.d < self.b):
@@ -57,6 +74,9 @@ class SwhParams:
             raise InvalidFamilyParameters(
                 "the perturbing monomial is not above the weighted degree: "
                 f"(a-1-c)/a + (b-1-d)/b <= 1 for (a,b,c,d)=({a},{b},{c},{d})")
+
+    def instance(self, cross_check=False):
+        return swh_instance(self, cross_check)
 
 
 @dataclass(frozen=True)
@@ -74,6 +94,9 @@ class ThreeMonomialParams:
         if a * d + b * c >= c * d:  # a/c + b/d < 1
             raise InvalidFamilyParameters(
                 f"need a/c + b/d < 1, got (a,b,c,d)=({a},{b},{c},{d})")
+
+    def instance(self, cross_check=False):
+        return three_monomial_instance(self, cross_check)
 
 
 @dataclass(frozen=True)
@@ -107,6 +130,15 @@ class PuiseuxParams:
         if gcd(self.c, self.d) != 1:
             raise GcdViolation(f"gcd(c, d) = {gcd(self.c, self.d)} != 1")
 
+    def instance(self, cross_check=False):
+        return puiseux_instance(self, cross_check)
+
+
+# The instance methods call each generator by its module-level name, so a
+# wrapper put in place of that name sees every call.
+FAMILIES = {"brieskorn": BrieskornParams, "swh": SwhParams,
+            "three-monomial": ThreeMonomialParams, "puiseux": PuiseuxParams}
+
 
 def _sorted_with_initial_tjurina(pairs):
     """Sort (value, is_tjurina) pairs; ties put Tjurina members first.
@@ -121,11 +153,35 @@ def _sorted_with_initial_tjurina(pairs):
 
 def brieskorn_two_var(a: int, b: int) -> Spectrum:
     """Complete spectrum {i/a + j/b} of x^a + y^b."""
-    if a < 2 or b < 2:
-        raise DegenerateExponent(f"need a, b >= 2, got ({a}, {b})")
+    BrieskornParams(a, b).validate()
     values = [Fraction(i, a) + Fraction(j, b)
               for i in range(1, a) for j in range(1, b)]
     return make_spectrum(values, n=2, complete=True)
+
+
+def _engine_check(f: Poly, mu: int, tau: int | None = None,
+                  tau_error=InternalConsistencyError):
+    """Recompute mu, and tau unless it is None, with the local-algebra engine."""
+    mu_engine = localg.milnor(f)
+    if mu_engine != mu:
+        raise InternalConsistencyError(
+            f"mu = {mu} but the engine computes {mu_engine} for {f}")
+    if tau is not None:
+        tau_engine = localg.tjurina(f)
+        if tau_engine != tau:
+            raise tau_error(f"tau = {tau} but the engine computes {tau_engine} for {f}")
+
+
+def brieskorn_instance(params: BrieskornParams, cross_check: bool = False) -> TjurinaInstance:
+    """Weighted-homogeneous instance x^a + y^b: mu = tau = (a-1)(b-1), so the
+    Tjurina subset is the whole spectrum."""
+    a, b = params.a, params.b
+    spectrum = brieskorn_two_var(a, b)
+    f = Poly({(a, 0): 1, (0, b): 1}, 2)
+    if cross_check:
+        _engine_check(f, spectrum.mu, spectrum.mu)
+    return TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)), f,
+                           f"brieskorn({a},{b})", swh=True, subset_assumed=False)
 
 
 def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstance:
@@ -154,10 +210,9 @@ def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstanc
 
     f = Poly({(a, 0): 1, (0, b): 1, (a - 1 - c, b - 1 - d): 1}, 2)
     if cross_check:
-        if localg.milnor(f) != spectrum.mu or localg.tjurina(f) != tau:
-            raise InternalConsistencyError(
-                f"local-algebra engine disagrees with (mu, tau) = ({spectrum.mu}, {tau})")
-    return TjurinaInstance(spectrum, t_indices, tau, f, f"swh({a},{b},{c},{d})")
+        _engine_check(f, spectrum.mu, tau)
+    return TjurinaInstance(spectrum, t_indices, f, f"swh({a},{b},{c},{d})",
+                           swh=True, subset_assumed=False)
 
 
 def _three_monomial_lattice(params: ThreeMonomialParams):
@@ -197,21 +252,14 @@ def three_monomial_instance(params: ThreeMonomialParams,
     pairs = list(_three_monomial_lattice(params))
     values, t_indices = _sorted_with_initial_tjurina(pairs)
     spectrum = make_spectrum(values, n=2, complete=True)
-    tau = len(t_indices)
-    if spectrum.mu - tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
+    if spectrum.mu - len(t_indices) != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
         raise InternalConsistencyError("lattice exclusion count disagrees with the closed form")
 
     f = Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2)
     if cross_check:
-        if localg.milnor(f) != spectrum.mu:
-            raise InternalConsistencyError(
-                f"|Lambda| = {spectrum.mu} but the Milnor number differs")
-        tau_engine = localg.tjurina(f)
-        if tau_engine != tau:
-            raise Condition81Violated(
-                f"lattice tau = {tau} but the engine computes {tau_engine} "
-                f"for (a,b,c,d)=({a},{b},{c},{d})")
-    return TjurinaInstance(spectrum, t_indices, tau, f, f"three_monomial({a},{b},{c},{d})")
+        _engine_check(f, spectrum.mu, len(t_indices), tau_error=Condition81Violated)
+    return TjurinaInstance(spectrum, t_indices, f, f"three_monomial({a},{b},{c},{d})",
+                           swh=False, subset_assumed=False)
 
 
 def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
@@ -235,23 +283,18 @@ def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
     return make_spectrum(lower + upper, n=2, complete=True)
 
 
-def puiseux_instance(params: PuiseuxParams,
-                     consecutive: bool = False,
-                     verify_milnor: bool = False) -> TjurinaInstance:
+def puiseux_instance(params: PuiseuxParams, cross_check: bool = False) -> TjurinaInstance:
     """Instance for f = (y^b - x^a)^d - x^(ad+q) y^r.
 
-    tau always comes from the local-algebra engine (there is no closed
-    form here).  The Tjurina index set is filled as [1..tau] only when the
-    caller asserts the missing spectral numbers are consecutive at the
-    top; otherwise it is left unset and only tau is recorded.
+    tau comes from the local-algebra engine (there is no closed form
+    here).  The Tjurina subset is not computed: it is assumed to be
+    [1..tau], i.e. the missing spectral numbers are the top mu - tau.
     """
     spectrum = puiseux_spectrum(params)
     a, b, d, q, r = params.a, params.b, params.d, params.q, params.r
     f = (Poly.monomial((0, b)) - Poly.monomial((a, 0))) ** d - Poly.monomial((a * d + q, r))
-    if verify_milnor and localg.milnor(f) != spectrum.mu:
-        raise InternalConsistencyError(
-            f"lattice count {spectrum.mu} disagrees with the Milnor number")
+    if cross_check:
+        _engine_check(f, spectrum.mu)
     tau = localg.tjurina(f)
-    t_indices = frozenset(range(1, tau + 1)) if consecutive else None
-    return TjurinaInstance(spectrum, t_indices, tau, f,
-                           f"puiseux({a},{b},{d},q={q},r={r})")
+    return TjurinaInstance(spectrum, frozenset(range(1, tau + 1)), f,
+                           f"puiseux({a},{b},{d},q={q},r={r})", swh=False, subset_assumed=True)

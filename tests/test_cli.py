@@ -24,10 +24,9 @@ def test_spectrum_brieskorn():
     r = run("spectrum", "brieskorn", "--a", "2", "--b", "3")
     assert r.returncode == 0
     assert "spectrum: 5/6 7/6" in r.stdout
-    from tjspectra.cli import build_instance
+    from tjspectra.families import BrieskornParams
     from tjspectra.poly import parse_poly
-    inst, _ = build_instance("brieskorn", {"a": 2, "b": 3})
-    assert inst.defining_poly == parse_poly("x^2+y^3")
+    assert BrieskornParams(2, 3).instance().defining_poly == parse_poly("x^2+y^3")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "check"])
@@ -208,17 +207,32 @@ SWH_ARGS = ["sweep", "swh", "--a", "5:7", "--b", "5:7", "--c", "1", "--d", "1"]
 
 
 def test_sweep_internal_error_exits_2(monkeypatch, capsys):
-    from tjspectra import cli
+    from tjspectra import cli, families
     from tjspectra.errors import InternalConsistencyError
 
     def broken(params, cross_check=False):
         raise InternalConsistencyError("closed-form check failed")
 
-    monkeypatch.setattr(cli, "swh_instance", broken)
+    monkeypatch.setattr(families, "swh_instance", broken)
     assert cli.main(SWH_ARGS) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "internal error: closed-form check failed" in err
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("brieskorn", ["--a", "5", "--b", "4"]),
+    ("swh", ["--a", "5", "--b", "4", "--c", "1", "--d", "1"]),
+    ("three-monomial", ["--a", "2", "--b", "4", "--c", "7", "--d", "6"]),
+    ("puiseux", ["--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"]),
+])
+def test_cross_check_runs_the_engine(monkeypatch, capsys, family, flags):
+    from tjspectra import cli, localg
+    real = localg.milnor
+    monkeypatch.setattr(localg, "milnor", lambda f: real(f) + 1)
+    assert cli.main(["check", family] + flags) == 0
+    assert cli.main(["check", family] + flags + ["--cross-check"]) == 2
+    assert "internal error: mu = " in capsys.readouterr().err
 
 
 def test_sweep_drop_max_skips_single_value_spectrum(capsys):
@@ -233,6 +247,8 @@ def test_sweep_drop_max_skips_single_value_spectrum(capsys):
     ["sweep", "swh", "--a", "x", "--b", "5", "--c", "1", "--d", "1"],
     ["sweep", "swh", "--a", "5:7,", "--b", "5", "--c", "1", "--d", "1"],
     ["enumerate", "--poly", "x^7+y^7", "--slack", "-1"],
+    ["spectrum", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1", "--q", "3"],
+    ["sweep", "brieskorn", "--a", "3", "--b", "3", "--c", "1"],
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     from tjspectra import cli

@@ -7,17 +7,15 @@ from tjspectra.conjecture import (closed_form_tau_delta_322,
                                   prop41_step, remark32_compare, thm31_verdict,
                                   tjurina_defect)
 from tjspectra.errors import (EvenC, GapZero, IndexNotInSubset, NotSingleSwap,
-                              SubsetTooSmall, TauExceedsMu, TjurinaSubsetUnset,
-                              WrongDirection)
-from tjspectra.families import (PuiseuxParams, SwhParams, TjurinaInstance,
+                              SubsetTooSmall, TauExceedsMu, WrongDirection)
+from tjspectra.families import (BrieskornParams, PuiseuxParams, SwhParams,
                                 brieskorn_two_var, puiseux_instance,
                                 swh_instance)
 from tjspectra.spectra import stats_of_values, subset_stats
 
 
 def full_instance(a, b):
-    s = brieskorn_two_var(a, b)
-    return TjurinaInstance(s, frozenset(range(1, s.mu + 1)), s.mu, None, "test")
+    return BrieskornParams(a, b).instance()
 
 
 def test_defect_counterexample():
@@ -35,14 +33,8 @@ def test_defect_6611_nonpositive():
     assert tjurina_defect(swh_instance(SwhParams(6, 6, 1, 1))) <= 0
 
 
-def test_defect_requires_subset():
-    inst = puiseux_instance(PuiseuxParams(3, 2, 2, -1, 1))
-    with pytest.raises(TjurinaSubsetUnset):
-        tjurina_defect(inst)
-
-
 def test_thm31_51():
-    v = thm31_verdict(swh_instance(SwhParams(51, 51, 1, 1)), is_swh=True)
+    v = thm31_verdict(swh_instance(SwhParams(51, 51, 1, 1)))
     # 2500/12 * 1/51 = 625/153 >= (100/51)^2 = 10000/2601
     assert F(625, 153) >= F(10000, 2601)
     assert v.cond_3_3 and v.guaranteed_failure
@@ -50,14 +42,14 @@ def test_thm31_51():
 
 def test_thm31_77_sufficiency_not_necessity():
     inst = swh_instance(SwhParams(7, 7, 1, 1))
-    v = thm31_verdict(inst, is_swh=True)
+    v = thm31_verdict(inst)
     assert not v.cond_3_3  # 3/7 < 144/49
     assert not v.guaranteed_failure
     assert tjurina_defect(inst) > 0
 
 
 def test_thm31_weighted_homogeneous():
-    v = thm31_verdict(full_instance(5, 5), is_swh=True)
+    v = thm31_verdict(full_instance(5, 5))
     assert not v.mu_ne_tau and not v.guaranteed_failure
 
 
@@ -207,5 +199,5 @@ def test_closed_forms_match_pipeline(c):
 def test_puiseux_322_gap_is_two_for_odd_c():
     for c in range(1, 16, 2):
         inst = puiseux_instance(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1),
-                                verify_milnor=True)
+                                cross_check=True)
         assert inst.mu - inst.tau == 2

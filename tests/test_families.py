@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import groupby
 
@@ -5,8 +6,8 @@ import pytest
 
 from tjspectra.errors import (DegenerateExponent, GcdViolation,
                               InvalidFamilyParameters)
-from tjspectra.families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
-                                brieskorn_two_var, puiseux_instance,
+from tjspectra.families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhParams,
+                                ThreeMonomialParams, brieskorn_two_var, puiseux_instance,
                                 puiseux_spectrum, swh_instance,
                                 three_monomial_instance)
 from tjspectra.poly import parse_poly
@@ -35,6 +36,35 @@ def test_brieskorn_54_matches_deformed_spectrum():
 def test_brieskorn_degenerate():
     with pytest.raises(DegenerateExponent):
         brieskorn_two_var(1, 5)
+    with pytest.raises(DegenerateExponent):
+        BrieskornParams(5, 1).instance()
+
+
+def test_family_table_names_each_parameter():
+    assert {name: [f.name for f in fields(params)] for name, params in FAMILIES.items()} == {
+        "brieskorn": ["a", "b"],
+        "swh": ["a", "b", "c", "d"],
+        "three-monomial": ["a", "b", "c", "d"],
+        "puiseux": ["a", "b", "d", "q", "r"],
+    }
+
+
+@pytest.mark.parametrize("params, swh, assumed", [
+    (BrieskornParams(5, 4), True, False),
+    (SwhParams(7, 7, 1, 1), True, False),
+    (ThreeMonomialParams(2, 4, 7, 6), False, False),
+    (PuiseuxParams(3, 2, 2, 1, 1), False, True),
+])
+def test_instance_says_whether_swh_and_whether_subset_assumed(params, swh, assumed):
+    inst = params.instance()
+    assert (inst.swh, inst.subset_assumed) == (swh, assumed)
+    assert inst.tau == len(inst.tjurina_indices)
+
+
+def test_puiseux_subset_is_the_assumed_bottom_tau_indices():
+    inst = PuiseuxParams(3, 2, 2, -1, 1).instance()
+    assert inst.tau == 14
+    assert inst.tjurina_indices == frozenset(range(1, 15))
 
 
 def test_swh_7711():
@@ -111,7 +141,7 @@ def test_three_monomial_cross_checks(tpl):
 def test_puiseux_c1_spectrum():
     p = PuiseuxParams(3, 2, 2, -1, 1)
     assert (p.c, p.e) == (1, 13)
-    inst = puiseux_instance(p, verify_milnor=True)
+    inst = puiseux_instance(p, cross_check=True)
     assert inst.mu == 16
     expected = sorted([F(5, 12), F(11, 12), F(13, 12), F(19, 12)]
                       + [F(1, 2) + F(k, 13) for k in range(1, 13)])
@@ -121,7 +151,7 @@ def test_puiseux_c1_spectrum():
 def test_puiseux_c5():
     p = PuiseuxParams(3, 2, 2, 1, 1)
     assert (p.c, p.e) == (5, 17)
-    inst = puiseux_instance(p, verify_milnor=True)
+    inst = puiseux_instance(p, cross_check=True)
     assert (inst.mu, inst.tau) == (20, 18)
     assert inst.defining_poly == parse_poly("(y^2-x^3)^2-x^7*y")
 
@@ -134,12 +164,6 @@ def test_puiseux_gcd_violation():
 def test_puiseux_invalid_ordering():
     with pytest.raises(InvalidFamilyParameters):
         puiseux_instance(PuiseuxParams(2, 3, 2, 1, 1))
-
-
-def test_puiseux_tjurina_subset_unset_by_default():
-    inst = puiseux_instance(PuiseuxParams(3, 2, 2, -1, 1))
-    assert inst.tjurina_indices is None
-    assert inst.tau == 14
 
 
 def test_generated_spectra_complete_and_centered():

@@ -156,7 +156,7 @@ def test_thm31_soundness_over_sweep():
     params = list(swh_grid(12)) + [SwhParams(51, 51, 1, 1), SwhParams(60, 60, 1, 1)]
     for p in params:
         inst = swh_instance(p)
-        verdict = thm31_verdict(inst, is_swh=True)
+        verdict = thm31_verdict(inst)
         if verdict.guaranteed_failure:
             assert tjurina_defect(inst) > 0
 
