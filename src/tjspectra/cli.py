@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from . import localg, verify
 from .conjecture import enumerate_candidates, thm31_verdict, tjurina_defect
@@ -24,6 +24,7 @@ from .rational import decimal_str, format_ratio
 from .spectra import stats_of_values, subset_stats
 
 FLAGS = sorted({f.name for params in FAMILIES.values() for f in fields(params)})
+FLAG_OPTIONS = {f"--{name}" for name in FLAGS}
 
 TSV_COLUMNS = ("family", "params", "mu", "tau", "delta_exact", "delta_decimal",
                "thm31", "av_obs")
@@ -76,11 +77,7 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
-    f = parse_poly(args.poly)
-    exps = _as_brieskorn(f)
-    if exps is None:
-        raise TjspectraError("enumerate supports only Brieskorn polynomials x^a + y^b")
-    a, b = exps
+    a, b = _brieskorn_exponents(parse_poly(args.poly))
     s = brieskorn_two_var(a, b)
     result = enumerate_candidates(s, s.mu, args.slack)
     print(f"mu = {s.mu}  tau = {s.mu}  k = {result.k}")
@@ -92,20 +89,13 @@ def cmd_enumerate(args):
     return 0
 
 
-def _as_brieskorn(f):
-    if f.nvars != 2 or len(f.terms) != 2:
-        return None
-    pures = {}
-    for e, c in f.terms.items():
-        if c != 1:
-            return None
-        nz = [v for v in range(2) if e[v] > 0]
-        if len(nz) != 1:
-            return None
-        pures[nz[0]] = e[nz[0]]
-    if set(pures) != {0, 1} or min(pures.values()) < 2:
-        return None
-    return pures[0], pures[1]
+def _brieskorn_exponents(f):
+    """(a, b) when f is x^a + y^b with a, b >= 2; any other f is an input error."""
+    if f.nvars == 2 and len(f.terms) == 2:
+        (_, b), (a, _) = sorted(f.terms)
+        if min(a, b) >= 2 and f.terms == {(a, 0): 1, (0, b): 1}:
+            return a, b
+    raise TjspectraError("enumerate supports only Brieskorn polynomials x^a + y^b")
 
 
 def _parse_range(text):
@@ -147,28 +137,23 @@ def sweep_row(family, values, subset):
     }
 
 
-def _sweep_worker(job):
-    return sweep_row(*job)
-
-
 def cmd_sweep(args):
     raw = _family_values(args)
-    names = list(raw)
     ranges = [_parse_range(text) for text in raw.values()]
     if any(not r for r in ranges):
         raise TjspectraError("empty parameter range")
     if args.jobs < 1:
         raise TjspectraError(f"--jobs must be at least 1, got {args.jobs}")
-    tuples = sorted(product(*ranges))
-    jobs = [(args.family, dict(zip(names, t)), args.subset) for t in tuples]
-    workers = min(args.jobs, os.cpu_count() or 1, len(jobs))
+    values = [dict(zip(raw, t)) for t in sorted(product(*ranges))]
+    row_args = (repeat(args.family), values, repeat(args.subset))
+    workers = min(args.jobs, os.cpu_count() or 1, len(values))
     if workers > 1:
         # imported here: loading the process pool costs every other CLI call
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
+            rows = list(pool.map(sweep_row, *row_args))
     else:
-        rows = [_sweep_worker(j) for j in jobs]
+        rows = list(map(sweep_row, *row_args))
     rows = [r for r in rows if r is not None]
     if args.format == "json":
         print(json.dumps(rows, indent=2))
@@ -179,18 +164,14 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_milnor(args):
-    print(localg.milnor(parse_poly(args.poly, nvars=args.nvars)))
-    return 0
-
-
-def cmd_tjurina(args):
-    print(localg.tjurina(parse_poly(args.poly, nvars=args.nvars)))
+def cmd_colength(args):
+    """`milnor` or `tjurina`: the localg function the subcommand names."""
+    print(getattr(localg, args.command)(parse_poly(args.poly, nvars=args.nvars)))
     return 0
 
 
 def cmd_verify(args):
-    return verify.run_checks(skip_localg=args.skip_localg)
+    return verify.run_checks()
 
 
 def _family_values(args):
@@ -245,22 +226,32 @@ def build_parser():
                    help="worker processes, at most the CPU count and the tuple count")
     p.set_defaults(func=cmd_sweep)
 
-    for name, fn in (("milnor", cmd_milnor), ("tjurina", cmd_tjurina)):
+    for name in ("milnor", "tjurina"):
         p = sub.add_parser(name, help=f"{name} number via local standard basis")
         p.add_argument("--poly", required=True)
         p.add_argument("--nvars", type=int, default=2)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_colength)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.add_argument("--skip-localg", action="store_true",
-                   help="skip checks that need the standard-basis engine")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+def _attach_negative_values(argv):
+    """Rewrite "--q -1:9" as "--q=-1:9": argparse takes a token that starts
+    with "-" and is not a plain number for an option, not a value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in FLAG_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InternalConsistencyError as exc:

@@ -140,23 +140,19 @@ FAMILIES = {"brieskorn": BrieskornParams, "swh": SwhParams,
             "three-monomial": ThreeMonomialParams, "puiseux": PuiseuxParams}
 
 
-def _sorted_with_initial_tjurina(pairs):
-    """Sort (value, is_tjurina) pairs; ties put Tjurina members first.
-
-    Returns the sorted value tuple and the 1-based Tjurina index set.
-    """
+def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInstance:
+    """The instance whose spectrum is the values of the (value, is_tjurina)
+    pairs, sorted with the Tjurina members first among equal values, and
+    whose Tjurina subset is the indices of the members."""
     ordered = sorted(pairs, key=lambda p: (p[0], not p[1]))
-    values = tuple(v for v, _ in ordered)
-    indices = frozenset(i + 1 for i, (_, tj) in enumerate(ordered) if tj)
-    return values, indices
+    spectrum = make_spectrum([v for v, _ in ordered], n=2, complete=True)
+    indices = frozenset(i for i, (_, tj) in enumerate(ordered, 1) if tj)
+    return TjurinaInstance(spectrum, indices, f, family_tag, swh=swh, subset_assumed=False)
 
 
 def brieskorn_two_var(a: int, b: int) -> Spectrum:
     """Complete spectrum {i/a + j/b} of x^a + y^b."""
-    BrieskornParams(a, b).validate()
-    values = [Fraction(i, a) + Fraction(j, b)
-              for i in range(1, a) for j in range(1, b)]
-    return make_spectrum(values, n=2, complete=True)
+    return brieskorn_instance(BrieskornParams(a, b)).spectrum
 
 
 def _engine_check(f: Poly, mu: int, tau: int | None = None,
@@ -173,15 +169,16 @@ def _engine_check(f: Poly, mu: int, tau: int | None = None,
 
 
 def brieskorn_instance(params: BrieskornParams, cross_check: bool = False) -> TjurinaInstance:
-    """Weighted-homogeneous instance x^a + y^b: mu = tau = (a-1)(b-1), so the
-    Tjurina subset is the whole spectrum."""
+    """Weighted-homogeneous instance x^a + y^b: its spectrum is {i/a + j/b},
+    and mu = tau = (a-1)(b-1), so the Tjurina subset is the whole spectrum."""
+    params.validate()
     a, b = params.a, params.b
-    spectrum = brieskorn_two_var(a, b)
-    f = Poly({(a, 0): 1, (0, b): 1}, 2)
+    pairs = [(Fraction(i, a) + Fraction(j, b), True) for i in range(1, a) for j in range(1, b)]
+    inst = _lattice_instance(pairs, Poly({(a, 0): 1, (0, b): 1}, 2), f"brieskorn({a},{b})",
+                             swh=True)
     if cross_check:
-        _engine_check(f, spectrum.mu, spectrum.mu)
-    return TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)), f,
-                           f"brieskorn({a},{b})", swh=True, subset_assumed=False)
+        _engine_check(inst.defining_poly, inst.mu, inst.tau)
+    return inst
 
 
 def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstance:
@@ -195,24 +192,21 @@ def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstanc
     a, b, c, d = params.a, params.b, params.c, params.d
     pairs = [(Fraction(i, a) + Fraction(j, b), i < a - c or j < b - d)
              for i in range(1, a) for j in range(1, b)]
-    values, t_indices = _sorted_with_initial_tjurina(pairs)
-    spectrum = make_spectrum(values, n=2, complete=True)
+    inst = _lattice_instance(pairs, Poly({(a, 0): 1, (0, b): 1, (a - 1 - c, b - 1 - d): 1}, 2),
+                             f"swh({a},{b},{c},{d})", swh=True)
 
     tau = (a - 1) * (b - 1) - c * d
-    if len(t_indices) != tau:
+    if inst.tau != tau:
         raise InternalConsistencyError("Tjurina count disagrees with (a-1)(b-1) - cd")
     # closed-form check on the Tjurina value sum
     expected_sum = ((a - 1) * (b - 1)
                     - (Fraction(2 * a - 1 - c, a) + Fraction(2 * b - 1 - d, b)) * c * d / 2)
-    actual_sum = sum((spectrum.value_at(i) for i in t_indices), Fraction(0))
+    actual_sum = sum((inst.spectrum.value_at(i) for i in inst.tjurina_indices), Fraction(0))
     if actual_sum != expected_sum:
         raise InternalConsistencyError("Tjurina value sum disagrees with the closed form")
-
-    f = Poly({(a, 0): 1, (0, b): 1, (a - 1 - c, b - 1 - d): 1}, 2)
     if cross_check:
-        _engine_check(f, spectrum.mu, tau)
-    return TjurinaInstance(spectrum, t_indices, f, f"swh({a},{b},{c},{d})",
-                           swh=True, subset_assumed=False)
+        _engine_check(inst.defining_poly, inst.mu, tau)
+    return inst
 
 
 def _three_monomial_lattice(params: ThreeMonomialParams):
@@ -249,17 +243,14 @@ def three_monomial_instance(params: ThreeMonomialParams,
     """
     params.validate()
     a, b, c, d = params.a, params.b, params.c, params.d
-    pairs = list(_three_monomial_lattice(params))
-    values, t_indices = _sorted_with_initial_tjurina(pairs)
-    spectrum = make_spectrum(values, n=2, complete=True)
-    if spectrum.mu - len(t_indices) != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
+    inst = _lattice_instance(_three_monomial_lattice(params),
+                             Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2),
+                             f"three_monomial({a},{b},{c},{d})", swh=False)
+    if inst.mu - inst.tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
         raise InternalConsistencyError("lattice exclusion count disagrees with the closed form")
-
-    f = Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2)
     if cross_check:
-        _engine_check(f, spectrum.mu, len(t_indices), tau_error=Condition81Violated)
-    return TjurinaInstance(spectrum, t_indices, f, f"three_monomial({a},{b},{c},{d})",
-                           swh=False, subset_assumed=False)
+        _engine_check(inst.defining_poly, inst.mu, inst.tau, tau_error=Condition81Violated)
+    return inst
 
 
 def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:

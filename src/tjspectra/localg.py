@@ -40,11 +40,7 @@ def order_key(e: Exponent):
 # --- integer-coefficient plumbing ---
 
 def _strip_content(p: IntPoly) -> IntPoly:
-    if not p:
-        return p
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
+    g = gcd(*p.values())
     if g > 1:
         p = {e: c // g for e, c in p.items()}
     return p
@@ -68,27 +64,20 @@ def _ecart(p: IntPoly, lm: Exponent) -> int:
 
 
 def _mul_monomial(p: IntPoly, delta: Exponent, coeff: int) -> IntPoly:
+    if not any(delta):
+        return {e: coeff * c for e, c in p.items()}
     return {tuple(map(add, e, delta)): coeff * c for e, c in p.items()}
 
 
-def _reduce_once(h: IntPoly, lm_h: Exponent, g: IntPoly, lm_g: Exponent) -> IntPoly:
-    """Cancel the lead term of h against g; result has content removed."""
-    ch, cg = h[lm_h], g[lm_g]
-    d = gcd(ch, cg)
-    a, b = cg // d, ch // d
-    delta = tuple(map(sub, lm_h, lm_g))
-    out = add_terms({e: a * c for e, c in h.items()}, _mul_monomial(g, delta, -b))
-    return _strip_content(out)
-
-
-def _spoly(f: IntPoly, lm_f: Exponent, g: IntPoly, lm_g: Exponent) -> IntPoly:
-    lcm = tuple(map(max, lm_f, lm_g))
+def _cancel(f: IntPoly, lm_f: Exponent, g: IntPoly, lm_g: Exponent,
+            lcm: Exponent) -> IntPoly:
+    """The combination of f and g whose terms at lcm cancel, content removed:
+    their S-polynomial when lcm is the lcm of the leads, and one reduction
+    step of f by g when lcm = lm_f."""
     cf, cg = f[lm_f], g[lm_g]
     d = gcd(cf, cg)
-    a, b = cg // d, cf // d
-    df = tuple(map(sub, lcm, lm_f))
-    dg = tuple(map(sub, lcm, lm_g))
-    return _strip_content(add_terms(_mul_monomial(f, df, a), _mul_monomial(g, dg, -b)))
+    return _strip_content(add_terms(_mul_monomial(f, tuple(map(sub, lcm, lm_f)), cg // d),
+                                    _mul_monomial(g, tuple(map(sub, lcm, lm_g)), -(cf // d))))
 
 
 Reducer = tuple[IntPoly, Exponent, int]  # (polynomial, lead, ecart)
@@ -118,7 +107,7 @@ def _mora_nf(f: IntPoly, basis: Sequence[Reducer]) -> IntPoly:
             ec_h = _ecart(h, lm_h)
             if best[2] > ec_h:
                 pool.append((h, lm_h, ec_h))
-        h = _reduce_once(h, lm_h, best[0], best[1])
+        h = _cancel(h, lm_h, best[0], best[1], lm_h)
     return h
 
 
@@ -149,7 +138,7 @@ def _std_int(gens: Iterable[IntPoly]) -> list[Reducer]:
     while pairs:
         _, _, i, j = heappop(pairs)
         (f, lm_f, _), (g, lm_g, _) = basis[i], basis[j]
-        h = _mora_nf(_spoly(f, lm_f, g, lm_g), basis)
+        h = _mora_nf(_cancel(f, lm_f, g, lm_g, tuple(map(max, lm_f, lm_g))), basis)
         if h:
             enter(h)
     return basis
@@ -213,30 +202,29 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     )
 
 
-def milnor(f: Poly) -> int:
-    """Milnor number: colength of the Jacobian ideal."""
-    gens = [g for g in jacobian(f) if not g.is_zero()]
+def _colength(f: Poly, gens: list[Poly], ideal: str, if_zero: str) -> int:
+    """Colength of the ideal that the nonzero gens generate (f's `ideal`);
+    NonIsolatedSingularity when no gen is nonzero or the colength is infinite."""
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        raise NonIsolatedSingularity("all partial derivatives vanish identically")
+        raise NonIsolatedSingularity(if_zero)
     result = local_std_basis(gens)
     if result.colength == INFINITE:
-        raise NonIsolatedSingularity(f"Jacobian ideal of {f} has infinite colength")
+        raise NonIsolatedSingularity(f"{ideal} of {f} has infinite colength")
     return result.colength
+
+
+def milnor(f: Poly) -> int:
+    """Milnor number: colength of the Jacobian ideal."""
+    return _colength(f, jacobian(f), "Jacobian ideal",
+                     "all partial derivatives vanish identically")
 
 
 def tjurina(f: Poly) -> int:
     """Tjurina number: colength of the ideal (df, f)."""
     if f.constant_term() != 0:
         raise NonzeroConstantTerm("tjurina number requires f(0) = 0")
-    gens = [g for g in jacobian(f) if not g.is_zero()]
-    if not f.is_zero():
-        gens.append(f)
-    if not gens:
-        raise NonIsolatedSingularity("zero polynomial")
-    result = local_std_basis(gens)
-    if result.colength == INFINITE:
-        raise NonIsolatedSingularity(f"ideal (df, f) of {f} has infinite colength")
-    return result.colength
+    return _colength(f, jacobian(f) + [f], "ideal (df, f)", "zero polynomial")
 
 
 # --- independent brute-force oracle ---

@@ -14,9 +14,7 @@ DECIMAL_DIGITS = 12
 
 def format_ratio(r: Fraction) -> str:
     """Render a rational as "p/q" ("p" when the denominator is 1)."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    return str(r)
 
 
 def decimal_str(r: Fraction, digits: int = DECIMAL_DIGITS) -> str:

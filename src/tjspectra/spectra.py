@@ -113,9 +113,7 @@ def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:
 def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
     """Statistics of the sub-multiset selected by 1-based indices."""
     idx = sorted(set(indices))
-    if not idx:
-        raise EmptySubset("statistics of an empty subset are undefined")
-    if idx[0] < 1 or idx[-1] > s.mu:
+    if idx and (idx[0] < 1 or idx[-1] > s.mu):
         raise ValueOutOfRange(f"subset index outside [1, {s.mu}]")
     return stats_of_values([s.values[i - 1] for i in idx])
 

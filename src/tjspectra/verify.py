@@ -1,9 +1,8 @@
 """Built-in verification suite behind the `verify` subcommand.
 
 Every check recomputes a known quantity end to end and compares exactly;
-a failure prints the discrepancy and the command exits with code 2.
-Checks that need the standard-basis engine can be skipped.  The test
-suite runs the same `CHECKS` and draws its corpora and grids from here.
+a failure prints the discrepancy and the command exits with code 2.  The
+test suite runs the same `CHECKS` and draws its corpora and grids from here.
 """
 
 from fractions import Fraction
@@ -17,8 +16,6 @@ from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
                        three_monomial_instance)
 from .poly import jacobian, parse_poly
 from .spectra import hertling_defect, subset_stats
-
-NEEDS_LOCALG = "localg"
 
 COUNTEREXAMPLE_DELTA = Fraction(3, 9604)
 
@@ -133,27 +130,23 @@ def check_oracle_equivalence():
 
 
 CHECKS = [
-    ("counterexample swh(7,7,1,1) delta = 3/9604", check_counterexample, None),
-    ("counterexample mu/tau via standard basis", check_counterexample_localg, NEEDS_LOCALG),
-    ("sign pattern a=b=m, c=d=1, m in [3,12]", check_sign_pattern, None),
-    ("non-positive delta on the b<=a<=7 grid except (7,7,1,1)", check_small_grid, None),
-    ("weighted-homogeneous equality, Brieskorn a,b <= 12", check_weighted_homogeneous_equality, None),
-    ("(3,2,2) closed forms, odd c in [1,21]", check_closed_forms_322, None),
-    ("three-monomial mu/tau cross-checks", check_three_monomial_localg, NEEDS_LOCALG),
-    ("enumeration parity on x^7+y^7", check_enumeration_parity, None),
-    ("standard basis vs truncated linear-algebra oracle", check_oracle_equivalence, NEEDS_LOCALG),
+    ("counterexample swh(7,7,1,1) delta = 3/9604", check_counterexample),
+    ("counterexample mu/tau via standard basis", check_counterexample_localg),
+    ("sign pattern a=b=m, c=d=1, m in [3,12]", check_sign_pattern),
+    ("non-positive delta on the b<=a<=7 grid except (7,7,1,1)", check_small_grid),
+    ("weighted-homogeneous equality, Brieskorn a,b <= 12", check_weighted_homogeneous_equality),
+    ("(3,2,2) closed forms, odd c in [1,21]", check_closed_forms_322),
+    ("three-monomial mu/tau cross-checks", check_three_monomial_localg),
+    ("enumeration parity on x^7+y^7", check_enumeration_parity),
+    ("standard basis vs truncated linear-algebra oracle", check_oracle_equivalence),
 ]
 
 
-def run_checks(skip_localg: bool = False, out=None) -> int:
-    """Run all checks; return 0 when everything passes, 2 otherwise."""
-    import sys
-    out = out or sys.stdout
+def run_checks(out=None) -> int:
+    """Run all checks, printing to out (stdout when None); return 0 when
+    everything passes, 2 otherwise."""
     failed = 0
-    for name, fn, requirement in CHECKS:
-        if skip_localg and requirement == NEEDS_LOCALG:
-            print(f"SKIPPED  {name}", file=out)
-            continue
+    for name, fn in CHECKS:
         message = fn()
         if message is None:
             print(f"PASS     {name}", file=out)

@@ -22,8 +22,7 @@ BUDGET_S = {
 }
 
 
-@pytest.mark.parametrize("name, fn", [(name, fn) for name, fn, _ in verify.CHECKS],
-                         ids=[name for name, _, _ in verify.CHECKS])
+@pytest.mark.parametrize("name, fn", verify.CHECKS, ids=[name for name, _ in verify.CHECKS])
 def test_check(name, fn):
     start = time.monotonic()
     assert fn() is None
@@ -32,7 +31,7 @@ def test_check(name, fn):
 
 
 def test_every_check_has_a_budget():
-    assert set(BUDGET_S) == {fn for _, fn, _ in verify.CHECKS}
+    assert set(BUDGET_S) == {fn for _, fn in verify.CHECKS}
 
 
 def test_three_monomial_check_propagates_programming_errors(monkeypatch):

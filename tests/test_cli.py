@@ -86,6 +86,24 @@ def test_enumerate_rejects_non_brieskorn():
     assert r.returncode == 1
 
 
+def test_enumerate_accepts_brieskorn_in_either_order(capsys):
+    from tjspectra import cli
+    outputs = []
+    for poly in ("x^7+y^7", "y^7+x^7"):
+        assert cli.main(["enumerate", "--poly", poly]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "tau' = 35" in outputs[0]
+
+
+@pytest.mark.parametrize("poly", ["2*x^7+y^7", "x+y^5", "x^2*y+y^3", "x^3", "x^3+y^3+x*y"])
+def test_enumerate_rejects_other_polynomials(capsys, poly):
+    from tjspectra import cli
+    assert cli.main(["enumerate", "--poly", poly]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "enumerate supports only Brieskorn polynomials" in err
+
+
 def test_milnor_tjurina_commands():
     assert run("milnor", "--poly", "x^7+y^7+x^5*y^5").stdout.strip() == "36"
     assert run("tjurina", "--poly", "x^7+y^7+x^5*y^5").stdout.strip() == "35"
@@ -125,11 +143,36 @@ def test_sweep_deterministic_and_roundtrip():
         assert format_ratio(Fraction(exact)) == exact
 
 
-def test_sweep_jobs_match_serial():
-    args = ("sweep", "swh", "--a", "5:8", "--b", "5:8", "--c", "1:2", "--d", "1:2")
-    serial = run(*args)
-    parallel = run(*args, "--jobs", "4")
-    assert serial.stdout == parallel.stdout
+def test_sweep_jobs_match_serial(monkeypatch, capsys):
+    import concurrent.futures
+    from tjspectra import cli
+    made = []
+
+    # a real pool: two worker processes unpickle and run cli.sweep_row
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    args = ["sweep", "swh", "--a", "5:9", "--b", "5:9", "--c", "1:2", "--d", "1:2"]
+    assert cli.main(args + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli.main(args + ["--jobs", "2"]) == 0
+    assert made == [2]
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("q", ["-1:9", "-3,-1"])
+def test_sweep_takes_a_negative_range_after_the_flag(capsys, q):
+    from tjspectra import cli
+    head = ["sweep", "puiseux", "--a", "3", "--b", "2", "--d", "2"]
+    assert cli.main(head + [f"--q={q}", "--r", "1"]) == 0
+    joined = capsys.readouterr().out
+    assert cli.main(head + ["--q", q, "--r", "1"]) == 0
+    assert capsys.readouterr().out == joined
+    assert len(joined.splitlines()) > 1
 
 
 def test_sweep_json_rationals_are_strings():
@@ -162,13 +205,7 @@ def test_verify_passes():
     from tjspectra.verify import CHECKS
     r = run("verify")
     assert r.returncode == 0
-    assert r.stdout.splitlines() == [f"PASS     {name}" for name, _, _ in CHECKS]
-
-
-def test_verify_skip_localg():
-    r = run("verify", "--skip-localg")
-    assert r.returncode == 0
-    assert "SKIPPED" in r.stdout
+    assert r.stdout.splitlines() == [f"PASS     {name}" for name, _ in CHECKS]
 
 
 def test_verify_detects_corruption(monkeypatch):
@@ -286,8 +323,8 @@ def test_sweep_jobs_are_clamped(monkeypatch, capsys, jobs, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
