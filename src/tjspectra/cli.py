@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product, repeat
 
 from . import localg, verify
-from .conjecture import enumerate_candidates, thm31_verdict, tjurina_defect
+from .conjecture import enumerate_candidates, thm31_verdict
 from .errors import (InternalConsistencyError, InvalidFamilyParameters,
                      TjspectraError)
 from .families import FAMILIES, brieskorn_two_var
@@ -66,8 +66,8 @@ def cmd_spectrum(args):
 
 def cmd_check(args):
     inst = _instance(args)
-    delta = tjurina_defect(inst)
     v = thm31_verdict(inst)
+    delta = v.tjurina.delta
     _print_heading(inst)
     print(f"mu = {inst.mu}  tau = {inst.tau}")
     print(f"delta = {format_ratio(delta)} ({sign_marker(delta)}) ~ {decimal_str(delta)}")
@@ -194,7 +194,7 @@ def _add_family_flags(sub, **flag_options):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise TjspectraError(message)
 
 
 def build_parser():
@@ -250,9 +250,9 @@ def _attach_negative_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

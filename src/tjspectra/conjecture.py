@@ -26,7 +26,7 @@ def tjurina_defect(inst: TjurinaInstance) -> Fraction:
 
 @dataclass(frozen=True)
 class Thm31Verdict:
-    is_swh: bool
+    tjurina: SubsetStats    # statistics over the Tjurina subset
     mu_ne_tau: bool
     av_condition: bool      # av over T <= av over the full spectrum
     width_condition: bool   # alpha_mu - alpha_1 <= 2
@@ -50,7 +50,7 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     width_condition = s.values[-1] - s.values[0] <= 2
     cond_3_3 = Fraction(mu, 12) * (s.values[-1] - tj.alpha_max) >= (mu - tau) * s.values[-1] ** 2
     guaranteed = (inst.swh and mu_ne_tau and (width_condition or av_condition) and cond_3_3)
-    return Thm31Verdict(inst.swh, mu_ne_tau, av_condition, width_condition,
+    return Thm31Verdict(tj, mu_ne_tau, av_condition, width_condition,
                         cond_3_3, guaranteed)
 
 

@@ -269,9 +269,7 @@ def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
             y = Fraction(i, a) + Fraction(j, b)
             if y < 1:
                 lower.extend((y + k) / d for k in range(d))
-    lower.sort()
-    upper = [2 - v for v in reversed(lower)]
-    return make_spectrum(lower + upper, n=2, complete=True)
+    return make_spectrum(lower + [2 - v for v in lower], n=2, complete=True)
 
 
 def puiseux_instance(params: PuiseuxParams, cross_check: bool = False) -> TjurinaInstance:

@@ -7,10 +7,10 @@ weak normal form), which terminates for polynomial input.  Each basis
 element's lead and ecart are computed once, when it enters the basis, and
 every normal form starts its reducer pool from those stored triples.
 Pending S-pairs wait on one heap ordered by the degree of their lead lcm,
-ties going to the pair made last.  Colengths are counted from the lead
-ideal by staircase: for each exponent of the first n - 1 variables, the
-least last exponent a minimal lead allows.  An independent truncated
-linear-algebra oracle (:func:`colength_oracle`) double-checks them.
+ties going to the pair made last.  Colengths are counted from the leads
+by staircase: for each exponent of the first n - 1 variables, the least
+last exponent a lead allows.  An independent truncated linear-algebra
+oracle (:func:`colength_oracle`) double-checks them.
 
 Coefficient arithmetic is exact and integer throughout: the engine works
 on the integer term maps of :class:`~tjspectra.poly.Poly` directly, with
@@ -32,11 +32,6 @@ from .poly import Exponent, IntPoly, Poly, add_terms, jacobian
 INFINITE = "infinite"
 
 
-def order_key(e: Exponent):
-    """Sort key: larger key = larger monomial in the local degree order."""
-    return (-sum(e), tuple(-c for c in reversed(e)))
-
-
 # --- integer-coefficient plumbing ---
 
 def _strip_content(p: IntPoly) -> IntPoly:
@@ -47,7 +42,8 @@ def _strip_content(p: IntPoly) -> IntPoly:
 
 
 def _lead_key(e: Exponent):
-    # ascending here is descending in order_key, without negating
+    """Sort key: smaller key = larger monomial in the local degree order.
+    The one encoding of the order, for the engine and the oracle alike."""
     return sum(e), e[::-1]
 
 
@@ -144,26 +140,17 @@ def _std_int(gens: Iterable[IntPoly]) -> list[Reducer]:
     return basis
 
 
-def _minimal_leads(leads: Iterable[Exponent]) -> list[Exponent]:
-    leads = sorted(set(leads), key=sum)
-    out: list[Exponent] = []
-    for e in leads:
-        if not any(_divides(m, e) for m in out):
-            out.append(e)
-    return out
-
-
 def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]:
     """Number of standard monomials, or INFINITE without a pure power of
     every variable.
 
     Counted by staircase: over each point p of the box spanned by the first
     nvars - 1 exponents, the monomials (p, t) outside the lead ideal are
-    those with t below the least last exponent of a minimal lead whose
-    other exponents divide p.  The pure power of the last variable always
-    qualifies, so no count exceeds its exponent.
+    those with t below the least last exponent of a lead whose other
+    exponents divide p.  The pure power of the last variable always
+    qualifies, so no count exceeds its exponent.  A lead that another lead
+    divides lowers neither that least exponent nor a pure-power bound.
     """
-    leads = _minimal_leads(leads)
     bounds = []
     for v in range(nvars):
         pure = [e[v] for e in leads if all(e[w] == 0 for w in range(nvars) if w != v)]
@@ -179,6 +166,14 @@ def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]
 
 # --- public surface ---
 
+def _shared_nvars(gens: Sequence[Poly]) -> int:
+    nvars = {g.nvars for g in gens}
+    if len(nvars) != 1:
+        raise ValueError("need one or more generators, all in the same number of "
+                         f"variables; got numbers {sorted(nvars)}")
+    return nvars.pop()
+
+
 @dataclass(frozen=True)
 class StdBasisResult:
     generators: tuple[Poly, ...]
@@ -192,7 +187,7 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     Output is deterministic for fixed input: generators appear in the order
     they were produced, normalized to integer content-free form.
     """
-    nvars = gens[0].nvars
+    nvars = _shared_nvars(gens)
     basis = _std_int(_strip_content(g.terms) for g in gens)
     leads = tuple(lm for _, lm, _ in basis)
     return StdBasisResult(
@@ -254,7 +249,7 @@ def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, IntPoly]:
                 if sum(ee) <= cap:
                     row[ee] = c
             while row:
-                lead = max(row, key=order_key)
+                lead = _lead(row)
                 piv = pivots.get(lead)
                 if piv is None:
                     pivots[lead] = _strip_content(row)
@@ -279,7 +274,7 @@ def colength_oracle(gens: Sequence[Poly], degree_cap: int) -> Optional[int]:
     span contains a pure power of every variable, which guards against
     false convergence on non-isolated input.
     """
-    nvars = gens[0].nvars
+    nvars = _shared_nvars(gens)
     dim_n, leads = _oracle_dim(gens, degree_cap)
     dim_n1, _ = _oracle_dim(gens, degree_cap + 1)
     if dim_n != dim_n1:

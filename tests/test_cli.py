@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -47,6 +48,23 @@ def test_check_counterexample():
     assert r.returncode == 0
     assert "delta = 3/9604 (+)" in r.stdout
     assert "tjurina_subset" not in r.stdout  # computed, not assumed
+
+
+def test_check_makes_one_tjurina_statistics_pass(monkeypatch, capsys):
+    from tjspectra import cli, conjecture, spectra
+    real = spectra.stats_of_values
+    lengths = []
+
+    def counted(values):
+        lengths.append(len(values))
+        return real(values)
+
+    for module in (spectra, conjecture, cli):
+        monkeypatch.setattr(module, "stats_of_values", counted)
+    assert cli.main(["check", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1"]) == 0
+    assert lengths == [36, 35]  # the full spectrum, then the Tjurina subset
+    with open(os.path.join(os.path.dirname(__file__), "golden", "check-swh.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_check_nonpositive_is_not_an_error():
@@ -286,6 +304,8 @@ def test_sweep_drop_max_skips_single_value_spectrum(capsys):
     ["enumerate", "--poly", "x^7+y^7", "--slack", "-1"],
     ["spectrum", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1", "--q", "3"],
     ["sweep", "brieskorn", "--a", "3", "--b", "3", "--c", "1"],
+    ["spectrum", "swh", "--a", "x", "--b", "7", "--c", "1", "--d", "1"],
+    ["sweep", "swh", "--b", "5", "--c", "1", "--d", "1", "--a"],
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     from tjspectra import cli
@@ -293,6 +313,15 @@ def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(capsys, argv):
+    from tjspectra import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tjspectra")
 
 
 def test_sweep_jobs_below_one_exit_1(capsys):

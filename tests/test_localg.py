@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from tjspectra.errors import NonIsolatedSingularity, NonzeroConstantTerm
 from tjspectra.families import swh_instance
-from tjspectra.localg import (INFINITE, _colength_of_leads, _monomials_up_to,
+from tjspectra.localg import (INFINITE, _colength_of_leads, _lead, _monomials_up_to,
                               _span_pivots, colength_oracle, local_std_basis,
-                              milnor, order_key, tjurina)
+                              milnor, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
 from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, swh_grid
 
@@ -19,11 +19,18 @@ def gens_of(*texts):
     return [parse_poly(t) for t in texts]
 
 
+def ref_order_key(e):
+    """The local degree order, written apart from the engine's key for the
+    reference loops below: larger key = larger monomial, lower total degree
+    first, ties by reverse lexicographic with x > y > z."""
+    return (-sum(e), tuple(-c for c in reversed(e)))
+
+
 def test_order_prefers_low_degree():
-    assert order_key((1, 0)) > order_key((2, 0))
-    assert order_key((1, 0)) > order_key((0, 2))
-    # tie on degree: x > y under revlex with x > y
-    assert order_key((1, 0)) > order_key((0, 1))
+    # the last pair ties on degree: x > y under revlex with x > y
+    for big, small in [((1, 0), (2, 0)), ((1, 0), (0, 2)), ((1, 0), (0, 1))]:
+        assert ref_order_key(big) > ref_order_key(small)
+        assert _lead({small: 1, big: 1}) == _lead({big: 1, small: 1}) == big
 
 
 def test_std_basis_monomial_ideal():
@@ -100,6 +107,15 @@ def test_colength_oracle_unstable_on_non_isolated():
     assert colength_oracle(gens_of("x*y^2", "x^2*y"), 8) is None
 
 
+@pytest.mark.parametrize("gens", [[], [parse_poly("x^2"), parse_poly("y^2+z^2", nvars=3)]],
+                         ids=["no generators", "mixed nvars"])
+@pytest.mark.parametrize("colength", [local_std_basis, lambda gens: colength_oracle(gens, 6)],
+                         ids=["engine", "oracle"])
+def test_generators_are_checked_up_front(colength, gens):
+    with pytest.raises(ValueError, match="generator"):
+        colength(gens)
+
+
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
 def test_oracle_equivalence(text):
     gens = [g for g in jacobian(parse_poly(text)) if not g.is_zero()]
@@ -155,7 +171,7 @@ def _fraction_span_pivots(gens, cap):
                 if sum(ee) <= cap:
                     row[ee] = c
             while row:
-                lead = max(row, key=order_key)
+                lead = max(row, key=ref_order_key)
                 piv = pivots.get(lead)
                 if piv is None:
                     pivots[lead] = {e: Fraction(c) / row[lead] for e, c in row.items()}
@@ -182,7 +198,7 @@ def test_integer_pivots_are_multiples_of_fraction_pivots(text):
 
 
 def _ref_lead(p):
-    return max(p, key=order_key)
+    return max(p, key=ref_order_key)
 
 
 def _ref_divides(a, b):
@@ -326,6 +342,12 @@ def lead_sets(draw):
         if draw(st.booleans()) or draw(st.booleans()):
             leads.append(tuple(draw(st.integers(0, 7)) if w == v else 0 for w in range(nvars)))
     return nvars, leads
+
+
+def test_staircase_colength_reads_duplicate_and_non_minimal_leads():
+    # x^2, x^3, x*y, x^2*y^2, y^3, y^3: standard monomials 1, y, y^2, x
+    leads = [(2, 0), (3, 0), (1, 1), (2, 2), (0, 3), (0, 3)]
+    assert _colength_of_leads(leads, 2) == brute_force_colength(leads, 2) == 4
 
 
 @given(lead_sets())

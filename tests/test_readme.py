@@ -1,8 +1,11 @@
 """Every `tjspectra ...` line in README's "CLI usage" block runs and exits 0,
-so the documented command lines cannot drift from the CLI."""
+and the "Library example" block prints what its comments say, so the
+documented command lines and fields cannot drift from the code."""
 
 import os
 import shlex
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 
@@ -11,11 +14,14 @@ from tjspectra import cli
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def readme_command_lines():
+def readme_block(heading, fence):
     with open(README) as fh:
         text = fh.read()
-    block = text.split("## CLI usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines()
+    return text.split(f"## {heading}", 1)[1].split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_command_lines():
+    return [shlex.split(line)[1:] for line in readme_block("CLI usage", "sh").splitlines()
             if line.startswith("tjspectra ")]
 
 
@@ -29,3 +35,13 @@ def test_readme_documents_every_subcommand():
 def test_readme_command_line_exits_0(capsys, argv):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_readme_library_example_prints_its_comments():
+    block = readme_block("Library example", "python")
+    expected = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    buf = StringIO()
+    with redirect_stdout(buf):
+        exec(block, {})
+    assert expected and buf.getvalue().splitlines() == expected
