@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product, repeat
 
-from . import localg, verify
+from . import localg
 from .conjecture import enumerate_candidates, thm31_verdict
 from .errors import (InternalConsistencyError, InvalidFamilyParameters,
                      TjspectraError)
@@ -171,7 +171,9 @@ def cmd_colength(args):
 
 
 def cmd_verify(args):
-    return verify.run_checks()
+    # imported here: loading the verification suite costs every other CLI call
+    from .verify import run_checks
+    return run_checks()
 
 
 def _family_values(args):

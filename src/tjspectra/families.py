@@ -13,13 +13,13 @@ on, and it does not change any value multiset.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import localg
 from .errors import (Condition81Violated, DegenerateExponent, GcdViolation,
                      InternalConsistencyError, InvalidFamilyParameters)
 from .poly import Poly
-from .spectra import Spectrum, make_spectrum
+from .spectra import Spectrum, make_spectrum, spectrum_of_numerators
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,15 @@ def _engine_check(f: Poly, mu: int, tau: int | None = None,
 
 def brieskorn_instance(params: BrieskornParams, cross_check: bool = False) -> TjurinaInstance:
     """Weighted-homogeneous instance x^a + y^b: its spectrum is {i/a + j/b},
-    and mu = tau = (a-1)(b-1), so the Tjurina subset is the whole spectrum."""
+    built from the numerators i*b + j*a over a*b, and mu = tau = (a-1)(b-1),
+    so the Tjurina subset is the whole spectrum."""
     params.validate()
     a, b = params.a, params.b
-    pairs = [(Fraction(i, a) + Fraction(j, b), True) for i in range(1, a) for j in range(1, b)]
-    inst = _lattice_instance(pairs, Poly({(a, 0): 1, (0, b): 1}, 2), f"brieskorn({a},{b})",
-                             swh=True)
+    spectrum = spectrum_of_numerators([i * b + j * a for i in range(1, a) for j in range(1, b)],
+                                      a * b, 2, complete=True)
+    inst = TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)),
+                           Poly({(a, 0): 1, (0, b): 1}, 2), f"brieskorn({a},{b})",
+                           swh=True, subset_assumed=False)
     if cross_check:
         _engine_check(inst.defining_poly, inst.mu, inst.tau)
     return inst
@@ -254,22 +257,28 @@ def three_monomial_instance(params: ThreeMonomialParams,
 
 
 def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
-    """Spectrum from the Puiseux pairs (a, b), (c, d): lattice generation
-    of the values below 1, then reflection alpha -> 2 - alpha."""
+    """Spectrum from the Puiseux pairs (a, b), (c, d), on integer numerators
+    over L = d*lcm(e, ab).
+
+    The values below 1 are i/e + j/d = (i*d + j*e)/(ed) < 1 and
+    (i/a + j/b + k)/d = (i*b + j*a + k*ab)/(abd) with i/a + j/b < 1 and
+    0 <= k < d; the values above 1 are their reflections 2 - alpha, whose
+    numerators are 2L - k.
+    """
     params.validate()
     a, b, d, e = params.a, params.b, params.d, params.e
-    lower: list[Fraction] = []
+    m = lcm(e, a * b)
+    L = d * m
+    lower: list[int] = []
+    per_ed = m // e  # 1/(ed) is per_ed/L
     for i in range(1, e):
-        for j in range(1, d):
-            x = Fraction(i, e) + Fraction(j, d)
-            if x < 1:
-                lower.append(x)
+        # j = 1, 2, ... while the value stays below 1, which forces j < d
+        lower.extend(range((i * d + e) * per_ed, L, e * per_ed))
+    per_abd = m // (a * b)  # 1/(abd) is per_abd/L
     for i in range(1, a):
-        for j in range(1, b):
-            y = Fraction(i, a) + Fraction(j, b)
-            if y < 1:
-                lower.extend((y + k) / d for k in range(d))
-    return make_spectrum(lower + [2 - v for v in lower], n=2, complete=True)
+        for t in range(i * b + a, a * b, a):  # t = i*b + j*a < ab
+            lower.extend(range(t * per_abd, L, a * b * per_abd))  # k = 0, ..., d-1
+    return spectrum_of_numerators(lower + [2 * L - k for k in lower], L, 2, complete=True)
 
 
 def puiseux_instance(params: PuiseuxParams, cross_check: bool = False) -> TjurinaInstance:
@@ -278,6 +287,7 @@ def puiseux_instance(params: PuiseuxParams, cross_check: bool = False) -> Tjurin
     tau comes from the local-algebra engine (there is no closed form
     here).  The Tjurina subset is not computed: it is assumed to be
     [1..tau], i.e. the missing spectral numbers are the top mu - tau.
+    An engine tau outside [1, mu] is an internal error.
     """
     spectrum = puiseux_spectrum(params)
     a, b, d, q, r = params.a, params.b, params.d, params.q, params.r
@@ -285,5 +295,8 @@ def puiseux_instance(params: PuiseuxParams, cross_check: bool = False) -> Tjurin
     if cross_check:
         _engine_check(f, spectrum.mu)
     tau = localg.tjurina(f)
+    if not 1 <= tau <= spectrum.mu:
+        raise InternalConsistencyError(
+            f"the engine computes tau = {tau} outside [1, mu = {spectrum.mu}] for {f}")
     return TjurinaInstance(spectrum, frozenset(range(1, tau + 1)), f,
                            f"puiseux({a},{b},{d},q={q},r={r})", swh=False, subset_assumed=True)

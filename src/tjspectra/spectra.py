@@ -6,16 +6,20 @@ alpha_i + alpha_{mu+1-i} = n.  All statistics here are exact; the defect
 ``delta = Var - width/12`` is the quantity whose sign the (generalized)
 Hertling conjecture constrains.
 
-Arithmetic runs on integers: values are mapped to numerators over the least
-common denominator L of their denominators, statistics are integer power
-sums over those numerators, and a ``Fraction`` is built only for each value
-returned.
+Arithmetic runs on integers.  A spectrum is built either from int
+numerators k over one denominator L (:func:`spectrum_of_numerators`, for
+the families that know their L), which builds each distinct value's
+``Fraction`` once, or from rational values (:func:`make_spectrum`), which
+maps them to numerators over their least common denominator and keeps the
+caller's objects.  Both run the same range and symmetry checks on the
+numerators.  Statistics are integer power sums over the numerators, and a
+``Fraction`` is built only for each value returned.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import EmptySpectrum, EmptySubset, SymmetryViolation, ValueOutOfRange
@@ -63,27 +67,46 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     return [k * scale[d] for k, d in pairs], L
 
 
-def make_spectrum(values: Iterable[Fraction], n: int, complete: bool = False) -> Spectrum:
-    items = list(values)
-    if not items:
+def _checked_numerators(nums: Iterable[int], L: int, n: int, complete: bool) -> list[int]:
+    """The numerators sorted, once the values k/L are known to lie in (0, n),
+    that is 0 < k < nL, and, with ``complete``, to satisfy
+    k_i + k_{mu+1-i} = nL."""
+    nums = sorted(nums)
+    if not nums:
         raise EmptySpectrum("a spectrum must contain at least one value")
-    nums, L = _over_common_denominator(items)
-    order = sorted(range(len(items)), key=nums.__getitem__)
-    nums = [nums[i] for i in order]
     top = n * L
     if nums[0] <= 0 or nums[-1] >= top:
         bad = nums[0] if nums[0] <= 0 else nums[-1]
         raise ValueOutOfRange(f"spectral value {Fraction(bad, L)} outside (0, {n})")
     if complete:
         mu = len(nums)
-        for i in range(mu):
-            if nums[i] + nums[mu - 1 - i] != top:
+        for i, pair_sum in enumerate(map(add, nums, reversed(nums))):
+            if pair_sum != top:
                 raise SymmetryViolation(
-                    f"alpha_{i + 1} + alpha_{mu - i} = "
-                    f"{Fraction(nums[i] + nums[mu - 1 - i], L)} != {n}")
-    vals = tuple([v if type(v) is Fraction else Fraction(v)
-                  for v in map(items.__getitem__, order)])
-    return Spectrum(vals, n, complete)
+                    f"alpha_{i + 1} + alpha_{mu - i} = {Fraction(pair_sum, L)} != {n}")
+    return nums
+
+
+def spectrum_of_numerators(nums: Iterable[int], L: int, n: int,
+                           complete: bool = False) -> Spectrum:
+    """Spectrum of the values k/L for the int numerators k, in any order,
+    with the checks of :func:`make_spectrum`; each distinct value's
+    ``Fraction`` is built once."""
+    nums = _checked_numerators(nums, L, n, complete)
+    value = {k: Fraction(k, L) for k in set(nums)}
+    return Spectrum(tuple(map(value.__getitem__, nums)), n, complete)
+
+
+def make_spectrum(values: Iterable[Fraction], n: int, complete: bool = False) -> Spectrum:
+    """Spectrum of int or Fraction values, in any order, with the range and
+    symmetry checks run on their numerators over the least common
+    denominator.  The caller's ``Fraction`` objects are kept: building each
+    value again from its numerator costs an swh sweep about 4% of its time."""
+    items = list(values)
+    nums, L = _over_common_denominator(items)
+    value = {k: v if type(v) is Fraction else Fraction(v) for k, v in zip(nums, items)}
+    nums = _checked_numerators(nums, L, n, complete)
+    return Spectrum(tuple(map(value.__getitem__, nums)), n, complete)
 
 
 def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:

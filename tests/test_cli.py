@@ -258,6 +258,24 @@ def test_cli_import_skips_process_pool():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_cli_import_skips_verify():
+    code = ("import sys, tjspectra.cli; "
+            "sys.exit('tjspectra.verify' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_engine_tau_above_mu_exits_2(monkeypatch, capsys):
+    from tjspectra import cli, families
+    params = families.PuiseuxParams(3, 2, 2, 1, 1)
+    mu = families.puiseux_spectrum(params).mu
+    monkeypatch.setattr(families.localg, "tjurina", lambda f: mu + 1)
+    assert cli.main(["check", "puiseux", "--a", "3", "--b", "2", "--d", "2",
+                     "--q", "1", "--r", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"internal error: the engine computes tau = {mu + 1} outside [1, mu = {mu}]" in err
+
+
 SWH_ARGS = ["sweep", "swh", "--a", "5:7", "--b", "5:7", "--c", "1", "--d", "1"]
 
 

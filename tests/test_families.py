@@ -1,6 +1,8 @@
+import json
 from dataclasses import fields
 from fractions import Fraction as F
-from itertools import groupby
+from itertools import groupby, product
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from tjspectra.families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhPar
 from tjspectra.poly import parse_poly
 from tjspectra.spectra import average
 from tjspectra.verify import THREE_MONOMIAL_TUPLES, swh_grid
+
+PUISEUX_REFERENCE = (Path(__file__).resolve().parent.parent
+                     / "benchmarks" / "reference" / "puiseux-seed0.json")
 
 
 def test_brieskorn_smallest():
@@ -183,3 +188,53 @@ def test_generated_spectra_complete_and_centered():
 def test_mu_one_spectrum_is_legal():
     s = brieskorn_two_var(2, 2)
     assert s.mu == 1 and s.values == (F(1),)
+
+
+@pytest.mark.parametrize("a", range(2, 13))
+def test_brieskorn_matches_the_lattice_sums(a):
+    for b in range(2, 13):
+        expected = sorted(F(i, a) + F(j, b) for i in range(1, a) for j in range(1, b))
+        assert list(brieskorn_two_var(a, b).values) == expected
+
+
+def reference_puiseux_values(params):
+    """Sorted Puiseux spectrum by Fraction sums, compares and reflections:
+    the slow route for the integer numerators of puiseux_spectrum."""
+    a, b, d, e = params.a, params.b, params.d, params.e
+    lower = []
+    for i in range(1, e):
+        for j in range(1, d):
+            x = F(i, e) + F(j, d)
+            if x < 1:
+                lower.append(x)
+    for i in range(1, a):
+        for j in range(1, b):
+            y = F(i, a) + F(j, b)
+            if y < 1:
+                lower.extend((y + k) / d for k in range(d))
+    return sorted(lower + [2 - v for v in lower])
+
+
+def puiseux_grid():
+    """Valid PuiseuxParams with d in 1..3 and q in -4..4 for small a, b, r,
+    then every tuple of the seed-0 puiseux-sweep benchmark."""
+    for a, b, d, q, r in product(range(3, 7), range(2, 6), range(1, 4), range(-4, 5), range(1, 5)):
+        p = PuiseuxParams(a, b, d, q, r)
+        try:
+            p.validate()
+        except InvalidFamilyParameters:
+            continue
+        yield p
+    for row in json.loads(PUISEUX_REFERENCE.read_text()):
+        yield PuiseuxParams(*map(int, row["params"].split(",")))
+
+
+def test_puiseux_spectrum_matches_fraction_reference():
+    grid = list(dict.fromkeys(puiseux_grid()))
+    assert {p.d for p in grid} == {1, 2, 3}
+    assert any(p.q < 0 for p in grid)
+    assert len(grid) == 303
+    for p in grid:
+        s = puiseux_spectrum(p)
+        assert list(s.values) == reference_puiseux_values(p), p
+        assert s.complete and all(type(v) is F for v in s.values), p

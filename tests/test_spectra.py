@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tjspectra.errors import (EmptySpectrum, EmptySubset, SymmetryViolation,
-                              ValueOutOfRange)
+                              TjspectraError, ValueOutOfRange)
 from tjspectra.families import brieskorn_two_var
 from tjspectra.spectra import (average, hertling_defect, make_spectrum,
-                               stats_of_values, subset_stats, variance, width)
+                               spectrum_of_numerators, stats_of_values,
+                               subset_stats, variance, width)
 
 
 def test_make_spectrum_sorts():
@@ -155,3 +156,35 @@ def test_make_spectrum_accepts_ints_and_rejects_floats():
     assert all(type(v) is F for v in s.values)
     with pytest.raises(TypeError):
         make_spectrum([0.5, F(3, 2)], n=2)
+
+
+def outcome(build, *args):
+    """The Spectrum that build returns, or the type and message it raises."""
+    try:
+        return build(*args)
+    except TjspectraError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(1, 60), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.lists(st.integers(-5, 200), max_size=12), st.integers(-3, 3), st.data())
+def test_numerator_constructor_matches_make_spectrum(L, n, complete, mirror, nums, shift, data):
+    if mirror:  # a symmetric multiset, with one numerator moved by shift
+        nums = nums + [n * L - k for k in nums]
+        if nums:
+            i = data.draw(st.integers(0, len(nums) - 1))
+            nums[i] += shift
+    expected = outcome(make_spectrum, [F(k, L) for k in nums], n, complete)
+    assert outcome(spectrum_of_numerators, nums, L, n, complete) == expected
+
+
+@pytest.mark.parametrize("nums, complete, error", [
+    ([], False, EmptySpectrum),
+    ([0, 3], False, ValueOutOfRange),
+    ([3, 12], False, ValueOutOfRange),
+    ([3, 5, 7], True, SymmetryViolation),
+])
+def test_numerator_constructor_raises_what_make_spectrum_raises(nums, complete, error):
+    expected = outcome(make_spectrum, [F(k, 6) for k in nums], 2, complete)
+    assert expected[0] is error
+    assert outcome(spectrum_of_numerators, nums, 6, 2, complete) == expected
