@@ -1,8 +1,11 @@
 """Exact stdout of `spectrum`, `check` and a Puiseux `sweep`, one instance of
-every family, pinned against files in tests/golden/.
+every family, and of `enumerate` and `verify`, pinned against files in
+tests/golden/.
 
-The files were written by the CLI before the family table replaced the
-per-family code in `cli.py`; any byte of difference is a regression.
+The family files were written by the CLI before the family table replaced
+the per-family code in `cli.py`, and the `enumerate` and `verify` files
+before those commands read the statistics fields directly; any byte of
+difference is a regression.
 """
 
 import os
@@ -25,6 +28,8 @@ GOLDEN = {f"{command}-{family}": [command, family] + flags
 GOLDEN["sweep-puiseux-drop-max"] = ["sweep", "puiseux", "--a", "3", "--b", "2", "--d", "2",
                                     "--q=-1:9", "--r", "1", "--subset", "drop-max",
                                     "--format", "json"]
+GOLDEN["enumerate-x7-y7"] = ["enumerate", "--poly", "x^7+y^7", "--slack", "10"]
+GOLDEN["verify"] = ["verify"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
