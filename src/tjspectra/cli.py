@@ -18,7 +18,7 @@ from . import localg
 from .conjecture import enumerate_candidates, thm31_verdict
 from .errors import (InternalConsistencyError, InvalidFamilyParameters,
                      TjspectraError)
-from .families import FAMILIES, brieskorn_two_var
+from .families import FAMILIES, BrieskornParams
 from .poly import parse_poly
 from .rational import decimal_str, format_ratio
 from .spectra import stats_of_values, subset_stats
@@ -78,7 +78,7 @@ def cmd_check(args):
 
 def cmd_enumerate(args):
     a, b = _brieskorn_exponents(parse_poly(args.poly))
-    s = brieskorn_two_var(a, b)
+    s = BrieskornParams(a, b).instance().spectrum
     result = enumerate_candidates(s, s.mu, args.slack)
     print(f"mu = {s.mu}  tau = {s.mu}  k = {result.k}")
     if result.clamped:

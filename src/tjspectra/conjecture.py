@@ -7,6 +7,7 @@ hypothetical Tjurina spectra for a weighted-homogeneous spectrum, and the
 closed-form products tau*delta for the (3, 2, 2) two-Puiseux-pair family.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
@@ -16,12 +17,6 @@ from .errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
                      TjspectraError, WrongDirection)
 from .families import TjurinaInstance
 from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
-
-
-def tjurina_defect(inst: TjurinaInstance) -> Fraction:
-    """delta = Var - width/12 over the Tjurina subset; > 0 means the
-    original generalized Hertling inequality fails for this instance."""
-    return subset_stats(inst.spectrum, inst.tjurina_indices).delta
 
 
 @dataclass(frozen=True)
@@ -39,16 +34,16 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     states only for semi-weighted-homogeneous instances (``inst.swh``).
 
     All flags are exact rational comparisons; guaranteed_failure implies
-    tjurina_defect(inst) > 0 (sufficiency only, not necessity).
+    tjurina.delta > 0, that is, the generalized Hertling inequality fails
+    (sufficiency only, not necessity).
     """
-    s = inst.spectrum
-    full = stats_of_values(s.values)
-    tj = subset_stats(s, inst.tjurina_indices)
-    mu, tau = s.mu, tj.tau
+    full = stats_of_values(inst.spectrum.values)
+    tj = subset_stats(inst.spectrum, inst.tjurina_indices)
+    mu, tau = full.tau, tj.tau
     mu_ne_tau = mu != tau
     av_condition = tj.av <= full.av
-    width_condition = s.values[-1] - s.values[0] <= 2
-    cond_3_3 = Fraction(mu, 12) * (s.values[-1] - tj.alpha_max) >= (mu - tau) * s.values[-1] ** 2
+    width_condition = full.alpha_max - full.alpha_min <= 2
+    cond_3_3 = Fraction(mu, 12) * (full.alpha_max - tj.alpha_max) >= (mu - tau) * full.alpha_max ** 2
     guaranteed = (inst.swh and mu_ne_tau and (width_condition or av_condition) and cond_3_3)
     return Thm31Verdict(tj, mu_ne_tau, av_condition, width_condition,
                         cond_3_3, guaranteed)
@@ -102,7 +97,6 @@ def remark32_compare(t_values: Sequence[Fraction],
     is predicted if beta + beta' <= av + av' + tau/12; when the maximum is
     unchanged, delta(T) > delta(T') is predicted if beta + beta' >= av + av'.
     """
-    from collections import Counter
     if len(t_values) != len(t_prime_values):
         raise NotSingleSwap("multisets must have equal size")
     ct, ct2 = Counter(t_values), Counter(t_prime_values)
@@ -117,9 +111,9 @@ def remark32_compare(t_values: Sequence[Fraction],
     tau = len(t_values)
     st, st2 = stats_of_values(t_values), stats_of_values(t_prime_values)
 
-    # exact single-swap identities (checked on every call)
-    s2 = sum((v * v for v in t_values), Fraction(0))
-    s2p = sum((v * v for v in t_prime_values), Fraction(0))
+    # exact single-swap identities (checked on every call); sum v^2 = tau * (Var + av^2)
+    s2 = tau * (st.var + st.av ** 2)
+    s2p = tau * (st2.var + st2.av ** 2)
     if s2 - s2p != (beta - beta_p) * (beta + beta_p):
         raise InternalConsistencyError("sum-of-squares swap identity failed")
     if tau * (st.av ** 2 - st2.av ** 2) != (beta - beta_p) * (st.av + st2.av):
@@ -193,7 +187,7 @@ def enumerate_candidates(s: Spectrum, tau_actual: int, slack: int) -> Enumeratio
                     f"retained count {len(retained)} != tau' = {tau_prime}")
             records.append(CandidateRecord(
                 tau_prime=tau_prime, j=j, missing=missing,
-                stats=stats_of_values([s.values[i - 1] for i in retained])))
+                stats=subset_stats(s, retained)))
     return EnumerationResult(k=k, slack=max(slack, 0), clamped=clamped,
                              records=tuple(records))
 

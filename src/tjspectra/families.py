@@ -91,6 +91,8 @@ class ThreeMonomialParams:
         a, b, c, d = self.a, self.b, self.c, self.d
         if not (2 <= a < b):
             raise InvalidFamilyParameters(f"need 2 <= a < b, got ({a}, {b})")
+        if c < 1 or d < 1:
+            raise InvalidFamilyParameters("c and d must be positive")
         if a * d + b * c >= c * d:  # a/c + b/d < 1
             raise InvalidFamilyParameters(
                 f"need a/c + b/d < 1, got (a,b,c,d)=({a},{b},{c},{d})")
@@ -148,11 +150,6 @@ def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInst
     spectrum = make_spectrum([v for v, _ in ordered], n=2, complete=True)
     indices = frozenset(i for i, (_, tj) in enumerate(ordered, 1) if tj)
     return TjurinaInstance(spectrum, indices, f, family_tag, swh=swh, subset_assumed=False)
-
-
-def brieskorn_two_var(a: int, b: int) -> Spectrum:
-    """Complete spectrum {i/a + j/b} of x^a + y^b."""
-    return brieskorn_instance(BrieskornParams(a, b)).spectrum
 
 
 def _engine_check(f: Poly, mu: int, tau: int | None = None,

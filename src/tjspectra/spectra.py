@@ -139,20 +139,3 @@ def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
     if idx and (idx[0] < 1 or idx[-1] > s.mu):
         raise ValueOutOfRange(f"subset index outside [1, {s.mu}]")
     return stats_of_values([s.values[i - 1] for i in idx])
-
-
-def average(s: Spectrum) -> Fraction:
-    return stats_of_values(s.values).av
-
-
-def variance(s: Spectrum) -> Fraction:
-    return stats_of_values(s.values).var
-
-
-def width(s: Spectrum) -> Fraction:
-    return s.values[-1] - s.values[0]
-
-
-def hertling_defect(s: Spectrum) -> Fraction:
-    """Var - width/12; non-positive iff the Hertling inequality holds."""
-    return stats_of_values(s.values).delta

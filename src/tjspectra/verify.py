@@ -9,13 +9,12 @@ from fractions import Fraction
 from itertools import product
 
 from . import localg
-from .conjecture import closed_form_tau_delta_322, enumerate_candidates, tjurina_defect
+from .conjecture import closed_form_tau_delta_322, enumerate_candidates
 from .errors import Condition81Violated, InternalConsistencyError, InvalidFamilyParameters
-from .families import (PuiseuxParams, SwhParams, ThreeMonomialParams,
-                       brieskorn_two_var, puiseux_spectrum, swh_instance,
-                       three_monomial_instance)
+from .families import (BrieskornParams, PuiseuxParams, SwhParams, ThreeMonomialParams,
+                       puiseux_spectrum, swh_instance, three_monomial_instance)
 from .poly import jacobian, parse_poly
-from .spectra import hertling_defect, subset_stats
+from .spectra import stats_of_values, subset_stats
 
 COUNTEREXAMPLE_DELTA = Fraction(3, 9604)
 
@@ -46,7 +45,7 @@ def check_counterexample():
     inst = swh_instance(SwhParams(7, 7, 1, 1))
     if (inst.mu, inst.tau) != (36, 35):
         return f"swh(7,7,1,1) gave (mu, tau) = ({inst.mu}, {inst.tau})"
-    delta = tjurina_defect(inst)
+    delta = subset_stats(inst.spectrum, inst.tjurina_indices).delta
     if delta != COUNTEREXAMPLE_DELTA:
         return f"delta = {delta}, expected {COUNTEREXAMPLE_DELTA}"
 
@@ -63,14 +62,16 @@ def check_sign_pattern():
     if valid != list(range(5, 13)):
         return f"swh(m,m,1,1) is valid for m in {valid}, expected 5..12"
     for m in valid:
-        delta = tjurina_defect(swh_instance(SwhParams(m, m, 1, 1)))
+        inst = swh_instance(SwhParams(m, m, 1, 1))
+        delta = subset_stats(inst.spectrum, inst.tjurina_indices).delta
         if (delta > 0) != (m >= 7):
             return f"m = {m}: delta = {delta} has the wrong sign"
 
 
 def check_small_grid():
     for p in swh_grid(7):
-        delta = tjurina_defect(swh_instance(p))
+        inst = swh_instance(p)
+        delta = subset_stats(inst.spectrum, inst.tjurina_indices).delta
         if delta > 0 and p != SwhParams(7, 7, 1, 1):
             return f"positive delta at (a,b,c,d)=({p.a},{p.b},{p.c},{p.d}): {delta}"
 
@@ -78,7 +79,7 @@ def check_small_grid():
 def check_weighted_homogeneous_equality():
     for b in range(2, 13):
         for a in range(b, 13):
-            d = hertling_defect(brieskorn_two_var(a, b))
+            d = stats_of_values(BrieskornParams(a, b).instance().spectrum.values).delta
             if d != 0:
                 return f"brieskorn({a},{b}) defect = {d}, expected 0"
 
@@ -103,7 +104,7 @@ def check_three_monomial_localg():
 
 
 def check_enumeration_parity():
-    s = brieskorn_two_var(7, 7)
+    s = BrieskornParams(7, 7).instance().spectrum
     result = enumerate_candidates(s, s.mu, 10)
     if result.k != 31:
         return f"k = {result.k}, expected 31"

@@ -43,6 +43,17 @@ def test_spectrum_invalid_params_exit_1():
     assert "c < a/2" in r.stderr
 
 
+def test_three_monomial_negative_exponents_are_input_errors():
+    # (2, 3, -1, -1) satisfies a*d + b*c < c*d, but x^-1 is no monomial
+    r = run("spectrum", "three-monomial", "--a", "2", "--b", "3", "--c", "-1", "--d", "-1")
+    assert r.returncode == 1
+    assert r.stderr == "error: c and d must be positive\n"
+    r = run("sweep", "three-monomial", "--a", "2", "--b", "3", "--c=-3:-1", "--d=-3:-1")
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.splitlines() == [  # the header, every tuple skipped
+        "family\tparams\tmu\ttau\tdelta_exact\tdelta_decimal\tthm31\tav_obs"]
+
+
 def test_check_counterexample():
     r = run("check", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1")
     assert r.returncode == 0

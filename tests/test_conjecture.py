@@ -4,13 +4,11 @@ import pytest
 
 from tjspectra.conjecture import (closed_form_tau_delta_322,
                                   enumerate_candidates, mple_failure_bound,
-                                  prop41_step, remark32_compare, thm31_verdict,
-                                  tjurina_defect)
+                                  prop41_step, remark32_compare, thm31_verdict)
 from tjspectra.errors import (EvenC, GapZero, IndexNotInSubset, NotSingleSwap,
                               SubsetTooSmall, TauExceedsMu, WrongDirection)
 from tjspectra.families import (BrieskornParams, PuiseuxParams, SwhParams,
-                                brieskorn_two_var, puiseux_instance,
-                                swh_instance)
+                                puiseux_instance, swh_instance)
 from tjspectra.spectra import stats_of_values, subset_stats
 
 
@@ -22,15 +20,18 @@ def test_defect_counterexample():
     # oracle: direct summation over the 35 Tjurina values
     vals = sorted(F(i + j, 7) for i in range(1, 7) for j in range(1, 7))[:-1]
     assert stats_of_values(vals).delta == F(3, 9604)
-    assert tjurina_defect(swh_instance(SwhParams(7, 7, 1, 1))) == F(3, 9604)
+    inst = swh_instance(SwhParams(7, 7, 1, 1))
+    assert subset_stats(inst.spectrum, inst.tjurina_indices).delta == F(3, 9604)
 
 
 def test_defect_full_subset_is_zero():
-    assert tjurina_defect(full_instance(6, 6)) == 0
+    inst = full_instance(6, 6)
+    assert subset_stats(inst.spectrum, inst.tjurina_indices).delta == 0
 
 
 def test_defect_6611_nonpositive():
-    assert tjurina_defect(swh_instance(SwhParams(6, 6, 1, 1))) <= 0
+    inst = swh_instance(SwhParams(6, 6, 1, 1))
+    assert subset_stats(inst.spectrum, inst.tjurina_indices).delta <= 0
 
 
 def test_thm31_51():
@@ -45,7 +46,7 @@ def test_thm31_77_sufficiency_not_necessity():
     v = thm31_verdict(inst)
     assert not v.cond_3_3  # 3/7 < 144/49
     assert not v.guaranteed_failure
-    assert tjurina_defect(inst) > 0
+    assert subset_stats(inst.spectrum, inst.tjurina_indices).delta > 0
 
 
 def test_thm31_weighted_homogeneous():
@@ -65,7 +66,7 @@ def index_of_value(s, v):
 
 
 def test_prop41_interior_removal():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     out = prop41_step(s, range(1, 37), index_of_value(s, F(10, 7)))
     assert out.hypothesis_42 and out.extremes_preserved and out.guaranteed
     # conclusion holds: removing the point keeps delta non-positive
@@ -74,19 +75,19 @@ def test_prop41_interior_removal():
 
 
 def test_prop41_extremal_removal():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     out = prop41_step(s, range(1, 37), index_of_value(s, F(12, 7)))
     assert not out.extremes_preserved and not out.guaranteed
 
 
 def test_prop41_center_point():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     out = prop41_step(s, range(1, 37), index_of_value(s, F(1)))
     assert not out.hypothesis_42 and not out.guaranteed
 
 
 def test_prop41_errors():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     with pytest.raises(IndexNotInSubset):
         prop41_step(s, [1, 2], 3)
     with pytest.raises(SubsetTooSmall):
@@ -117,7 +118,7 @@ def test_remark32_errors():
 
 
 def test_enumerate_slack_one():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     res = enumerate_candidates(s, 36, 1)
     assert res.k == 31 and not res.clamped
     assert len(res.records) == 1
@@ -128,20 +129,20 @@ def test_enumerate_slack_one():
 
 
 def test_enumerate_slack_two():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     res = enumerate_candidates(s, 36, 2)
     tau34 = [(r.j, sorted(r.missing)) for r in res.records if r.tau_prime == 34]
     assert tau34 == [(2, [35, 36]), (1, [31, 36])]
 
 
 def test_enumerate_clamp():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     res = enumerate_candidates(s, 36, 100)
     assert res.clamped and res.slack == 36 - 31 + 1 == 6
 
 
 def test_enumerate_no_values_past_alpha1_plus_one():
-    s = brieskorn_two_var(3, 2)
+    s = full_instance(3, 2).spectrum
     res = enumerate_candidates(s, s.mu, 10)
     assert res.k == s.mu + 1
     # only pure top-block candidates
@@ -150,11 +151,11 @@ def test_enumerate_no_values_past_alpha1_plus_one():
 
 def test_enumerate_tau_exceeds_mu():
     with pytest.raises(TauExceedsMu):
-        enumerate_candidates(brieskorn_two_var(2, 3), 5, 1)
+        enumerate_candidates(full_instance(2, 3).spectrum, 5, 1)
 
 
 def test_enumerate_missing_block_shape():
-    s = brieskorn_two_var(7, 7)
+    s = full_instance(7, 7).spectrum
     res = enumerate_candidates(s, 36, 6)
     for r in res.records:
         assert len(r.missing) == 36 - r.tau_prime

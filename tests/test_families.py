@@ -9,11 +9,10 @@ import pytest
 from tjspectra.errors import (DegenerateExponent, GcdViolation,
                               InvalidFamilyParameters)
 from tjspectra.families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhParams,
-                                ThreeMonomialParams, brieskorn_two_var, puiseux_instance,
-                                puiseux_spectrum, swh_instance,
-                                three_monomial_instance)
+                                ThreeMonomialParams, puiseux_instance, puiseux_spectrum,
+                                swh_instance, three_monomial_instance)
 from tjspectra.poly import parse_poly
-from tjspectra.spectra import average
+from tjspectra.spectra import stats_of_values
 from tjspectra.verify import THREE_MONOMIAL_TUPLES, swh_grid
 
 PUISEUX_REFERENCE = (Path(__file__).resolve().parent.parent
@@ -21,26 +20,26 @@ PUISEUX_REFERENCE = (Path(__file__).resolve().parent.parent
 
 
 def test_brieskorn_smallest():
-    s = brieskorn_two_var(2, 3)
+    s = BrieskornParams(2, 3).instance().spectrum
     assert s.values == (F(5, 6), F(7, 6))
 
 
 def test_brieskorn_77():
-    s = brieskorn_two_var(7, 7)
+    s = BrieskornParams(7, 7).instance().spectrum
     assert s.mu == 36
     assert s.values[0] == F(2, 7)
     assert s.values[-1] == F(12, 7)
 
 
 def test_brieskorn_54_matches_deformed_spectrum():
-    s = brieskorn_two_var(5, 4)
+    s = BrieskornParams(5, 4).instance().spectrum
     expected = sorted(F(4 * p + 5 * q, 20) for p in range(1, 5) for q in range(1, 4))
     assert list(s.values) == expected
 
 
 def test_brieskorn_degenerate():
     with pytest.raises(DegenerateExponent):
-        brieskorn_two_var(1, 5)
+        BrieskornParams(1, 5).instance()
     with pytest.raises(DegenerateExponent):
         BrieskornParams(5, 1).instance()
 
@@ -135,6 +134,9 @@ def test_three_monomial_invalid():
         three_monomial_instance(ThreeMonomialParams(3, 2, 9, 9))
     with pytest.raises(InvalidFamilyParameters):
         three_monomial_instance(ThreeMonomialParams(2, 3, 4, 5))
+    # negative exponents satisfy a*d + b*c < c*d but name no polynomial
+    with pytest.raises(InvalidFamilyParameters, match="c and d must be positive"):
+        three_monomial_instance(ThreeMonomialParams(2, 3, -1, -1))
 
 
 @pytest.mark.parametrize("tpl", THREE_MONOMIAL_TUPLES)
@@ -177,16 +179,16 @@ def test_generated_spectra_complete_and_centered():
                 for t in THREE_MONOMIAL_TUPLES]
     spectra += [puiseux_spectrum(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1))
                 for c in range(1, 22, 2)]
-    spectra.append(brieskorn_two_var(5, 4))
+    spectra.append(BrieskornParams(5, 4).instance().spectrum)
     for s in spectra:
         assert s.complete  # symmetry verified at construction
         mu = s.mu
         assert all(s.values[i] + s.values[mu - 1 - i] == 2 for i in range(mu))
-        assert average(s) == 1  # n/2 with n = 2
+        assert stats_of_values(s.values).av == 1  # n/2 with n = 2
 
 
 def test_mu_one_spectrum_is_legal():
-    s = brieskorn_two_var(2, 2)
+    s = BrieskornParams(2, 2).instance().spectrum
     assert s.mu == 1 and s.values == (F(1),)
 
 
@@ -194,7 +196,7 @@ def test_mu_one_spectrum_is_legal():
 def test_brieskorn_matches_the_lattice_sums(a):
     for b in range(2, 13):
         expected = sorted(F(i, a) + F(j, b) for i in range(1, a) for j in range(1, b))
-        assert list(brieskorn_two_var(a, b).values) == expected
+        assert list(BrieskornParams(a, b).instance().spectrum.values) == expected
 
 
 def reference_puiseux_values(params):

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tjspectra.conjecture import (enumerate_candidates, prop41_step,
-                                  remark32_compare, thm31_verdict,
-                                  tjurina_defect)
+                                  remark32_compare, thm31_verdict)
 from tjspectra.errors import NotSingleSwap, WrongDirection
-from tjspectra.families import SwhParams, brieskorn_two_var, swh_instance
+from tjspectra.families import BrieskornParams, SwhParams, swh_instance
 from tjspectra.localg import colength_oracle, local_std_basis, milnor
 from tjspectra.poly import Poly, jacobian
 from tjspectra.spectra import (SubsetStats, make_spectrum, stats_of_values,
@@ -130,7 +129,7 @@ def test_prop41_chain_randomized():
     # whenever the extremes survive and hypothesis (alpha_i0 - av)^2 >= w/12
     # holds, the scaled defects satisfy tau*delta_T >= tau'*delta_T'
     rng = random.Random(41)
-    spectra = [brieskorn_two_var(a, b) for a, b in
+    spectra = [BrieskornParams(a, b).instance().spectrum for a, b in
                [(7, 7), (5, 4), (9, 8), (6, 6), (12, 5)]]
     checked = 0
     trials = 0
@@ -158,11 +157,11 @@ def test_thm31_soundness_over_sweep():
         inst = swh_instance(p)
         verdict = thm31_verdict(inst)
         if verdict.guaranteed_failure:
-            assert tjurina_defect(inst) > 0
+            assert subset_stats(inst.spectrum, inst.tjurina_indices).delta > 0
 
 
 def test_remark32_agrees_with_direct_ordering_on_candidates():
-    s = brieskorn_two_var(7, 7)
+    s = BrieskornParams(7, 7).instance().spectrum
     res = enumerate_candidates(s, 36, 6)
     by_tau = {}
     for r in res.records:
@@ -190,7 +189,7 @@ def test_remark32_agrees_with_direct_ordering_on_candidates():
 @given(st.integers(2, 12), st.integers(2, 12))
 @settings(max_examples=40, deadline=None)
 def test_complete_spectrum_properties(a, b):
-    s = brieskorn_two_var(a, b)
+    s = BrieskornParams(a, b).instance().spectrum
     assert s.complete
     mu = s.mu
     for i in range(mu):

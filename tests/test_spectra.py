@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from tjspectra.errors import (EmptySpectrum, EmptySubset, SymmetryViolation,
                               TjspectraError, ValueOutOfRange)
-from tjspectra.families import brieskorn_two_var
-from tjspectra.spectra import (average, hertling_defect, make_spectrum,
-                               spectrum_of_numerators, stats_of_values,
-                               subset_stats, variance, width)
+from tjspectra.families import BrieskornParams
+from tjspectra.spectra import (make_spectrum, spectrum_of_numerators,
+                               stats_of_values, subset_stats)
 
 
 def test_make_spectrum_sorts():
@@ -52,14 +51,14 @@ def test_subset_stats_brieskorn77_full():
     vals = [F(i, 7) + F(j, 7) for i in range(1, 7) for j in range(1, 7)]
     av = sum(vals, F(0)) / 36
     var = sum(((v - av) ** 2 for v in vals), F(0)) / 36
-    s = brieskorn_two_var(7, 7)
+    s = BrieskornParams(7, 7).instance().spectrum
     st = subset_stats(s, range(1, 37))
     assert (st.av, st.var) == (av, var) == (F(1), F(5, 42))
     assert st.delta == 0
 
 
 def test_subset_stats_singleton():
-    s = brieskorn_two_var(7, 7)
+    s = BrieskornParams(7, 7).instance().spectrum
     st = subset_stats(s, [5])
     assert st.var == 0 and st.delta == 0
 
@@ -72,7 +71,7 @@ def test_stats_of_values_hand_example():
 
 
 def test_subset_stats_errors():
-    s = brieskorn_two_var(2, 3)
+    s = BrieskornParams(2, 3).instance().spectrum
     with pytest.raises(EmptySubset):
         subset_stats(s, [])
     with pytest.raises(ValueOutOfRange):
@@ -80,32 +79,35 @@ def test_subset_stats_errors():
 
 
 def test_average_variance_width_brieskorn23():
-    s = brieskorn_two_var(2, 3)
+    s = BrieskornParams(2, 3).instance().spectrum
     assert s.values == (F(5, 6), F(7, 6))
-    assert average(s) == 1
-    assert variance(s) == F(1, 36)
-    assert width(s) == F(1, 3)
+    st = stats_of_values(s.values)
+    assert st.av == 1
+    assert st.var == F(1, 36)
+    assert st.alpha_max - st.alpha_min == F(1, 3)
 
 
 def test_average_is_half_n_for_complete():
     for a, b in [(2, 3), (5, 4), (7, 7), (9, 6)]:
-        assert average(brieskorn_two_var(a, b)) == 1
+        assert stats_of_values(BrieskornParams(a, b).instance().spectrum.values).av == 1
 
 
 def test_singleton_spectrum():
     s = make_spectrum([F(1)], n=2, complete=True)
-    assert variance(s) == 0 and width(s) == 0 and hertling_defect(s) == 0
+    st = stats_of_values(s.values)
+    assert st.var == 0 and st.alpha_max - st.alpha_min == 0 and st.delta == 0
 
 
 def test_hertling_defect_zero_on_brieskorn():
     for b in range(2, 13):
         for a in range(b, 13):
-            assert hertling_defect(brieskorn_two_var(a, b)) == 0
+            s = BrieskornParams(a, b).instance().spectrum
+            assert stats_of_values(s.values).delta == 0
 
 
 def test_hertling_defect_eq45_spectrum():
     vals = [F(4 * p + 5 * q, 20) for p in range(1, 5) for q in range(1, 4)]
-    assert hertling_defect(make_spectrum(vals, n=2, complete=True)) == 0
+    assert stats_of_values(make_spectrum(vals, n=2, complete=True).values).delta == 0
 
 
 def test_variance_centers_at_average_not_half_n():
@@ -135,7 +137,7 @@ def reference_check(values, n, complete):
        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=1009),
        st.booleans(), st.booleans())
 def test_integer_checks_match_fraction_checks(ab, data, shift, complete, append):
-    values = list(brieskorn_two_var(*ab).values)
+    values = list(BrieskornParams(*ab).instance().spectrum.values)
     if append:
         values.append(values[-1] + shift)
     else:
