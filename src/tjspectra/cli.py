@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: spectrum | check | enumerate | sweep | milnor | tjurina | verify.
-Exit codes: 0 success, 1 input error, 2 internal consistency failure.
+Exit codes: 0 success, 1 input error or a stdout closed early (as by
+`| head`, with nothing on stderr), 2 internal consistency failure.
 All rationals are printed as "p/q"; decimal columns are advisory renderings
 with 12 significant digits.
 """
@@ -38,8 +39,10 @@ def sign_marker(x: Fraction) -> str:
 
 def _instance(args):
     """The instance that the family and its flags on the command line name."""
-    params = FAMILIES[args.family](**_family_values(args))
-    return params.instance(cross_check=args.cross_check)
+    inst = FAMILIES[args.family](**_family_values(args)).instance()
+    if args.cross_check:
+        inst.cross_check()
+    return inst
 
 
 def _print_heading(inst):
@@ -79,7 +82,7 @@ def cmd_check(args):
 def cmd_enumerate(args):
     a, b = _brieskorn_exponents(parse_poly(args.poly))
     s = BrieskornParams(a, b).instance().spectrum
-    result = enumerate_candidates(s, s.mu, args.slack)
+    result = enumerate_candidates(s, args.slack)
     print(f"mu = {s.mu}  tau = {s.mu}  k = {result.k}")
     if result.clamped:
         print(f"A replaced by {result.slack}")
@@ -123,8 +126,13 @@ def sweep_row(family, values, subset):
     else:
         indices = sorted(inst.tjurina_indices)
     st = subset_stats(inst.spectrum, indices)
-    full_av = stats_of_values(inst.spectrum.values).av
+    full = stats_of_values(inst.spectrum.values)
     v = thm31_verdict(replace(inst, tjurina_indices=frozenset(indices)))
+    if inst.swh and subset == "tjurina":  # Hertling's equality, and Theorem 3.1's conclusion
+        if full.delta != 0:
+            raise InternalConsistencyError(f"{inst.family_tag}: full-spectrum delta = {full.delta}")
+        if v.guaranteed_failure and st.delta <= 0:
+            raise InternalConsistencyError(f"{inst.family_tag}: thm31 fires but delta = {st.delta}")
     return {
         "family": family,
         "params": ",".join(map(str, values.values())),
@@ -133,7 +141,7 @@ def sweep_row(family, values, subset):
         "delta_exact": format_ratio(st.delta),
         "delta_decimal": decimal_str(st.delta),
         "thm31": str(v.guaranteed_failure).lower(),
-        "av_obs": str(st.av <= full_av).lower(),
+        "av_obs": str(st.av <= full.av).lower(),
     }
 
 
@@ -255,7 +263,13 @@ def main(argv=None):
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone; the flush at interpreter exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,9 @@
 Covers the defect of an instance, the sufficient-failure criterion for
 semi-weighted-homogeneous singularities, the single-swap deformation
 comparison, the one-point subset reduction step, the enumeration of
-hypothetical Tjurina spectra for a weighted-homogeneous spectrum, and the
-closed-form products tau*delta for the (3, 2, 2) two-Puiseux-pair family.
+hypothetical Tjurina spectra below tau = mu of a weighted-homogeneous
+spectrum, and the closed-form products tau*delta for the (3, 2, 2)
+two-Puiseux-pair family.
 """
 
 from collections import Counter
@@ -13,8 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 from .errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
-                     NotSingleSwap, SubsetTooSmall, TauExceedsMu,
-                     TjspectraError, WrongDirection)
+                     NotSingleSwap, SubsetTooSmall, TjspectraError, WrongDirection)
 from .families import TjurinaInstance
 from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
 
@@ -148,17 +148,16 @@ class EnumerationResult:
     records: tuple[CandidateRecord, ...]
 
 
-def enumerate_candidates(s: Spectrum, tau_actual: int, slack: int) -> EnumerationResult:
-    """All candidate Tjurina spectra for mu-constant deformations with
-    Tjurina number down to tau_actual - slack.
+def enumerate_candidates(s: Spectrum, slack: int) -> EnumerationResult:
+    """All candidate Tjurina spectra for mu-constant deformations of a
+    weighted-homogeneous point (tau = mu) with Tjurina number down to
+    mu - slack.
 
     For each tau' the missing set is a top block {mu-j+1..mu} plus a middle
     block {k..k+mu-tau'-j-1}; j runs from mu-tau' down to 1, admitted when
     j = mu-tau' (no middle block) or tau' >= k.
     """
     mu = s.mu
-    if tau_actual > mu:
-        raise TauExceedsMu(f"tau = {tau_actual} > mu = {mu}")
     if slack < 0:
         raise TjspectraError(f"slack must be non-negative, got {slack}")
     limit = s.values[0] + 1
@@ -168,12 +167,12 @@ def enumerate_candidates(s: Spectrum, tau_actual: int, slack: int) -> Enumeratio
             k = i + 1
             break
     clamped = False
-    if k > tau_actual - slack + 1:
-        slack = tau_actual - k + 1
+    if k > mu - slack + 1:
+        slack = mu - k + 1
         clamped = True
 
     records = []
-    for tau_prime in range(tau_actual, tau_actual - slack - 1, -1):
+    for tau_prime in range(mu, mu - slack - 1, -1):
         gap = mu - tau_prime
         for j in range(gap, 0, -1):
             if not (j == gap or tau_prime >= k):
@@ -188,7 +187,7 @@ def enumerate_candidates(s: Spectrum, tau_actual: int, slack: int) -> Enumeratio
             records.append(CandidateRecord(
                 tau_prime=tau_prime, j=j, missing=missing,
                 stats=subset_stats(s, retained)))
-    return EnumerationResult(k=k, slack=max(slack, 0), clamped=clamped,
+    return EnumerationResult(k=k, slack=slack, clamped=clamped,
                              records=tuple(records))
 
 

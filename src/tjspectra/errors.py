@@ -63,10 +63,6 @@ class WrongDirection(TjspectraError):
     pass
 
 
-class TauExceedsMu(TjspectraError):
-    pass
-
-
 class EvenC(TjspectraError):
     pass
 

@@ -2,8 +2,9 @@
 
 :data:`FAMILIES` maps each family name to its parameter class, whose
 ``instance`` method returns a :class:`TjurinaInstance`: the complete
-spectrum, the Tjurina index subset, the defining polynomial for the
-local-algebra engine, and what only the family knows about them.
+spectrum, the Tjurina index subset, the defining polynomial that
+:meth:`TjurinaInstance.cross_check` hands to the local-algebra engine, and
+what only the family knows about them.
 
 Index convention: within a group of equal spectral values the Tjurina
 members are placed first, so the Tjurina subset is an initial run of each
@@ -39,6 +40,22 @@ class TjurinaInstance:
     def tau(self) -> int:
         return len(self.tjurina_indices)
 
+    def cross_check(self):
+        """Recompute mu, and tau unless the subset is assumed, with the
+        local-algebra engine.  A tau mismatch on a non-swh instance raises
+        Condition81Violated (the filtered-basis condition fails); any other
+        mismatch is an internal error."""
+        f = self.defining_poly
+        mu_engine = localg.milnor(f)
+        if mu_engine != self.mu:
+            raise InternalConsistencyError(
+                f"mu = {self.mu} but the engine computes {mu_engine} for {f}")
+        if not self.subset_assumed:
+            tau_engine = localg.tjurina(f)
+            if tau_engine != self.tau:
+                error = InternalConsistencyError if self.swh else Condition81Violated
+                raise error(f"tau = {self.tau} but the engine computes {tau_engine} for {f}")
+
 
 @dataclass(frozen=True)
 class BrieskornParams:
@@ -50,8 +67,8 @@ class BrieskornParams:
         if min(self.a, self.b) < 2:
             raise DegenerateExponent(f"need a, b >= 2, got ({self.a}, {self.b})")
 
-    def instance(self, cross_check=False):
-        return brieskorn_instance(self, cross_check)
+    def instance(self):
+        return brieskorn_instance(self)
 
 
 @dataclass(frozen=True)
@@ -75,8 +92,8 @@ class SwhParams:
                 "the perturbing monomial is not above the weighted degree: "
                 f"(a-1-c)/a + (b-1-d)/b <= 1 for (a,b,c,d)=({a},{b},{c},{d})")
 
-    def instance(self, cross_check=False):
-        return swh_instance(self, cross_check)
+    def instance(self):
+        return swh_instance(self)
 
 
 @dataclass(frozen=True)
@@ -97,8 +114,8 @@ class ThreeMonomialParams:
             raise InvalidFamilyParameters(
                 f"need a/c + b/d < 1, got (a,b,c,d)=({a},{b},{c},{d})")
 
-    def instance(self, cross_check=False):
-        return three_monomial_instance(self, cross_check)
+    def instance(self):
+        return three_monomial_instance(self)
 
 
 @dataclass(frozen=True)
@@ -132,8 +149,8 @@ class PuiseuxParams:
         if gcd(self.c, self.d) != 1:
             raise GcdViolation(f"gcd(c, d) = {gcd(self.c, self.d)} != 1")
 
-    def instance(self, cross_check=False):
-        return puiseux_instance(self, cross_check)
+    def instance(self):
+        return puiseux_instance(self)
 
 
 # The instance methods call each generator by its module-level name, so a
@@ -152,20 +169,7 @@ def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInst
     return TjurinaInstance(spectrum, indices, f, family_tag, swh=swh, subset_assumed=False)
 
 
-def _engine_check(f: Poly, mu: int, tau: int | None = None,
-                  tau_error=InternalConsistencyError):
-    """Recompute mu, and tau unless it is None, with the local-algebra engine."""
-    mu_engine = localg.milnor(f)
-    if mu_engine != mu:
-        raise InternalConsistencyError(
-            f"mu = {mu} but the engine computes {mu_engine} for {f}")
-    if tau is not None:
-        tau_engine = localg.tjurina(f)
-        if tau_engine != tau:
-            raise tau_error(f"tau = {tau} but the engine computes {tau_engine} for {f}")
-
-
-def brieskorn_instance(params: BrieskornParams, cross_check: bool = False) -> TjurinaInstance:
+def brieskorn_instance(params: BrieskornParams) -> TjurinaInstance:
     """Weighted-homogeneous instance x^a + y^b: its spectrum is {i/a + j/b},
     built from the numerators i*b + j*a over a*b, and mu = tau = (a-1)(b-1),
     so the Tjurina subset is the whole spectrum."""
@@ -173,15 +177,12 @@ def brieskorn_instance(params: BrieskornParams, cross_check: bool = False) -> Tj
     a, b = params.a, params.b
     spectrum = spectrum_of_numerators([i * b + j * a for i in range(1, a) for j in range(1, b)],
                                       a * b, 2, complete=True)
-    inst = TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)),
+    return TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)),
                            Poly({(a, 0): 1, (0, b): 1}, 2), f"brieskorn({a},{b})",
                            swh=True, subset_assumed=False)
-    if cross_check:
-        _engine_check(inst.defining_poly, inst.mu, inst.tau)
-    return inst
 
 
-def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstance:
+def swh_instance(params: SwhParams) -> TjurinaInstance:
     """Semi-weighted-homogeneous instance x^a + y^b + x^(a-1-c) y^(b-1-d).
 
     The spectrum is that of x^a + y^b (invariance of the spectrum under
@@ -195,8 +196,7 @@ def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstanc
     inst = _lattice_instance(pairs, Poly({(a, 0): 1, (0, b): 1, (a - 1 - c, b - 1 - d): 1}, 2),
                              f"swh({a},{b},{c},{d})", swh=True)
 
-    tau = (a - 1) * (b - 1) - c * d
-    if inst.tau != tau:
+    if inst.tau != (a - 1) * (b - 1) - c * d:
         raise InternalConsistencyError("Tjurina count disagrees with (a-1)(b-1) - cd")
     # closed-form check on the Tjurina value sum
     expected_sum = ((a - 1) * (b - 1)
@@ -204,8 +204,6 @@ def swh_instance(params: SwhParams, cross_check: bool = False) -> TjurinaInstanc
     actual_sum = sum((inst.spectrum.value_at(i) for i in inst.tjurina_indices), Fraction(0))
     if actual_sum != expected_sum:
         raise InternalConsistencyError("Tjurina value sum disagrees with the closed form")
-    if cross_check:
-        _engine_check(inst.defining_poly, inst.mu, tau)
     return inst
 
 
@@ -233,14 +231,8 @@ def _three_monomial_lattice(params: ThreeMonomialParams):
             yield Fraction(j, d) + Fraction(i * (d - b), a * d), j <= d
 
 
-def three_monomial_instance(params: ThreeMonomialParams,
-                            cross_check: bool = False) -> TjurinaInstance:
-    """Instance for f = x^a y^b + x^c + y^d via Newton-polygon lattice sets.
-
-    With cross_check the local-algebra engine recomputes mu and tau:
-    a mu mismatch is an internal error, while a tau mismatch raises
-    Condition81Violated (the filtered-basis condition fails).
-    """
+def three_monomial_instance(params: ThreeMonomialParams) -> TjurinaInstance:
+    """Instance for f = x^a y^b + x^c + y^d via Newton-polygon lattice sets."""
     params.validate()
     a, b, c, d = params.a, params.b, params.c, params.d
     inst = _lattice_instance(_three_monomial_lattice(params),
@@ -248,8 +240,6 @@ def three_monomial_instance(params: ThreeMonomialParams,
                              f"three_monomial({a},{b},{c},{d})", swh=False)
     if inst.mu - inst.tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
         raise InternalConsistencyError("lattice exclusion count disagrees with the closed form")
-    if cross_check:
-        _engine_check(inst.defining_poly, inst.mu, inst.tau, tau_error=Condition81Violated)
     return inst
 
 
@@ -278,7 +268,7 @@ def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
     return spectrum_of_numerators(lower + [2 * L - k for k in lower], L, 2, complete=True)
 
 
-def puiseux_instance(params: PuiseuxParams, cross_check: bool = False) -> TjurinaInstance:
+def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:
     """Instance for f = (y^b - x^a)^d - x^(ad+q) y^r.
 
     tau comes from the local-algebra engine (there is no closed form
@@ -289,8 +279,6 @@ def puiseux_instance(params: PuiseuxParams, cross_check: bool = False) -> Tjurin
     spectrum = puiseux_spectrum(params)
     a, b, d, q, r = params.a, params.b, params.d, params.q, params.r
     f = (Poly.monomial((0, b)) - Poly.monomial((a, 0))) ** d - Poly.monomial((a * d + q, r))
-    if cross_check:
-        _engine_check(f, spectrum.mu)
     tau = localg.tjurina(f)
     if not 1 <= tau <= spectrum.mu:
         raise InternalConsistencyError(

@@ -17,8 +17,8 @@ def format_ratio(r: Fraction) -> str:
     return str(r)
 
 
-def decimal_str(r: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Advisory decimal rendering with the given number of significant digits."""
+def decimal_str(r: Fraction) -> str:
+    """Advisory decimal rendering with DECIMAL_DIGITS significant digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(r.numerator) / Decimal(r.denominator))

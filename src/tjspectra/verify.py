@@ -98,14 +98,14 @@ def check_closed_forms_322():
 def check_three_monomial_localg():
     for a, b, c, d in THREE_MONOMIAL_TUPLES:
         try:
-            three_monomial_instance(ThreeMonomialParams(a, b, c, d), cross_check=True)
+            three_monomial_instance(ThreeMonomialParams(a, b, c, d)).cross_check()
         except (InternalConsistencyError, Condition81Violated) as exc:
             return f"(a,b,c,d)=({a},{b},{c},{d}): {exc}"
 
 
 def check_enumeration_parity():
     s = BrieskornParams(7, 7).instance().spectrum
-    result = enumerate_candidates(s, s.mu, 10)
+    result = enumerate_candidates(s, 10)
     if result.k != 31:
         return f"k = {result.k}, expected 31"
     if not (result.clamped and result.slack == 6):
@@ -143,15 +143,15 @@ CHECKS = [
 ]
 
 
-def run_checks(out=None) -> int:
-    """Run all checks, printing to out (stdout when None); return 0 when
-    everything passes, 2 otherwise."""
+def run_checks() -> int:
+    """Run all checks, printing one line each; return 0 when everything
+    passes, 2 otherwise."""
     failed = 0
     for name, fn in CHECKS:
         message = fn()
         if message is None:
-            print(f"PASS     {name}", file=out)
+            print(f"PASS     {name}")
         else:
-            print(f"FAIL     {name}: {message}", file=out)
+            print(f"FAIL     {name}: {message}")
             failed += 1
     return 2 if failed else 0

@@ -35,7 +35,7 @@ def test_every_check_has_a_budget():
 
 
 def test_three_monomial_check_propagates_programming_errors(monkeypatch):
-    def broken(params, cross_check=False):
+    def broken(params):
         raise TypeError("not a check failure")
 
     monkeypatch.setattr(verify, "three_monomial_instance", broken)

@@ -237,9 +237,8 @@ def test_verify_passes():
     assert r.stdout.splitlines() == [f"PASS     {name}" for name, _ in CHECKS]
 
 
-def test_verify_detects_corruption(monkeypatch):
+def test_verify_detects_corruption(monkeypatch, capsys):
     # mutation test run in-process: corrupt a closed-form constant
-    import io
     from tjspectra import verify as verify_mod
     from tjspectra import conjecture
     from fractions import Fraction
@@ -250,10 +249,10 @@ def test_verify_detects_corruption(monkeypatch):
         return real(c, mode) + Fraction(1, 10**9)
 
     monkeypatch.setattr(verify_mod, "closed_form_tau_delta_322", corrupted)
-    buf = io.StringIO()
-    assert verify_mod.run_checks(out=buf) == 2
-    assert "FAIL" in buf.getvalue()
-    assert "closed forms" in buf.getvalue()
+    assert verify_mod.run_checks() == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "closed forms" in out
 
 
 def test_ratio_roundtrip():
@@ -294,7 +293,7 @@ def test_sweep_internal_error_exits_2(monkeypatch, capsys):
     from tjspectra import cli, families
     from tjspectra.errors import InternalConsistencyError
 
-    def broken(params, cross_check=False):
+    def broken(params):
         raise InternalConsistencyError("closed-form check failed")
 
     monkeypatch.setattr(families, "swh_instance", broken)
@@ -317,6 +316,73 @@ def test_cross_check_runs_the_engine(monkeypatch, capsys, family, flags):
     assert cli.main(["check", family] + flags) == 0
     assert cli.main(["check", family] + flags + ["--cross-check"]) == 2
     assert "internal error: mu = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, flags, error, code", [
+    ("brieskorn", ["--a", "5", "--b", "4"], "InternalConsistencyError", 2),
+    ("swh", ["--a", "5", "--b", "4", "--c", "1", "--d", "1"], "InternalConsistencyError", 2),
+    ("three-monomial", ["--a", "2", "--b", "4", "--c", "7", "--d", "6"],
+     "Condition81Violated", 1),
+    # the Puiseux subset is assumed from the engine's own tau: nothing to compare
+    ("puiseux", ["--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"], None, 0),
+])
+def test_cross_check_tau_mismatch(monkeypatch, capsys, family, flags, error, code):
+    from tjspectra import cli, errors, localg
+    from tjspectra.families import FAMILIES
+    inst = FAMILIES[family](**{k[2:]: int(v) for k, v in zip(flags[::2], flags[1::2])}).instance()
+    real = localg.tjurina
+    monkeypatch.setattr(localg, "tjurina", lambda f: real(f) + 1)
+    if error is None:
+        inst.cross_check()
+    else:
+        with pytest.raises(getattr(errors, error), match=f"tau = {inst.tau} but the engine"):
+            inst.cross_check()
+    assert cli.main(["check", family] + flags + ["--cross-check"]) == code
+    assert ("tau = " in capsys.readouterr().err) == (error is not None)
+
+
+@pytest.mark.parametrize("name, field, value, message", [
+    ("stats_of_values", "delta", 1, "full-spectrum delta = 1"),
+    ("thm31_verdict", "guaranteed_failure", True, "thm31 fires but delta = -"),
+], ids=["full-delta-nonzero", "thm31-without-positive-delta"])
+def test_sweep_row_invariant_violation_exits_2(monkeypatch, capsys, name, field, value,
+                                               message):
+    from dataclasses import replace
+    from tjspectra import cli
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda arg: replace(real(arg), **{field: value}))
+    # the invariants hold only for the Tjurina subset
+    assert cli.main(SWH_ARGS + ["--subset", "drop-max"]) == 0
+    capsys.readouterr()
+    assert cli.main(SWH_ARGS) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"internal error: swh(5,5,1,1): {message}" in err
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # about 470 KB of output, far over a pipe buffer, so a write must fail
+    proc = subprocess.Popen(CLI + ["spectrum", "brieskorn", "--a", "200", "--b", "199"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"f"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_stdout_closed_before_start_exits_1_with_nothing_on_stderr():
+    # the output fits in stdout's buffer, so the first failing write is main's flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(CLI + ["spectrum", "brieskorn", "--a", "5", "--b", "4"],
+                           stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (1, b"")
 
 
 def test_sweep_drop_max_skips_single_value_spectrum(capsys):

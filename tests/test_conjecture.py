@@ -6,7 +6,7 @@ from tjspectra.conjecture import (closed_form_tau_delta_322,
                                   enumerate_candidates, mple_failure_bound,
                                   prop41_step, remark32_compare, thm31_verdict)
 from tjspectra.errors import (EvenC, GapZero, IndexNotInSubset, NotSingleSwap,
-                              SubsetTooSmall, TauExceedsMu, WrongDirection)
+                              SubsetTooSmall, WrongDirection)
 from tjspectra.families import (BrieskornParams, PuiseuxParams, SwhParams,
                                 puiseux_instance, swh_instance)
 from tjspectra.spectra import stats_of_values, subset_stats
@@ -119,7 +119,7 @@ def test_remark32_errors():
 
 def test_enumerate_slack_one():
     s = full_instance(7, 7).spectrum
-    res = enumerate_candidates(s, 36, 1)
+    res = enumerate_candidates(s, 1)
     assert res.k == 31 and not res.clamped
     assert len(res.records) == 1
     rec = res.records[0]
@@ -130,33 +130,28 @@ def test_enumerate_slack_one():
 
 def test_enumerate_slack_two():
     s = full_instance(7, 7).spectrum
-    res = enumerate_candidates(s, 36, 2)
+    res = enumerate_candidates(s, 2)
     tau34 = [(r.j, sorted(r.missing)) for r in res.records if r.tau_prime == 34]
     assert tau34 == [(2, [35, 36]), (1, [31, 36])]
 
 
 def test_enumerate_clamp():
     s = full_instance(7, 7).spectrum
-    res = enumerate_candidates(s, 36, 100)
+    res = enumerate_candidates(s, 100)
     assert res.clamped and res.slack == 36 - 31 + 1 == 6
 
 
 def test_enumerate_no_values_past_alpha1_plus_one():
     s = full_instance(3, 2).spectrum
-    res = enumerate_candidates(s, s.mu, 10)
+    res = enumerate_candidates(s, 10)
     assert res.k == s.mu + 1
     # only pure top-block candidates
     assert all(r.j == s.mu - r.tau_prime for r in res.records)
 
 
-def test_enumerate_tau_exceeds_mu():
-    with pytest.raises(TauExceedsMu):
-        enumerate_candidates(full_instance(2, 3).spectrum, 5, 1)
-
-
 def test_enumerate_missing_block_shape():
     s = full_instance(7, 7).spectrum
-    res = enumerate_candidates(s, 36, 6)
+    res = enumerate_candidates(s, 6)
     for r in res.records:
         assert len(r.missing) == 36 - r.tau_prime
         top = set(range(36 - r.j + 1, 37))
@@ -199,6 +194,6 @@ def test_closed_forms_match_pipeline(c):
 
 def test_puiseux_322_gap_is_two_for_odd_c():
     for c in range(1, 16, 2):
-        inst = puiseux_instance(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1),
-                                cross_check=True)
+        inst = puiseux_instance(PuiseuxParams(3, 2, 2, (c - 3) // 2, 1))
+        inst.cross_check()
         assert inst.mu - inst.tau == 2

@@ -81,7 +81,8 @@ def test_swh_7711():
 
 
 def test_swh_5411():
-    inst = swh_instance(SwhParams(5, 4, 1, 1), cross_check=True)
+    inst = swh_instance(SwhParams(5, 4, 1, 1))
+    inst.cross_check()
     assert (inst.mu, inst.tau) == (12, 11)
     assert inst.defining_poly.terms == {(5, 0): 1, (0, 4): 1, (3, 2): 1}
     expected = sorted(F(4 * p + 5 * q, 20) for p in range(1, 5) for q in range(1, 4))
@@ -118,14 +119,16 @@ def test_level_initial_segment_invariant():
 
 
 def test_three_monomial_2476():
-    inst = three_monomial_instance(ThreeMonomialParams(2, 4, 7, 6), cross_check=True)
+    inst = three_monomial_instance(ThreeMonomialParams(2, 4, 7, 6))
+    inst.cross_check()
     assert inst.mu - inst.tau == (2 - 1) * (4 - 1) + max(2 * 4 - 6 - 1, 0) == 4
     assert inst.defining_poly.terms == {(2, 4): 1, (7, 0): 1, (0, 6): 1}
 
 
 def test_three_monomial_empty_extra_wall():
     # 2b = 6 <= d+1 = 8: no extra excluded wall
-    inst = three_monomial_instance(ThreeMonomialParams(2, 3, 9, 7), cross_check=True)
+    inst = three_monomial_instance(ThreeMonomialParams(2, 3, 9, 7))
+    inst.cross_check()
     assert inst.mu - inst.tau == 2
 
 
@@ -141,14 +144,16 @@ def test_three_monomial_invalid():
 
 @pytest.mark.parametrize("tpl", THREE_MONOMIAL_TUPLES)
 def test_three_monomial_cross_checks(tpl):
-    inst = three_monomial_instance(ThreeMonomialParams(*tpl), cross_check=True)
+    inst = three_monomial_instance(ThreeMonomialParams(*tpl))
+    inst.cross_check()
     assert inst.mu - inst.tau == (tpl[0] - 1) * (tpl[1] - 1) + max(2 * tpl[1] - tpl[3] - 1, 0)
 
 
 def test_puiseux_c1_spectrum():
     p = PuiseuxParams(3, 2, 2, -1, 1)
     assert (p.c, p.e) == (1, 13)
-    inst = puiseux_instance(p, cross_check=True)
+    inst = puiseux_instance(p)
+    inst.cross_check()
     assert inst.mu == 16
     expected = sorted([F(5, 12), F(11, 12), F(13, 12), F(19, 12)]
                       + [F(1, 2) + F(k, 13) for k in range(1, 13)])
@@ -158,7 +163,8 @@ def test_puiseux_c1_spectrum():
 def test_puiseux_c5():
     p = PuiseuxParams(3, 2, 2, 1, 1)
     assert (p.c, p.e) == (5, 17)
-    inst = puiseux_instance(p, cross_check=True)
+    inst = puiseux_instance(p)
+    inst.cross_check()
     assert (inst.mu, inst.tau) == (20, 18)
     assert inst.defining_poly == parse_poly("(y^2-x^3)^2-x^7*y")
 

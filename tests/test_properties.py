@@ -162,7 +162,7 @@ def test_thm31_soundness_over_sweep():
 
 def test_remark32_agrees_with_direct_ordering_on_candidates():
     s = BrieskornParams(7, 7).instance().spectrum
-    res = enumerate_candidates(s, 36, 6)
+    res = enumerate_candidates(s, 6)
     by_tau = {}
     for r in res.records:
         by_tau.setdefault(r.tau_prime, []).append(r)
