@@ -87,5 +87,9 @@ class NonzeroConstantTerm(TjspectraError):
     pass
 
 
+class DegreeTooLarge(TjspectraError):
+    """A term of total degree beyond ``localg.MAX_DEGREE``."""
+
+
 class InternalConsistencyError(TjspectraError):
     """A self-check that should be impossible to fail has failed."""

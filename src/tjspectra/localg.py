@@ -8,28 +8,61 @@ element's lead and ecart are computed once, when it enters the basis, and
 every normal form starts its reducer pool from those stored triples.
 Pending S-pairs wait on one heap ordered by the degree of their lead lcm,
 ties going to the pair made last.  Colengths are counted from the leads
-by staircase: for each exponent of the first n - 1 variables, the least
-last exponent a lead allows.  An independent truncated linear-algebra
-oracle (:func:`colength_oracle`) double-checks them.
+by staircase: a prefix minimum over the box of the first n - 1 exponents
+gives, at each point, the least last exponent a lead allows.
+
+Inside the engine a monomial is one int.  Its top field holds the total
+degree, and e[n-1], ..., e[0] sit below it in fields of W bits each
+(W = :data:`FIELD_BITS`).  Comparing two such ints compares
+(degree, reversed exponents), which is :func:`_lead_key`, so a lead is
+``min(p)``, a monomial product is ``+`` and the ecart is a difference of
+top fields.  Every exponent stays below 2^(W-1), the guard bit of its
+field, so ``a | b`` is one subtraction: ``(b - a) & guard`` is zero
+exactly when a divides b, because the lowest field where b is smaller
+borrows and sets its guard bit.  A degree of
+:data:`MAX_DEGREE` + 1 = 2^(W-1) or more raises
+:class:`~tjspectra.errors.DegreeTooLarge`: in the input, and in a term the
+engine forms before it knows a highest corner N <= 2^(W-1) (below), after
+which such terms are dropped.  So no kept term reaches a guard bit, and no
+field carries into the next.  Generators are packed once on entry and
+unpacked once on exit.
+
+Highest-corner cut (Greuel-Pfister, *A Singular Introduction to
+Commutative Algebra*, 1.7; Singular's ``noether``).  Once the leads hold a
+pure power x_v^(p_v) of every variable, let N = sum(p_v - 1) + 1.  Every
+monomial of degree N or more has some exponent e_v >= p_v, so it is a
+multiple of a lead: the lead ideal contains m^N, and for a local degree
+order that gives m^N in I (Nakayama).  So I = I + m^N, and the engine
+computes a standard basis of I + m^N with the monomials of m^N left
+implicit: reducing by them drops every term of degree N or more, which the
+step that combines two polynomials does as it builds them, and their
+S-pairs reduce to zero.  The leads then span the lead ideal of I below
+degree N, and the pure powers span it from N on, so the colength is
+unchanged.  N only falls, as smaller pure powers enter, and the S-pairs
+whose lead lcm has degree N or more are dropped unformed.
 
 Coefficient arithmetic is exact and integer throughout: the engine works
-on the integer term maps of :class:`~tjspectra.poly.Poly` directly, with
-the content divided out after every reduction to bound coefficient growth,
-and the oracle row-reduces fraction-free, storing each pivot row
-content-free.
+on integer term maps, with the content divided out after every reduction
+to bound coefficient growth, and the oracle row-reduces fraction-free,
+storing each pivot row content-free.  The oracle (:func:`colength_oracle`)
+stays on exponent tuples and :func:`_lead_key`, apart from the packing, so
+that a packing fault cannot agree with itself.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
 from itertools import count, product
 from math import gcd
-from operator import add, le, mul, sub
+from operator import add, lt, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import NonIsolatedSingularity, NonzeroConstantTerm
+from .errors import DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm
 from .poly import Exponent, IntPoly, Poly, add_terms, jacobian
 
 INFINITE = "infinite"
+FIELD_BITS = 16                           # W: the width of each packed field
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree the engine packs
 
 
 # --- integer-coefficient plumbing ---
@@ -43,7 +76,8 @@ def _strip_content(p: IntPoly) -> IntPoly:
 
 def _lead_key(e: Exponent):
     """Sort key: smaller key = larger monomial in the local degree order.
-    The one encoding of the order, for the engine and the oracle alike."""
+    The one encoding of the order on exponent tuples; the packed ints of
+    the engine compare the same way."""
     return sum(e), e[::-1]
 
 
@@ -51,93 +85,144 @@ def _lead(p: IntPoly) -> Exponent:
     return min(p, key=_lead_key)
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(map(le, a, b))
+def _too_large(degree: int) -> DegreeTooLarge:
+    return DegreeTooLarge(f"a term of degree {degree} is beyond the engine's "
+                          f"limit of {MAX_DEGREE}")
 
 
-def _ecart(p: IntPoly, lm: Exponent) -> int:
-    return max(map(sum, p)) - sum(lm)
+# --- packed monomials ---
+
+PackedPoly = dict[int, int]
 
 
-def _mul_monomial(p: IntPoly, delta: Exponent, coeff: int) -> IntPoly:
-    if not any(delta):
-        return {e: coeff * c for e, c in p.items()}
-    return {tuple(map(add, e, delta)): coeff * c for e, c in p.items()}
+class _Packing:
+    """The int encoding of the monomials in nvars variables (see the module
+    docstring); ``unpack`` keeps a memo for the life of the packing."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.shift = nvars * FIELD_BITS   # the degree field starts here
+        self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(nvars))
+        mask, offsets = (1 << FIELD_BITS) - 1, range(0, self.shift, FIELD_BITS)
+        self.unpack = cache(lambda m: tuple((m >> k) & mask for k in offsets))
+
+    def pack(self, e: Exponent) -> int:
+        degree = sum(e)
+        if degree > MAX_DEGREE:
+            raise _too_large(degree)
+        m = degree
+        for k in reversed(e):
+            m = (m << FIELD_BITS) | k
+        return m
 
 
-def _cancel(f: IntPoly, lm_f: Exponent, g: IntPoly, lm_g: Exponent,
-            lcm: Exponent) -> IntPoly:
-    """The combination of f and g whose terms at lcm cancel, content removed:
-    their S-polynomial when lcm is the lcm of the leads, and one reduction
-    step of f by g when lcm = lm_f."""
-    cf, cg = f[lm_f], g[lm_g]
-    d = gcd(cf, cg)
-    return _strip_content(add_terms(_mul_monomial(f, tuple(map(sub, lcm, lm_f)), cg // d),
-                                    _mul_monomial(g, tuple(map(sub, lcm, lm_g)), -(cf // d))))
+def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
+             cut: int) -> PackedPoly:
+    """a*x^df*f - b*x^dg*g with every term at or above cut dropped, content
+    removed: the one step that makes S-polynomials and reductions."""
+    out = {k: a * c for m, c in f.items() if (k := m + df) < cut}
+    for m, c in g.items():
+        m += dg
+        if m < cut:
+            s = out.get(m, 0) - b * c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return _strip_content(out)
 
 
-Reducer = tuple[IntPoly, Exponent, int]  # (polynomial, lead, ecart)
-
-
-def _mora_nf(f: IntPoly, basis: Sequence[Reducer]) -> IntPoly:
-    """Mora's weak normal form of f with respect to basis.
-
-    Reducers are chosen with minimal ecart, earliest-generated first;
-    intermediate remainders with larger ecart join the reducer pool, which
-    is what makes the loop terminate for local orders.  The pool starts as
-    a copy of basis, whose leads and ecarts the caller computed once.
-    """
-    pool = list(basis)
-    h = f
-    while h:
-        lm_h = _lead(h)
-        best = None
-        for r in pool:
-            if (best is None or r[2] < best[2]) and _divides(r[1], lm_h):
-                best = r
-                if not r[2]:
-                    break
-        if best is None:
-            return h
-        if best[2]:
-            ec_h = _ecart(h, lm_h)
-            if best[2] > ec_h:
-                pool.append((h, lm_h, ec_h))
-        h = _cancel(h, lm_h, best[0], best[1], lm_h)
-    return h
-
-
-def _std_int(gens: Iterable[IntPoly]) -> list[Reducer]:
-    """Standard basis of the ideal generated by gens (Buchberger + Mora NF),
-    as (generator, lead, ecart) triples in the order they were produced.
+def _std_int(gens: Iterable[PackedPoly], packing: _Packing) -> tuple[list, list[Exponent]]:
+    """Standard basis of the ideal generated by the packed gens (Buchberger
+    + Mora NF, with the highest-corner cut): the (generator, lead, ecart)
+    triples in the order they were produced, and the lead exponent tuples.
 
     Each generator's lead and ecart are computed once, when it enters the
     basis.  Pending S-pairs sit on one heap keyed by (lcm degree, -seq): the
     least lcm degree first, and among ties the pair made last.
     """
-    basis: list[Reducer] = []
+    nvars, shift, guard = packing.nvars, packing.shift, packing.guard
+    basis: list[tuple[PackedPoly, int, int]] = []
+    exps: list[Exponent] = []
     pairs: list[tuple[int, int, int, int]] = []
     seq = count()
+    pure: list[Optional[int]] = [None] * nvars  # least pure-power exponent per variable
+    # Terms of degree `top` or more are dropped.  Until the highest corner
+    # is at most MAX_DEGREE + 1, `exact` holds and forming such a term
+    # raises instead: dropping it would change the ideal.
+    top, exact = MAX_DEGREE + 1, True
 
-    def enter(g: IntPoly) -> None:
+    def check(degree: int) -> None:
+        if exact and degree >= top:
+            raise _too_large(degree)
+
+    def mora_nf(h: PackedPoly, cut: int) -> PackedPoly:
+        """Mora's weak normal form of h with respect to the basis.
+
+        Reducers are chosen with minimal ecart, earliest-generated first;
+        intermediate remainders with larger ecart join the reducer pool,
+        which is what makes the loop terminate for local orders.
+        """
+        pool = list(basis)
+        while h:
+            lm_h = min(h)
+            best = None
+            for r in pool:
+                if (best is None or r[2] < best[2]) and not (lm_h - r[1]) & guard:
+                    best = r
+                    if not r[2]:
+                        break
+            if best is None:
+                return h
+            g, lm_g, ec_g = best
+            if ec_g:
+                deg_h = lm_h >> shift
+                check(deg_h + ec_g)
+                ec_h = (max(h) >> shift) - deg_h
+                if ec_g > ec_h:
+                    pool.append((h, lm_h, ec_h))
+            cf, cg = h[lm_h], g[lm_g]
+            d = gcd(cf, cg)
+            h = _combine(h, 0, cg // d, g, lm_h - lm_g, cf // d, cut)
+        return h
+
+    def enter(g: PackedPoly) -> None:
+        nonlocal top, exact
         j = len(basis)
-        lm_j = _lead(g)
-        for i, (_, lm_i, _) in enumerate(basis):
+        lm_j = min(g)
+        e = packing.unpack(lm_j)
+        for i, e_i in enumerate(exps):
             # product criterion: coprime lead monomials reduce to zero
-            if any(map(mul, lm_i, lm_j)):
-                heappush(pairs, (sum(map(max, lm_i, lm_j)), -next(seq), i, j))
-        basis.append((g, lm_j, _ecart(g, lm_j)))
+            if any(map(mul, e_i, e)):
+                heappush(pairs, (sum(map(max, e_i, e)), -next(seq), i, j))
+        degree = lm_j >> shift
+        basis.append((g, lm_j, (max(g) >> shift) - degree))
+        exps.append(e)
+        for v, k in enumerate(e):
+            if k == degree and (pure[v] is None or k < pure[v]):
+                pure[v] = k
+                if None not in pure:
+                    corner = sum(pure) - nvars + 1
+                    if corner <= top:
+                        top, exact = corner, False
 
     for g in gens:
         if g:
-            enter(dict(g))
+            enter(g)
     while pairs:
-        _, _, i, j = heappop(pairs)
-        (f, lm_f, _), (g, lm_g, _) = basis[i], basis[j]
-        h = _mora_nf(_cancel(f, lm_f, g, lm_g, tuple(map(max, lm_f, lm_g))), basis)
+        degree, _, i, j = heappop(pairs)
+        if degree >= top and not exact:
+            break  # every term of this S-polynomial, and of all later ones, is cut
+        (f, lm_f, ec_f), (g, lm_g, ec_g) = basis[i], basis[j]
+        check(degree + max(ec_f, ec_g))
+        lcm = packing.pack(tuple(map(max, exps[i], exps[j])))
+        cf, cg = f[lm_f], g[lm_g]
+        d = gcd(cf, cg)
+        cut = top << shift
+        h = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut), cut)
         if h:
             enter(h)
-    return basis
+    return basis, exps
 
 
 def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]:
@@ -147,21 +232,31 @@ def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]
     Counted by staircase: over each point p of the box spanned by the first
     nvars - 1 exponents, the monomials (p, t) outside the lead ideal are
     those with t below the least last exponent of a lead whose other
-    exponents divide p.  The pure power of the last variable always
-    qualifies, so no count exceeds its exponent.  A lead that another lead
+    exponents divide p.  Each lead's last exponent is written at its own
+    point of the box, and a prefix minimum along every axis carries it to
+    the points above.  The pure power of the last variable sits at the
+    origin, so no count exceeds its exponent.  A lead that another lead
     divides lowers neither that least exponent nor a pure-power bound.
     """
-    bounds = []
-    for v in range(nvars):
-        pure = [e[v] for e in leads if all(e[w] == 0 for w in range(nvars) if w != v)]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    steps = sorted((e[-1], e[:-1]) for e in leads)
-    total = 0
-    for p in product(*(range(b) for b in bounds[:-1])):
-        total += next(t for t, head in steps if _divides(head, p))
-    return total
+    bounds = [min((e[v] for e in leads if sum(e) == e[v]), default=None)
+              for v in range(nvars)]
+    if None in bounds:
+        return INFINITE
+    *box, last = bounds
+    strides = [1] * len(box)
+    for v in range(len(box) - 2, -1, -1):
+        strides[v] = strides[v + 1] * box[v + 1]
+    size = strides[0] * box[0] if box else 1
+    least = [last] * size
+    for e in leads:
+        if all(map(lt, e[:-1], box)):
+            i = sum(map(mul, e[:-1], strides))
+            least[i] = min(least[i], e[-1])
+    for b, s in zip(box, strides):
+        for i in range(s, size):
+            if i // s % b:
+                least[i] = min(least[i], least[i - s])
+    return sum(least)
 
 
 # --- public surface ---
@@ -185,21 +280,29 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     """Standard basis under the local degree order, with its colength.
 
     Output is deterministic for fixed input: generators appear in the order
-    they were produced, normalized to integer content-free form.
+    they were produced, normalized to integer content-free form, and those
+    made once the highest corner is known have no term at or above it.
+    DegreeTooLarge for a term beyond MAX_DEGREE, in gens or on the way.
     """
     nvars = _shared_nvars(gens)
-    basis = _std_int(_strip_content(g.terms) for g in gens)
-    leads = tuple(lm for _, lm, _ in basis)
+    packing = _Packing(nvars)
+    packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
+    basis, leads = _std_int(packed, packing)
+    unpack = packing.unpack
     return StdBasisResult(
-        generators=tuple(Poly(g, nvars) for g, _, _ in basis),
-        lead_exponents=leads,
+        generators=tuple(Poly({unpack(m): c for m, c in g.items()}, nvars) for g, _, _ in basis),
+        lead_exponents=tuple(leads),
         colength=_colength_of_leads(leads, nvars),
     )
 
 
 def _colength(f: Poly, gens: list[Poly], ideal: str, if_zero: str) -> int:
     """Colength of the ideal that the nonzero gens generate (f's `ideal`);
-    NonIsolatedSingularity when no gen is nonzero or the colength is infinite."""
+    NonIsolatedSingularity when no gen is nonzero or the colength is infinite,
+    and DegreeTooLarge when f has a term beyond MAX_DEGREE."""
+    degree = max(map(sum, f.terms), default=0)
+    if degree > MAX_DEGREE:
+        raise _too_large(degree)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise NonIsolatedSingularity(if_zero)

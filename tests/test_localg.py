@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -6,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tjspectra.errors import NonIsolatedSingularity, NonzeroConstantTerm
+from tjspectra import cli, localg
+from tjspectra.errors import DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm
 from tjspectra.families import swh_instance
-from tjspectra.localg import (INFINITE, _colength_of_leads, _lead, _monomials_up_to,
-                              _span_pivots, colength_oracle, local_std_basis,
-                              milnor, tjurina)
+from tjspectra.localg import (INFINITE, MAX_DEGREE, _colength_of_leads, _lead, _lead_key,
+                              _monomials_up_to, _Packing, _span_pivots, colength_oracle,
+                              local_std_basis, milnor, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
 from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, swh_grid
 
@@ -216,24 +219,38 @@ def _ref_content_free(p):
     return {e: c // g for e, c in p.items()} if g > 1 else p
 
 
-def _ref_combine(f, df, a, g, dg, b):
-    """a * x^df * f - b * x^dg * g, content removed."""
+def _ref_combine(f, df, a, g, dg, b, corner):
+    """a * x^df * f - b * x^dg * g, content removed, without the terms of
+    degree corner or more (corner None: keep every term)."""
     out = {}
     for p, d, k in ((f, df, a), (g, dg, -b)):
         for e, c in p.items():
             e = tuple(x + y for x, y in zip(e, d))
-            out[e] = out.get(e, 0) + k * c
+            if corner is None or sum(e) < corner:
+                out[e] = out.get(e, 0) + k * c
     return _ref_content_free({e: c for e, c in out.items() if c})
 
 
-def _ref_cancel(f, lm_f, g, lm_g, lcm):
+def _ref_cancel(f, lm_f, g, lm_g, lcm, corner):
     cf, cg = f[lm_f], g[lm_g]
     d = gcd(cf, cg)
     return _ref_combine(f, tuple(x - y for x, y in zip(lcm, lm_f)), cg // d,
-                        g, tuple(x - y for x, y in zip(lcm, lm_g)), cf // d)
+                        g, tuple(x - y for x, y in zip(lcm, lm_g)), cf // d, corner)
 
 
-def _ref_mora_nf(f, basis):
+def _ref_corner(basis):
+    """The highest corner of the leads: with a pure power x_v^p_v among them
+    for every variable v, sum(p_v - 1) + 1, else None."""
+    leads = [_ref_lead(g) for g in basis]
+    nvars = len(leads[0])
+    powers = [min((e[v] for e in leads if sum(e) == e[v]), default=None)
+              for v in range(nvars)]
+    if None in powers:
+        return None
+    return sum(p - 1 for p in powers) + 1
+
+
+def _ref_mora_nf(f, basis, corner):
     pool = [(g, _ref_lead(g), _ref_ecart(g, _ref_lead(g))) for g in basis]
     h = f
     while h:
@@ -247,14 +264,15 @@ def _ref_mora_nf(f, basis):
         ec_h = _ref_ecart(h, lm_h)
         if best[2] > ec_h:
             pool.append((h, lm_h, ec_h))
-        h = _ref_cancel(h, lm_h, best[0], best[1], lm_h)
+        h = _ref_cancel(h, lm_h, best[0], best[1], lm_h, corner)
     return h
 
 
-def _ref_std(gens):
+def _ref_std(gens, cut=True):
     """The standard-basis loop as first written, re-sorting every pending
-    pair on each step and recomputing every lead: local_std_basis must
-    return the same generators in the same order."""
+    pair on each step and recomputing every lead and the highest corner:
+    local_std_basis must return the same generators in the same order.
+    With cut=False no term is ever dropped."""
     basis = [g for g in gens if g]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
 
@@ -267,7 +285,9 @@ def _ref_std(gens):
         lm_i, lm_j = _ref_lead(basis[i]), _ref_lead(basis[j])
         if all(a == 0 or b == 0 for a, b in zip(lm_i, lm_j)):
             continue
-        h = _ref_mora_nf(_ref_cancel(basis[i], lm_i, basis[j], lm_j, lcm(i, j)), basis)
+        corner = _ref_corner(basis) if cut else None
+        h = _ref_mora_nf(_ref_cancel(basis[i], lm_i, basis[j], lm_j, lcm(i, j), corner),
+                         basis, corner)
         if h:
             basis.append(h)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
@@ -283,6 +303,9 @@ def assert_matches_reference(gens):
     want = _ref_std([_int_poly(g) for g in gens])
     assert [_int_poly(g) for g in got.generators] == want
     assert got.lead_exponents == tuple(_ref_lead(g) for g in want)
+    untruncated = _ref_std([_int_poly(g) for g in gens], cut=False)
+    nvars = gens[0].nvars
+    assert got.colength == brute_force_colength([_ref_lead(g) for g in untruncated], nvars)
 
 
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
@@ -355,3 +378,79 @@ def test_staircase_colength_reads_duplicate_and_non_minimal_leads():
 def test_staircase_colength_matches_box_count(case):
     nvars, leads = case
     assert _colength_of_leads(leads, nvars) == brute_force_colength(leads, nvars)
+
+
+# --- packed monomials, the degree limit and the highest-corner cut ---
+
+@st.composite
+def exponent_pairs(draw):
+    """Two packable exponent tuples in 1-3 variables, with exponents near the
+    top of what a field may hold as often as small ones."""
+    nvars = draw(st.integers(1, 3))
+    part = MAX_DEGREE // nvars
+    k = st.one_of(st.integers(0, 3), st.integers(part // 2 - 3, part // 2),
+                  st.integers(part - 3, part))
+    return nvars, draw(st.tuples(*[k] * nvars)), draw(st.tuples(*[k] * nvars))
+
+
+@given(exponent_pairs())
+@settings(max_examples=300)
+def test_packed_monomials_keep_order_product_and_divisibility(case):
+    nvars, a, b = case
+    packing = _Packing(nvars)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a and packing.unpack(pb) == b
+    assert (pa < pb) == (_lead_key(a) < _lead_key(b))
+    assert (not (pb - pa) & packing.guard) == _ref_divides(a, b)
+    if sum(a) + sum(b) <= MAX_DEGREE:
+        assert pa + pb == packing.pack(tuple(x + y for x, y in zip(a, b)))
+
+
+def test_degree_limit_is_an_input_error(capsys):
+    assert milnor(parse_poly(f"x^{MAX_DEGREE}+y^2")) == MAX_DEGREE - 1
+    assert tjurina(parse_poly(f"x^{MAX_DEGREE}+y^2")) == MAX_DEGREE - 1
+    with pytest.raises(DegreeTooLarge):
+        local_std_basis(gens_of(f"x^{MAX_DEGREE + 1}", "y^2"))
+    assert cli.main(["milnor", "--poly", f"x^{MAX_DEGREE + 1}+y^2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: a term of degree {MAX_DEGREE + 1} is beyond the engine's "
+                   f"limit of {MAX_DEGREE}\n")
+
+
+def test_degree_limit_holds_for_the_terms_the_engine_forms(monkeypatch):
+    # the inputs have degree at most 4, but before the leads hold a power
+    # of x an S-polynomial forms a term of degree 6: that raises, never cut
+    gens = gens_of("x^2*y", "y^3+x^4")
+    assert local_std_basis(gens).colength == 10
+    monkeypatch.setattr(localg, "MAX_DEGREE", 4)
+    with pytest.raises(DegreeTooLarge, match="degree 6"):
+        local_std_basis(gens)
+
+
+def test_the_cut_drops_terms_beyond_a_corner_under_the_limit(monkeypatch):
+    # the leads x^2 and y^3 put the corner at degree 4: the terms of degree
+    # 4 and more that the engine forms are cut, not counted as beyond the limit
+    gens = gens_of("x^2+x*y^3", "y^3+x^3*y", "x*y^2+x^4")
+    want = local_std_basis(gens).colength
+    monkeypatch.setattr(localg, "MAX_DEGREE", 4)
+    assert local_std_basis(gens).colength == want == colength_oracle(gens, 8)
+
+
+SLOW_WITHOUT_THE_CUT = [  # (command, polynomial, nvars, number, oracle cap)
+    ("milnor", "x^2+y^4+z^3+x*y*z+x^2*y^3*z^2", 3, 6, 8),
+    ("tjurina", "x^6+y^5-3*x^3*y^3-2*x^5*y^3-x^6*y^5", 2, 18, 24),
+]
+
+
+@pytest.mark.parametrize("command, text, nvars, number, cap", SLOW_WITHOUT_THE_CUT,
+                         ids=[case[0] for case in SLOW_WITHOUT_THE_CUT])
+def test_inputs_that_ran_for_minutes_without_the_cut(command, text, nvars, number, cap):
+    # in a subprocess with a timeout, so that a slow engine fails the test
+    # rather than hanging the suite
+    r = subprocess.run([sys.executable, "-m", "tjspectra.cli", command, "--poly", text,
+                        "--nvars", str(nvars)], capture_output=True, text=True, timeout=20)
+    assert (r.returncode, r.stdout, r.stderr) == (0, f"{number}\n", "")
+    f = parse_poly(text, nvars=nvars)
+    gens = [g for g in jacobian(f) if not g.is_zero()] + ([f] if command == "tjurina" else [])
+    assert colength_oracle(gens, cap) == number
