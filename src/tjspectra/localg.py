@@ -24,8 +24,10 @@ borrows and sets its guard bit.  A degree of
 :class:`~tjspectra.errors.DegreeTooLarge`: in the input, and in a term the
 engine forms before it knows a highest corner N <= 2^(W-1) (below), after
 which such terms are dropped.  So no kept term reaches a guard bit, and no
-field carries into the next.  Generators are packed once on entry and
-unpacked once on exit.
+field carries into the next.  Generators are packed once on entry.  The
+result keeps the packed basis and unpacks it into ``Poly``s only when its
+``generators`` are first read: ``milnor`` and ``tjurina`` read only the
+colength, which is counted from the lead tuples.
 
 Highest-corner cut (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 1.7; Singular's ``noether``).  Once the leads hold a
@@ -47,13 +49,19 @@ to bound coefficient growth, and the oracle row-reduces fraction-free,
 storing each pivot row content-free.  The oracle (:func:`colength_oracle`)
 stays on exponent tuples and :func:`_lead_key`, apart from the packing, so
 that a packing fault cannot agree with itself.
+
+The oracle reads its two caps N and N+1 from one elimination, at N+1.
+Truncating the cap-(N+1) span to degree <= N gives the cap-N span, because
+the multiples added at N+1 lie wholly in degree N+1.  A pivot's lead is its
+lowest-degree term, so truncation keeps it: the cap-N leads are exactly the
+pivot leads of degree <= N.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from heapq import heappop, heappush
 from itertools import count, product
-from math import gcd
+from math import comb, gcd
 from operator import add, lt, mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -269,11 +277,28 @@ def _shared_nvars(gens: Sequence[Poly]) -> int:
     return nvars.pop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class StdBasisResult:
-    generators: tuple[Poly, ...]
+    """A standard basis, its lead exponents and its colength.
+
+    ``generators`` is built from the packed (generator, lead, ecart) triples
+    on first read; two results are equal when their generators, leads and
+    colengths are, which the packed triples decide without unpacking.
+    """
     lead_exponents: tuple[Exponent, ...]
     colength: Union[int, str]  # int or INFINITE
+    _nvars: int
+    _packed: tuple[tuple[PackedPoly, int, int], ...]
+
+    @cached_property
+    def generators(self) -> tuple[Poly, ...]:
+        unpack = _Packing(self._nvars).unpack
+        return tuple(Poly({unpack(m): c for m, c in g.items()}, self._nvars)
+                     for g, _, _ in self._packed)
+
+    def __repr__(self) -> str:
+        return (f"StdBasisResult(generators={self.generators!r}, "
+                f"lead_exponents={self.lead_exponents!r}, colength={self.colength!r})")
 
 
 def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
@@ -288,12 +313,7 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     packing = _Packing(nvars)
     packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
     basis, leads = _std_int(packed, packing)
-    unpack = packing.unpack
-    return StdBasisResult(
-        generators=tuple(Poly({unpack(m): c for m, c in g.items()}, nvars) for g, _, _ in basis),
-        lead_exponents=tuple(leads),
-        colength=_colength_of_leads(leads, nvars),
-    )
+    return StdBasisResult(tuple(leads), _colength_of_leads(leads, nvars), nvars, tuple(basis))
 
 
 def _colength(f: Poly, gens: list[Poly], ideal: str, if_zero: str) -> int:
@@ -364,22 +384,22 @@ def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, IntPoly]:
     return pivots
 
 
-def _oracle_dim(gens: Sequence[Poly], cap: int) -> tuple[int, set[Exponent]]:
-    pivots = _span_pivots(gens, cap)
-    nmono = len(_monomials_up_to(gens[0].nvars, cap))
-    return nmono - len(pivots), set(pivots)
-
-
 def colength_oracle(gens: Sequence[Poly], degree_cap: int) -> Optional[int]:
     """Truncated linear-algebra colength; None when not stabilized.
 
     Accepts the dimension only when caps N and N+1 agree and the reduced
     span contains a pure power of every variable, which guards against
-    false convergence on non-isolated input.
+    false convergence on non-isolated input.  Both dimensions come from one
+    elimination at N+1 (see the module docstring): there are comb(N + n, n)
+    monomials of degree <= N in n variables.
     """
     nvars = _shared_nvars(gens)
-    dim_n, leads = _oracle_dim(gens, degree_cap)
-    dim_n1, _ = _oracle_dim(gens, degree_cap + 1)
+    if degree_cap < 0:
+        raise ValueError(f"degree_cap must be at least 0, got {degree_cap}")
+    pivots = _span_pivots(gens, degree_cap + 1)
+    leads = [e for e in pivots if sum(e) <= degree_cap]
+    dim_n = comb(degree_cap + nvars, nvars) - len(leads)
+    dim_n1 = comb(degree_cap + 1 + nvars, nvars) - len(pivots)
     if dim_n != dim_n1:
         return None
     for v in range(nvars):

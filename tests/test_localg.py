@@ -1,3 +1,4 @@
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -75,6 +76,41 @@ def test_std_basis_deterministic():
     assert a == b
 
 
+def test_milnor_and_tjurina_build_no_generator(monkeypatch):
+    f = parse_poly("x^7+y^7+x^5*y^5")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine built a generator")
+
+    monkeypatch.setattr(localg, "Poly", refuse)
+    assert milnor(f) == 36
+    assert tjurina(f) == 35
+    # the patch does catch a build: reading the generators makes them
+    with pytest.raises(AssertionError, match="built a generator"):
+        local_std_basis(jacobian(f)).generators
+
+
+def _public(r):
+    return r.generators, r.lead_exponents, r.colength
+
+
+def test_std_basis_result_is_plain_data():
+    ideals = [("7*x^6+5*x^4*y^5", "7*y^6+5*x^5*y^4"), ("x^2", "y^2"), ("x^2", "y^2", "x*y"),
+              ("x*y^2", "x^2*y"), ("y", "x^3+x^4")]
+    results = [local_std_basis(gens_of(*texts)) for texts in ideals]
+    results.append(local_std_basis([parse_poly("x^2", nvars=3), parse_poly("y^2", nvars=3)]))
+    # a fresh result against one whose generators have been read
+    again = local_std_basis(gens_of(*ideals[0]))
+    assert results[0].generators and "generators" not in vars(again)
+    assert again == results[0]
+    for r in results:
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert repr(r) == (f"StdBasisResult(generators={r.generators!r}, "
+                           f"lead_exponents={r.lead_exponents!r}, colength={r.colength!r})")
+        for s in results:
+            assert (r == s) == (_public(r) == _public(s))
+
+
 def test_milnor_tjurina_counterexample():
     f = parse_poly("x^7+y^7+x^5*y^5")
     assert milnor(f) == 36
@@ -117,6 +153,11 @@ def test_colength_oracle_unstable_on_non_isolated():
 def test_generators_are_checked_up_front(colength, gens):
     with pytest.raises(ValueError, match="generator"):
         colength(gens)
+
+
+def test_oracle_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="degree_cap"):
+        colength_oracle(gens_of("x^2", "y^2"), -1)
 
 
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
@@ -198,6 +239,70 @@ def test_integer_pivots_are_multiples_of_fraction_pivots(text):
     assert got.keys() == want.keys()
     for lead, row in got.items():
         assert row == {e: row[lead] * c for e, c in want[lead].items()}
+
+
+def _oracle_dim(gens, cap):
+    pivots = _span_pivots(gens, cap)
+    return len(_monomials_up_to(gens[0].nvars, cap)) - len(pivots), set(pivots)
+
+
+def _two_elimination_oracle(gens, cap):
+    """colength_oracle as first written: one elimination at cap N and one
+    at N+1, each read for its own dimension."""
+    nvars = gens[0].nvars
+    dim_n, leads = _oracle_dim(gens, cap)
+    dim_n1, _ = _oracle_dim(gens, cap + 1)
+    if dim_n != dim_n1:
+        return None
+    for v in range(nvars):
+        if not any(e[v] > 0 and all(e[w] == 0 for w in range(nvars) if w != v)
+                   for e in leads):
+            return None
+    return dim_n
+
+
+def assert_oracle_matches_two_eliminations(gens, cap):
+    assert colength_oracle(gens, cap) == _two_elimination_oracle(gens, cap)
+    low = {e for e in _span_pivots(gens, cap + 1) if sum(e) <= cap}
+    assert low == set(_span_pivots(gens, cap))
+
+
+@st.composite
+def oracle_cases(draw):
+    """One to three random polynomials in 2 or 3 variables, with a pure
+    power of some variables (isolated or not), and a cap that may be too
+    low for the oracle to settle."""
+    nvars = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    gens = [Poly(t, nvars) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    for v in range(nvars):
+        if draw(st.booleans()):
+            k = draw(st.integers(1, 5))
+            gens.append(Poly.monomial(tuple(k if w == v else 0 for w in range(nvars))))
+    return gens, draw(st.integers(0, 9 if nvars == 2 else 6))
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_two_eliminations_on_random_ideals(case):
+    assert_oracle_matches_two_eliminations(*case)
+
+
+@pytest.mark.parametrize("text", ORACLE_CORPUS)
+def test_oracle_matches_two_eliminations_on_the_corpus(text):
+    f = parse_poly(text)
+    jac = [g for g in jacobian(f) if not g.is_zero()]
+    assert_oracle_matches_two_eliminations(jac, ORACLE_CAP)
+    assert_oracle_matches_two_eliminations(jac + [f], ORACLE_CAP)
+
+
+@pytest.mark.parametrize("texts, cap", [(("x*y^2", "x^2*y"), 8), (("x^5", "5*y^4"), 3)],
+                         ids=["non-isolated", "cap too low"])
+def test_oracle_matches_two_eliminations_when_unsettled(texts, cap):
+    gens = gens_of(*texts)
+    assert _two_elimination_oracle(gens, cap) is None
+    assert_oracle_matches_two_eliminations(gens, cap)
 
 
 def _ref_lead(p):
