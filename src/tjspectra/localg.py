@@ -43,6 +43,19 @@ degree N, and the pure powers span it from N on, so the colength is
 unchanged.  N only falls, as smaller pure powers enter, and the S-pairs
 whose lead lcm has degree N or more are dropped unformed.
 
+Chain criterion (Buchberger's second criterion: B. Buchberger, EUROSAM
+1979; R. Gebauer and H. M. Moller, *J. Symb. Comp.* 6, 1988).  Besides the
+pairs with coprime leads (the product criterion), a popped pair (i, j) is
+skipped, never formed or reduced, when some other lead k divides
+lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is still pending: each was
+popped before, or dropped by the product criterion.  The syzygy of the
+leads of (i, j) is then a sum of monomial multiples of those of (i, k) and
+(k, j), so the standard representations those two pairs already have give
+one for the S-polynomial of (i, j).  That is a statement about syzygies of
+lead monomials, which uses no property of a global order, so it holds for
+the local degree order too.  Only pairs already off the heap may vouch for
+a skip, so two skipped pairs never rest on each other.
+
 Coefficient arithmetic is exact and integer throughout: the engine works
 on integer term maps, with the content divided out after every reduction
 to bound coefficient growth, and the oracle row-reduces fraction-free,
@@ -147,12 +160,14 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing) -> tuple[list, list[
 
     Each generator's lead and ecart are computed once, when it enters the
     basis.  Pending S-pairs sit on one heap keyed by (lcm degree, -seq): the
-    least lcm degree first, and among ties the pair made last.
+    least lcm degree first, and among ties the pair made last.  `pending`
+    holds the (i, j) of the pairs on the heap, for the chain criterion.
     """
     nvars, shift, guard = packing.nvars, packing.shift, packing.guard
     basis: list[tuple[PackedPoly, int, int]] = []
     exps: list[Exponent] = []
     pairs: list[tuple[int, int, int, int]] = []
+    pending: set[tuple[int, int]] = set()
     seq = count()
     pure: list[Optional[int]] = [None] * nvars  # least pure-power exponent per variable
     # Terms of degree `top` or more are dropped.  Until the highest corner
@@ -203,6 +218,7 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing) -> tuple[list, list[
             # product criterion: coprime lead monomials reduce to zero
             if any(map(mul, e_i, e)):
                 heappush(pairs, (sum(map(max, e_i, e)), -next(seq), i, j))
+                pending.add((i, j))
         degree = lm_j >> shift
         basis.append((g, lm_j, (max(g) >> shift) - degree))
         exps.append(e)
@@ -219,11 +235,19 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing) -> tuple[list, list[
             enter(g)
     while pairs:
         degree, _, i, j = heappop(pairs)
+        pending.remove((i, j))
         if degree >= top and not exact:
             break  # every term of this S-polynomial, and of all later ones, is cut
         (f, lm_f, ec_f), (g, lm_g, ec_g) = basis[i], basis[j]
         check(degree + max(ec_f, ec_g))
         lcm = packing.pack(tuple(map(max, exps[i], exps[j])))
+        # chain criterion: a lead k dividing the lcm whose pairs with i and j
+        # are both done makes this S-polynomial redundant (module docstring)
+        if any(not (lcm - lm_k) & guard and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (_, lm_k, _) in enumerate(basis)):
+            continue
         cf, cg = f[lm_f], g[lm_g]
         d = gcd(cf, cg)
         cut = top << shift

@@ -21,11 +21,14 @@ COUNTEREXAMPLE_DELTA = Fraction(3, 9604)
 THREE_MONOMIAL_TUPLES = [(2, 4, 7, 6), (2, 3, 9, 7), (2, 3, 7, 10),
                          (2, 4, 9, 9), (3, 4, 8, 9), (2, 5, 6, 11)]
 
-# Jacobian ideals on which the standard basis must agree with the oracle
+# polynomials whose Jacobian and Tjurina ideals the standard basis and the
+# oracle must agree on
 ORACLE_CORPUS = ["x^3+y^3", "x^2+y^2", "x^5+y^4", "(y^2-x^3)^2-x^5*y",
                  "x^5+y^4+x^3*y^2", "x^4+y^4+x^2*y^2", "x^3+x*y^3",
                  "x^2*y+y^4", "x^6+y^3", "x^3-y^2", "x^7+y^7+x^5*y^5"]
 ORACLE_CAP = 14
+# three-variable polynomials for the same check, with their oracle caps
+ORACLE_CORPUS_3 = [("x^2+y^4+z^3+x*y*z+x^2*y^3*z^2", 8), ("x^2+y^4+z^4+x*y^3*z", 10)]
 
 
 def swh_grid(a_max):
@@ -116,12 +119,17 @@ def check_enumeration_parity():
 
 
 def check_oracle_equivalence():
-    for text in ORACLE_CORPUS:
-        gens = [g for g in jacobian(parse_poly(text)) if not g.is_zero()]
-        basis = localg.local_std_basis(gens)
-        oracle = localg.colength_oracle(gens, ORACLE_CAP)
-        if basis.colength != oracle:
-            return f"{text}: standard basis gives {basis.colength}, oracle {oracle}"
+    cases = ([(text, 2, ORACLE_CAP) for text in ORACLE_CORPUS]
+             + [(text, 3, cap) for text, cap in ORACLE_CORPUS_3])
+    for text, nvars, cap in cases:
+        f = parse_poly(text, nvars=nvars)
+        jac = [g for g in jacobian(f) if not g.is_zero()]
+        for ideal, gens in (("Jacobian ideal", jac), ("ideal (df, f)", jac + [f])):
+            basis = localg.local_std_basis(gens)
+            oracle = localg.colength_oracle(gens, cap)
+            if basis.colength != oracle:
+                return (f"{ideal} of {text}: standard basis gives {basis.colength}, "
+                        f"oracle {oracle}")
     # non-isolated case rejected by both routes
     gens = [parse_poly("x*y^2"), parse_poly("x^2*y")]
     if localg.local_std_basis(gens).colength != localg.INFINITE:

@@ -373,29 +373,53 @@ def _ref_mora_nf(f, basis, corner):
     return h
 
 
-def _ref_std(gens, cut=True):
+def _ref_std(gens, cut=True, chain=True, formed=None):
     """The standard-basis loop as first written, re-sorting every pending
     pair on each step and recomputing every lead and the highest corner:
     local_std_basis must return the same generators in the same order.
-    With cut=False no term is ever dropped."""
+    With cut=False no term is ever dropped; with chain=False no pair is
+    skipped by the chain criterion.  `formed`, a list, gets the pair of
+    each S-polynomial formed that is not wholly cut."""
     basis = [g for g in gens if g]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    pairs = []
+    unfinished = set()  # pairs not yet popped whose leads are not coprime
+
+    def coprime(i, j):
+        return all(a == 0 or b == 0 for a, b in zip(_ref_lead(basis[i]), _ref_lead(basis[j])))
+
+    def add_pairs(j):
+        for i in range(j):
+            pairs.append((i, j))
+            if not coprime(i, j):
+                unfinished.add((i, j))
 
     def lcm(i, j):
         return tuple(max(a, b) for a, b in zip(_ref_lead(basis[i]), _ref_lead(basis[j])))
 
+    def done(a, b):
+        return (min(a, b), max(a, b)) not in unfinished
+
+    for j in range(len(basis)):
+        add_pairs(j)
     while pairs:
         pairs.sort(key=lambda ij: sum(lcm(*ij)), reverse=True)
         i, j = pairs.pop()
-        lm_i, lm_j = _ref_lead(basis[i]), _ref_lead(basis[j])
-        if all(a == 0 or b == 0 for a, b in zip(lm_i, lm_j)):
+        unfinished.discard((i, j))
+        if coprime(i, j):
+            continue
+        m = lcm(i, j)
+        if chain and any(k not in (i, j) and _ref_divides(_ref_lead(basis[k]), m)
+                         and done(i, k) and done(j, k) for k in range(len(basis))):
             continue
         corner = _ref_corner(basis) if cut else None
-        h = _ref_mora_nf(_ref_cancel(basis[i], lm_i, basis[j], lm_j, lcm(i, j), corner),
+        if formed is not None and (corner is None or sum(m) < corner):
+            formed.append((i, j))
+        lm_i, lm_j = _ref_lead(basis[i]), _ref_lead(basis[j])
+        h = _ref_mora_nf(_ref_cancel(basis[i], lm_i, basis[j], lm_j, m, corner),
                          basis, corner)
         if h:
             basis.append(h)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            add_pairs(len(basis) - 1)
     return basis
 
 
@@ -408,7 +432,7 @@ def assert_matches_reference(gens):
     want = _ref_std([_int_poly(g) for g in gens])
     assert [_int_poly(g) for g in got.generators] == want
     assert got.lead_exponents == tuple(_ref_lead(g) for g in want)
-    untruncated = _ref_std([_int_poly(g) for g in gens], cut=False)
+    untruncated = _ref_std([_int_poly(g) for g in gens], cut=False, chain=False)
     nvars = gens[0].nvars
     assert got.colength == brute_force_colength([_ref_lead(g) for g in untruncated], nvars)
 
@@ -422,9 +446,42 @@ def test_std_basis_matches_reference_loop(text):
 
 
 @pytest.mark.parametrize("texts", [("x*y^2", "x^2*y"), ("y", "x^3+x^4"),
-                                   ("x^2", "y^2"), ("1+x", "y^3")])
+                                   ("x^2", "y^2"), ("1+x", "y^3"),
+                                   # colength 6; a chain criterion that lets a pair
+                                   # still pending vouch for a skip gives 7
+                                   ("x*y^2-2*x^2", "x^2+2*y^3+3*x^4+2*x^4*y", "x^3", "y^5")])
 def test_std_basis_matches_reference_loop_on_fixed_ideals(texts):
     assert_matches_reference(gens_of(*texts))
+
+
+CHAIN_CRITERION_CASES = [  # (ideal, polynomial, nvars, colength, oracle cap)
+    ("jacobian", "x^2+y^4+z^3+x*y*z+x^2*y^3*z^2", 3, 6, 8),
+    ("tjurina", "(y^2-x^3)^2-x^6*y", 2, 16, 14),
+]
+
+
+@pytest.mark.parametrize("ideal, text, nvars, colength, cap", CHAIN_CRITERION_CASES,
+                         ids=[case[0] for case in CHAIN_CRITERION_CASES])
+def test_chain_criterion_skips_s_polynomials(monkeypatch, ideal, text, nvars, colength, cap):
+    f = parse_poly(text, nvars=nvars)
+    gens = [g for g in jacobian(f) if not g.is_zero()] + ([f] if ideal == "tjurina" else [])
+    combine, std_code = localg._combine, localg._std_int.__code__
+    formed = []
+
+    def counting(*args):
+        # made by the pair loop itself: an S-polynomial, not a reduction step
+        if sys._getframe(1).f_code is std_code:
+            formed.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(localg, "_combine", counting)
+    got = local_std_basis(gens).colength
+    ints = [_int_poly(g) for g in gens]
+    with_chain, without_chain = [], []
+    _ref_std(ints, formed=with_chain)
+    _ref_std(ints, chain=False, formed=without_chain)
+    assert len(formed) == len(with_chain) < len(without_chain)
+    assert got == colength == colength_oracle(gens, cap)
 
 
 @st.composite
