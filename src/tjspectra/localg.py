@@ -8,8 +8,11 @@ element's lead and ecart are computed once, when it enters the basis, and
 every normal form starts its reducer pool from those stored triples.
 Pending S-pairs wait on one heap ordered by the degree of their lead lcm,
 ties going to the pair made last.  Colengths are counted from the leads
-by staircase: a prefix minimum over the box of the first n - 1 exponents
-gives, at each point, the least last exponent a lead allows.
+by slicing: the first variable's axis is cut at the leads' own exponents
+below its pure power, and each slice is its width times the count, in the
+other variables, under the leads whose first exponent is at most the cut.
+Time and memory grow with the number of leads, not with the product of
+the pure-power exponents.
 
 Inside the engine a monomial is one int.  Its top field holds the total
 degree, and e[n-1], ..., e[0] sit below it in fields of W bits each
@@ -24,10 +27,14 @@ borrows and sets its guard bit.  A degree of
 :class:`~tjspectra.errors.DegreeTooLarge`: in the input, and in a term the
 engine forms before it knows a highest corner N <= 2^(W-1) (below), after
 which such terms are dropped.  So no kept term reaches a guard bit, and no
-field carries into the next.  Generators are packed once on entry.  The
-result keeps the packed basis and unpacks it into ``Poly``s only when its
-``generators`` are first read: ``milnor`` and ``tjurina`` read only the
-colength, which is counted from the lead tuples.
+field carries into the next.  There is one packing per number of
+variables, built at import.  Generators are packed once on entry.  The
+result of :func:`local_std_basis` keeps the packed basis and unpacks it
+into ``Poly``s only when its ``generators`` are first read.  ``milnor``
+and ``tjurina`` build neither a ``Poly`` nor a result: they pack f's terms
+once and form each partial derivative on the packed ints, where dividing
+a monomial by x_v is subtracting packed x_v, then count the colength from
+the engine's lead tuples.
 
 Highest-corner cut (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 1.7; Singular's ``noether``).  Once the leads hold a
@@ -71,18 +78,19 @@ pivot leads of degree <= N.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count, product
 from math import comb, gcd
-from operator import add, lt, mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm
-from .poly import Exponent, IntPoly, Poly, add_terms, jacobian
+from .poly import MAX_VARS, Exponent, IntPoly, Poly, add_terms
 
 INFINITE = "infinite"
 FIELD_BITS = 16                           # W: the width of each packed field
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree the engine packs
 
 
@@ -118,14 +126,15 @@ PackedPoly = dict[int, int]
 
 class _Packing:
     """The int encoding of the monomials in nvars variables (see the module
-    docstring); ``unpack`` keeps a memo for the life of the packing."""
+    docstring)."""
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.shift = nvars * FIELD_BITS   # the degree field starts here
         self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(nvars))
-        mask, offsets = (1 << FIELD_BITS) - 1, range(0, self.shift, FIELD_BITS)
-        self.unpack = cache(lambda m: tuple((m >> k) & mask for k in offsets))
+        self.offsets = range(0, self.shift, FIELD_BITS)
+        # x_v packed: one in field v and one in the degree field
+        self.variables = tuple((1 << self.shift) + (1 << k) for k in self.offsets)
 
     def pack(self, e: Exponent) -> int:
         degree = sum(e)
@@ -135,6 +144,12 @@ class _Packing:
         for k in reversed(e):
             m = (m << FIELD_BITS) | k
         return m
+
+    def unpack(self, m: int) -> Exponent:
+        return tuple((m >> k) & _FIELD_MASK for k in self.offsets)
+
+
+_PACKINGS = {nvars: _Packing(nvars) for nvars in range(1, MAX_VARS + 1)}
 
 
 def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
@@ -259,36 +274,40 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing) -> tuple[list, list[
 
 def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]:
     """Number of standard monomials, or INFINITE without a pure power of
-    every variable.
-
-    Counted by staircase: over each point p of the box spanned by the first
-    nvars - 1 exponents, the monomials (p, t) outside the lead ideal are
-    those with t below the least last exponent of a lead whose other
-    exponents divide p.  Each lead's last exponent is written at its own
-    point of the box, and a prefix minimum along every axis carries it to
-    the points above.  The pure power of the last variable sits at the
-    origin, so no count exceeds its exponent.  A lead that another lead
-    divides lowers neither that least exponent nor a pure-power bound.
-    """
+    every variable."""
     bounds = [min((e[v] for e in leads if sum(e) == e[v]), default=None)
               for v in range(nvars)]
     if None in bounds:
         return INFINITE
-    *box, last = bounds
-    strides = [1] * len(box)
-    for v in range(len(box) - 2, -1, -1):
-        strides[v] = strides[v + 1] * box[v + 1]
-    size = strides[0] * box[0] if box else 1
-    least = [last] * size
-    for e in leads:
-        if all(map(lt, e[:-1], box)):
-            i = sum(map(mul, e[:-1], strides))
-            least[i] = min(least[i], e[-1])
-    for b, s in zip(box, strides):
-        for i in range(s, size):
-            if i // s % b:
-                least[i] = min(least[i], least[i - s])
-    return sum(least)
+    if 0 in bounds:
+        return 0  # the lead 1: the unit ideal
+    return _standard_count(leads, bounds)
+
+
+def _standard_count(leads: Sequence[Exponent], bounds: Sequence[int]) -> int:
+    """Monomials below the positive pure-power bounds that no lead divides,
+    counted by slicing.
+
+    The first variable's axis is cut at the leads' own first exponents
+    below its bound.  Between two cuts the leads that can divide a
+    monomial stay the same, those whose first exponent is at most the
+    lower cut, so each slice counts its width times the standard monomials
+    of the other variables under those leads.  In one variable that is the
+    least exponent.  The pure powers of the other variables have first
+    exponent 0, so every slice has a lead of each of them.
+    """
+    first, *rest = bounds
+    if not rest:
+        return min(e[0] for e in leads)
+    total, lo, below = 0, 0, []
+    for e in sorted(leads):
+        if e[0] >= first:
+            break
+        if e[0] > lo:
+            total += (e[0] - lo) * _standard_count(below, rest)
+            lo = e[0]
+        below.append(e[1:])
+    return total + (first - lo) * _standard_count(below, rest)
 
 
 # --- public surface ---
@@ -316,7 +335,7 @@ class StdBasisResult:
 
     @cached_property
     def generators(self) -> tuple[Poly, ...]:
-        unpack = _Packing(self._nvars).unpack
+        unpack = _PACKINGS[self._nvars].unpack
         return tuple(Poly({unpack(m): c for m, c in g.items()}, self._nvars)
                      for g, _, _ in self._packed)
 
@@ -334,39 +353,55 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     DegreeTooLarge for a term beyond MAX_DEGREE, in gens or on the way.
     """
     nvars = _shared_nvars(gens)
-    packing = _Packing(nvars)
+    packing = _PACKINGS[nvars]
     packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
     basis, leads = _std_int(packed, packing)
     return StdBasisResult(tuple(leads), _colength_of_leads(leads, nvars), nvars, tuple(basis))
 
 
-def _colength(f: Poly, gens: list[Poly], ideal: str, if_zero: str) -> int:
-    """Colength of the ideal that the nonzero gens generate (f's `ideal`);
-    NonIsolatedSingularity when no gen is nonzero or the colength is infinite,
-    and DegreeTooLarge when f has a term beyond MAX_DEGREE."""
-    degree = max(map(sum, f.terms), default=0)
-    if degree > MAX_DEGREE:
-        raise _too_large(degree)
-    gens = [g for g in gens if not g.is_zero()]
+def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
+    """Colength of the ideal of f's partial derivatives, with f itself when
+    with_f is set (f's `ideal`); NonIsolatedSingularity when no generator is
+    nonzero or the colength is infinite, and DegreeTooLarge when f has a
+    term beyond MAX_DEGREE.
+
+    f's terms are packed once, and the partial derivatives are formed on
+    the packed ints: a term c*m with exponent k > 0 in x_v gives the term
+    c*k * m/x_v of the v-th partial, and m/x_v is m minus packed x_v.
+    Distinct terms give distinct quotients, so nothing cancels.
+    """
+    packing = _PACKINGS[f.nvars]
+    try:
+        packed = [packing.pack(e) for e in f.terms]
+    except DegreeTooLarge:
+        raise _too_large(max(map(sum, f.terms))) from None  # the message names f's degree
+    partials: list[PackedPoly] = [{} for _ in packing.variables]
+    for m, (e, c) in zip(packed, f.terms.items()):
+        for partial, x_v, k in zip(partials, packing.variables, e):
+            if k:
+                partial[m - x_v] = c * k
+    if with_f:
+        partials.append(dict(zip(packed, f.terms.values())))
+    gens = [_strip_content(g) for g in partials if g]
     if not gens:
         raise NonIsolatedSingularity(if_zero)
-    result = local_std_basis(gens)
-    if result.colength == INFINITE:
+    _, leads = _std_int(gens, packing)
+    colength = _colength_of_leads(leads, f.nvars)
+    if colength == INFINITE:
         raise NonIsolatedSingularity(f"{ideal} of {f} has infinite colength")
-    return result.colength
+    return colength
 
 
 def milnor(f: Poly) -> int:
     """Milnor number: colength of the Jacobian ideal."""
-    return _colength(f, jacobian(f), "Jacobian ideal",
-                     "all partial derivatives vanish identically")
+    return _colength(f, "Jacobian ideal", "all partial derivatives vanish identically")
 
 
 def tjurina(f: Poly) -> int:
     """Tjurina number: colength of the ideal (df, f)."""
     if f.constant_term() != 0:
         raise NonzeroConstantTerm("tjurina number requires f(0) = 0")
-    return _colength(f, jacobian(f) + [f], "ideal (df, f)", "zero polynomial")
+    return _colength(f, "ideal (df, f)", "zero polynomial", with_f=True)
 
 
 # --- independent brute-force oracle ---

@@ -124,12 +124,14 @@ def check_oracle_equivalence():
     for text, nvars, cap in cases:
         f = parse_poly(text, nvars=nvars)
         jac = [g for g in jacobian(f) if not g.is_zero()]
-        for ideal, gens in (("Jacobian ideal", jac), ("ideal (df, f)", jac + [f])):
+        for ideal, gens, number in (("Jacobian ideal", jac, "milnor"),
+                                    ("ideal (df, f)", jac + [f], "tjurina")):
             basis = localg.local_std_basis(gens)
             oracle = localg.colength_oracle(gens, cap)
-            if basis.colength != oracle:
+            direct = getattr(localg, number)(f)
+            if not basis.colength == oracle == direct:
                 return (f"{ideal} of {text}: standard basis gives {basis.colength}, "
-                        f"oracle {oracle}")
+                        f"oracle {oracle}, {number} {direct}")
     # non-isolated case rejected by both routes
     gens = [parse_poly("x*y^2"), parse_poly("x^2*y")]
     if localg.local_std_basis(gens).colength != localg.INFINITE:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tjspectra import verify
+from tjspectra import localg, verify
 
 # seconds per check, keyed by the check function
 BUDGET_S = {
@@ -41,3 +41,13 @@ def test_three_monomial_check_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(verify, "three_monomial_instance", broken)
     with pytest.raises(TypeError, match="not a check failure"):
         verify.check_three_monomial_localg()
+
+
+@pytest.mark.parametrize("number", ["milnor", "tjurina"])
+def test_oracle_check_compares_milnor_and_tjurina(monkeypatch, number):
+    real = getattr(localg, number)
+    monkeypatch.setattr(localg, number, lambda f: real(f) + 1)
+    message = verify.check_oracle_equivalence()
+    assert message.startswith("Jacobian ideal of x^3+y^3" if number == "milnor"
+                              else "ideal (df, f) of x^3+y^3")
+    assert message.endswith(f"standard basis gives 4, oracle 4, {number} 5")

@@ -6,15 +6,15 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tjspectra import cli, localg
 from tjspectra.errors import DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm
 from tjspectra.families import swh_instance
-from tjspectra.localg import (INFINITE, MAX_DEGREE, _colength_of_leads, _lead, _lead_key,
-                              _monomials_up_to, _Packing, _span_pivots, colength_oracle,
-                              local_std_basis, milnor, tjurina)
+from tjspectra.localg import (INFINITE, MAX_DEGREE, StdBasisResult, _colength_of_leads, _lead,
+                              _lead_key, _monomials_up_to, _Packing, _span_pivots,
+                              colength_oracle, local_std_basis, milnor, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
 from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, swh_grid
 
@@ -78,16 +78,92 @@ def test_std_basis_deterministic():
 
 def test_milnor_and_tjurina_build_no_generator(monkeypatch):
     f = parse_poly("x^7+y^7+x^5*y^5")
+    jac = jacobian(f)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the engine built a generator")
 
     monkeypatch.setattr(localg, "Poly", refuse)
+    monkeypatch.setattr(localg, "StdBasisResult", refuse)
+    # every Poly Jacobian, poly.jacobian's included, is built by Poly.derivative
+    monkeypatch.setattr(Poly, "derivative", refuse)
     assert milnor(f) == 36
     assert tjurina(f) == 35
-    # the patch does catch a build: reading the generators makes them
+    # the patches do catch a build: a Jacobian, a result, its generators
     with pytest.raises(AssertionError, match="built a generator"):
-        local_std_basis(jacobian(f)).generators
+        jacobian(f)
+    with pytest.raises(AssertionError, match="built a generator"):
+        local_std_basis(jac)
+    monkeypatch.setattr(localg, "StdBasisResult", StdBasisResult)
+    with pytest.raises(AssertionError, match="built a generator"):
+        local_std_basis(jac).generators
+
+
+def reference_number(f, ideal):
+    """milnor(f) or tjurina(f) the long way: the input checks, then
+    local_std_basis on the Poly Jacobian (and f), which packs each
+    generator itself."""
+    if ideal == "tjurina" and f.constant_term():
+        raise NonzeroConstantTerm("tjurina number requires f(0) = 0")
+    degree = max(map(sum, f.terms), default=0)
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(f"a term of degree {degree} is beyond the engine's "
+                             f"limit of {MAX_DEGREE}")
+    name, if_zero = {"milnor": ("Jacobian ideal", "all partial derivatives vanish identically"),
+                     "tjurina": ("ideal (df, f)", "zero polynomial")}[ideal]
+    gens = [g for g in jacobian(f) + ([f] if ideal == "tjurina" else []) if not g.is_zero()]
+    if not gens:
+        raise NonIsolatedSingularity(if_zero)
+    colength = local_std_basis(gens).colength
+    if colength == INFINITE:
+        raise NonIsolatedSingularity(f"{name} of {f} has infinite colength")
+    return colength
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def engine_polys(draw):
+    """f in 1-3 variables.  Each variable is left out of f, so that its
+    partial vanishes, or f holds a pure power of it: a small one, or one at
+    the top of a field or just beyond.  The other terms are in the
+    variables with a small power, strictly above the Newton diagonal those
+    powers span, so the singularity is isolated in them and the engine
+    stays fast.  Coefficients are of either sign and share a factor, and
+    now and then a constant term makes tjurina refuse f."""
+    nvars = draw(st.integers(1, 3))
+    coefficient = st.integers(-4, 4).filter(bool)
+    top = st.integers(MAX_DEGREE - 2, MAX_DEGREE + 1)
+    powers = [draw(st.one_of(st.none(), st.integers(1, 6), top)) for _ in range(nvars)]
+    small = [k if k is not None and k <= 6 else None for k in powers]
+    terms = {}
+    for e in draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=4)):
+        if all(small[v] or not k for v, k in enumerate(e)) and sum(
+                Fraction(k, small[v]) for v, k in enumerate(e) if k) > 1:
+            terms[e] = draw(coefficient)
+    for v, k in enumerate(powers):
+        if k is not None:
+            terms[tuple(k if w == v else 0 for w in range(nvars))] = draw(coefficient)
+    if draw(st.integers(0, 3)) == 0:
+        terms[(0,) * nvars] = draw(coefficient)
+    content = draw(st.sampled_from([1, 2, 6]))
+    return Poly({e: content * c for e, c in terms.items()}, nvars)
+
+
+@given(engine_polys())
+@example(parse_poly(f"6*x^{MAX_DEGREE}-4*y^2"))
+@example(parse_poly(f"x^{MAX_DEGREE + 1}+y^{MAX_DEGREE + 3}+x*y"))
+@example(parse_poly("3*x^2-3*x^3", nvars=3))
+@example(parse_poly("0"))
+@settings(max_examples=200, deadline=None)
+def test_milnor_and_tjurina_match_the_std_basis_of_the_poly_jacobian(f):
+    for ideal, number in (("milnor", milnor), ("tjurina", tjurina)):
+        assert outcome(number, f) == outcome(reference_number, f, ideal)
 
 
 def _public(r):
@@ -536,10 +612,18 @@ def test_staircase_colength_reads_duplicate_and_non_minimal_leads():
 
 
 @given(lead_sets())
+@example((3, [(0, 0, 0)]))  # the unit ideal: every bound is 0
+@example((1, [(5,), (3,), (7,)]))  # one variable
 @settings(max_examples=200)
 def test_staircase_colength_matches_box_count(case):
     nvars, leads = case
     assert _colength_of_leads(leads, nvars) == brute_force_colength(leads, nvars)
+
+
+def test_staircase_colength_of_pure_powers_is_their_product():
+    # the box under these pure powers holds 268M monomials, too many to count
+    leads = [(16382, 0, 0), (0, 16383, 0), (0, 0, 1)]
+    assert _colength_of_leads(leads, 3) == 16382 * 16383 == 268386306
 
 
 # --- packed monomials, the degree limit and the highest-corner cut ---
