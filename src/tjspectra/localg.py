@@ -168,10 +168,13 @@ def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
     return _strip_content(out)
 
 
-def _std_int(gens: Iterable[PackedPoly], packing: _Packing) -> tuple[list, list[Exponent]]:
+def _std_int(gens: Iterable[PackedPoly], packing: _Packing
+             ) -> tuple[list, list[Exponent], list[Optional[int]]]:
     """Standard basis of the ideal generated by the packed gens (Buchberger
     + Mora NF, with the highest-corner cut): the (generator, lead, ecart)
-    triples in the order they were produced, and the lead exponent tuples.
+    triples in the order they were produced, the lead exponent tuples, and
+    the least pure-power exponent among the leads of each variable (None
+    where no lead is a pure power of it; all 0 after the lead 1).
 
     Each generator's lead and ecart are computed once, when it enters the
     basis.  Pending S-pairs sit on one heap keyed by (lcm degree, -seq): the
@@ -269,14 +272,14 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing) -> tuple[list, list[
         h = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut), cut)
         if h:
             enter(h)
-    return basis, exps
+    return basis, exps, pure
 
 
-def _colength_of_leads(leads: Sequence[Exponent], nvars: int) -> Union[int, str]:
+def _colength_of_leads(leads: Sequence[Exponent],
+                       bounds: Sequence[Optional[int]]) -> Union[int, str]:
     """Number of standard monomials, or INFINITE without a pure power of
-    every variable."""
-    bounds = [min((e[v] for e in leads if sum(e) == e[v]), default=None)
-              for v in range(nvars)]
+    every variable; bounds are the least pure-power exponents among the
+    leads, as _std_int returns them."""
     if None in bounds:
         return INFINITE
     if 0 in bounds:
@@ -355,8 +358,8 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     nvars = _shared_nvars(gens)
     packing = _PACKINGS[nvars]
     packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
-    basis, leads = _std_int(packed, packing)
-    return StdBasisResult(tuple(leads), _colength_of_leads(leads, nvars), nvars, tuple(basis))
+    basis, leads, pure = _std_int(packed, packing)
+    return StdBasisResult(tuple(leads), _colength_of_leads(leads, pure), nvars, tuple(basis))
 
 
 def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
@@ -385,8 +388,8 @@ def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
     gens = [_strip_content(g) for g in partials if g]
     if not gens:
         raise NonIsolatedSingularity(if_zero)
-    _, leads = _std_int(gens, packing)
-    colength = _colength_of_leads(leads, f.nvars)
+    _, leads, pure = _std_int(gens, packing)
+    colength = _colength_of_leads(leads, pure)
     if colength == INFINITE:
         raise NonIsolatedSingularity(f"{ideal} of {f} has infinite colength")
     return colength

@@ -11,11 +11,21 @@ package:
     poly    := term (('+' | '-') term)*       (optional leading sign)
     term    := factor ('*' factor)*
     factor  := base ('^' natural)?
-    base    := integer | variable | '(' poly ')'
+    base    := natural | variable | '(' poly ')'
 
-Variables are x, y, z (the first ``nvars`` of them).  Whitespace is ignored.
+A natural is a run of the ASCII digits 0-9; any other digit character,
+such as a superscript, is a syntax error.  Variables are x, y, z (the first
+``nvars`` of them).  The text is split once into tokens, each a natural or
+one non-space character, and the grammar runs over that list.  Whitespace
+may separate any two tokens but never splits a number: "1 2" is two numbers,
+which is a syntax error.  Inside a term, number and variable factors are
+multiplied straight into one coefficient and one exponent list; only a
+parenthesised group becomes a term map and goes through ``pow_terms`` and
+``mul_terms``.  A syntax error names the character position of the token
+where the grammar failed, or the length of the text at its end.
 """
 
+import re
 from dataclasses import dataclass, field
 from operator import add
 
@@ -186,88 +196,94 @@ def jacobian(f: Poly) -> list[Poly]:
     return [f.derivative(v) for v in range(f.nvars)]
 
 
-class _Parser:
-    def __init__(self, text: str, nvars: int):
-        _check_nvars(nvars)
-        self.text = text
-        self.pos = 0
-        self.nvars = nvars
+_TOKEN = re.compile(r"[0-9]+|\S")  # a run of ASCII digits, or one non-space character
+_VARIABLES = [{name: v for v, name in enumerate(VAR_NAMES[:n])} for n in range(MAX_VARS + 1)]
 
-    def error(self, message):
-        raise PolySyntaxError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+class _TokenError(Exception):
+    """A syntax error at a token index; parse_poly maps it to a character position."""
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
+def _parse_sum(tokens: list[str], i: int, variables: dict[str, int]) -> tuple[IntPoly, int]:
+    """The poly that starts at token i, and the index of the token after it.
 
-    def parse(self) -> Poly:
-        p = self.parse_sum()
-        if self.peek():
-            self.error(f"unexpected character {self.peek()!r}")
-        return Poly(p, self.nvars)
+    ``tokens`` ends with "", and ``variables`` maps each available variable
+    name to its index.  A syntax error raises _TokenError.
+    """
+    out: IntPoly = {}
+    op = tokens[i]  # a sign before the first term is optional
+    while True:
+        if op == "+" or op == "-":
+            i += 1
+        i = _parse_term(tokens, i, variables, out, -1 if op == "-" else 1)
+        op = tokens[i]
+        if op != "+" and op != "-":
+            return out, i
 
-    def parse_sum(self) -> IntPoly:
-        negate = self.peek() in ("+", "-") and self.take() == "-"
-        p = neg_terms(self.parse_term()) if negate else self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.parse_term()
-            p = add_terms(p, neg_terms(t) if op == "-" else t)
-        return p
 
-    def parse_term(self) -> IntPoly:
-        p = self.parse_factor()
-        while self.peek() == "*":
-            self.take()
-            p = mul_terms(p, self.parse_factor())
-        return p
+def _parse_term(tokens: list[str], i: int, variables: dict[str, int], out: IntPoly,
+                sign: int) -> int:
+    """Add sign times the term that starts at token i to out, and return the
+    index of the token after it.
 
-    def parse_factor(self) -> IntPoly:
-        base = self.parse_base()
-        if self.peek() == "^":
-            self.take()
-            return pow_terms(base, self.parse_natural(), self.nvars)
-        return base
-
-    def parse_base(self) -> IntPoly:
-        ch = self.peek()
-        if ch == "(":
-            self.take()
-            p = self.parse_sum()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return p
-        if ch.isdigit():
-            c = self.parse_natural()
-            return {(0,) * self.nvars: c} if c else {}
-        if ch in VAR_NAMES:
-            idx = VAR_NAMES.index(ch)
-            if idx >= self.nvars:
-                self.error(f"variable {ch!r} not available with nvars={self.nvars}")
-            self.take()
-            return {tuple(int(v == idx) for v in range(self.nvars)): 1}
-        self.error("expected a number, variable, or '('")
-
-    def parse_natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a natural number")
-        return int(self.text[start:self.pos])
+    Number and variable factors go into one coefficient and one exponent
+    list; only a group is a term map.  In the loop, i is the index of a
+    factor's base, then of the factor's last token.
+    """
+    nvars = len(variables)
+    coeff, exps, group = sign, [0] * nvars, None
+    while True:
+        token = tokens[i]
+        v = variables.get(token)
+        if token == "(":
+            base, i = _parse_sum(tokens, i + 1, variables)
+            if tokens[i] != ")":
+                raise _TokenError("expected ')'", i)
+        elif v is None and not (token.isascii() and token.isdigit()):
+            if token in VAR_NAMES:
+                raise _TokenError(f"variable {token!r} not available with nvars={nvars}", i)
+            raise _TokenError("expected a number, variable, or '('", i)
+        k = 1
+        if tokens[i + 1] == "^":
+            i += 2
+            if not (tokens[i].isascii() and tokens[i].isdigit()):
+                raise _TokenError("expected a natural number", i)
+            k = int(tokens[i])
+        if v is not None:
+            exps[v] += k
+        elif token == "(":
+            base = pow_terms(base, k, nvars)
+            group = base if group is None else mul_terms(group, base)
+        else:
+            coeff *= int(token) ** k
+        if tokens[i + 1] != "*":
+            break
+        i += 2
+    if group is None:
+        terms = ((tuple(exps), coeff),) if coeff else ()
+    else:
+        terms = mul_terms(group, {tuple(exps): coeff} if coeff else {}).items()
+    for e, c in terms:
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return i + 1
 
 
 def parse_poly(text: str, nvars: int = 2) -> Poly:
-    """Parse and fully expand a polynomial expression."""
-    return _Parser(text, nvars).parse()
+    """Parse and fully expand a polynomial expression; PolySyntaxError at
+    the character position of the token where the grammar fails."""
+    _check_nvars(nvars)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    try:
+        p, i = _parse_sum(tokens, 0, _VARIABLES[nvars])
+        if tokens[i]:
+            raise _TokenError(f"unexpected character {tokens[i][0]!r}", i)
+    except _TokenError as exc:
+        message, index = exc.args
+        starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+        raise PolySyntaxError(message, starts[index]) from None
+    return Poly(p, nvars)

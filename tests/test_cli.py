@@ -401,6 +401,8 @@ def test_sweep_drop_max_skips_single_value_spectrum(capsys):
     ["sweep", "brieskorn", "--a", "3", "--b", "3", "--c", "1"],
     ["spectrum", "swh", "--a", "x", "--b", "7", "--c", "1", "--d", "1"],
     ["sweep", "swh", "--b", "5", "--c", "1", "--d", "1", "--a"],
+    ["milnor", "--poly", "x^\u00b2+y^3"],        # a superscript two
+    ["tjurina", "--poly", "x^\u0663+y^2"],       # an Arabic-Indic three
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     from tjspectra import cli

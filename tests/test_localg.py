@@ -581,14 +581,16 @@ def test_std_basis_matches_reference_loop_on_random_ideals(gens):
     assert_matches_reference(gens)
 
 
+def pure_power_bounds(leads, nvars):
+    """The least pure-power exponent among the leads of each variable, or None."""
+    return [min((e[v] for e in leads if sum(e) == e[v]), default=None) for v in range(nvars)]
+
+
 def brute_force_colength(leads, nvars):
     """Monomials of the box under the pure powers that no lead divides."""
-    bounds = []
-    for v in range(nvars):
-        pure = [e[v] for e in leads if sum(e) == e[v]]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
+    bounds = pure_power_bounds(leads, nvars)
+    if None in bounds:
+        return INFINITE
     return sum(1 for m in product(*(range(b) for b in bounds))
                if not any(_ref_divides(e, m) for e in leads))
 
@@ -608,7 +610,8 @@ def lead_sets(draw):
 def test_staircase_colength_reads_duplicate_and_non_minimal_leads():
     # x^2, x^3, x*y, x^2*y^2, y^3, y^3: standard monomials 1, y, y^2, x
     leads = [(2, 0), (3, 0), (1, 1), (2, 2), (0, 3), (0, 3)]
-    assert _colength_of_leads(leads, 2) == brute_force_colength(leads, 2) == 4
+    bounds = pure_power_bounds(leads, 2)
+    assert _colength_of_leads(leads, bounds) == brute_force_colength(leads, 2) == 4
 
 
 @given(lead_sets())
@@ -617,13 +620,26 @@ def test_staircase_colength_reads_duplicate_and_non_minimal_leads():
 @settings(max_examples=200)
 def test_staircase_colength_matches_box_count(case):
     nvars, leads = case
-    assert _colength_of_leads(leads, nvars) == brute_force_colength(leads, nvars)
+    bounds = pure_power_bounds(leads, nvars)
+    assert _colength_of_leads(leads, bounds) == brute_force_colength(leads, nvars)
 
 
 def test_staircase_colength_of_pure_powers_is_their_product():
     # the box under these pure powers holds 268M monomials, too many to count
     leads = [(16382, 0, 0), (0, 16383, 0), (0, 0, 1)]
-    assert _colength_of_leads(leads, 3) == 16382 * 16383 == 268386306
+    assert _colength_of_leads(leads, pure_power_bounds(leads, 3)) == 16382 * 16383 == 268386306
+
+
+@given(small_ideals())
+@example([Poly({(1, 1): 1}, 2)])                    # no pure power: INFINITE
+@example([Poly({(0, 0): 2, (1, 0): 1}, 2), Poly({(0, 1): 1}, 2)])  # the unit ideal
+@settings(max_examples=50, deadline=None)
+def test_std_int_pure_powers_are_the_lead_bounds(gens):
+    nvars = gens[0].nvars
+    packing = localg._PACKINGS[nvars]
+    packed = [{packing.pack(e): c for e, c in g.terms.items()} for g in gens]
+    _, leads, pure = localg._std_int(packed, packing)
+    assert pure == pure_power_bounds(leads, nvars)
 
 
 # --- packed monomials, the degree limit and the highest-corner cut ---

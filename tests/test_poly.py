@@ -211,21 +211,26 @@ class _RefParser:
 def expressions(draw):
     """Valid input text in 1-3 variables: signs, constants, nested groups
     and powers up to 8 (up to 3 on a group, so that nested powers stay
-    small)."""
+    small), with random spaces and tabs between any two tokens and at both
+    ends (never inside a number)."""
     nvars = draw(st.integers(1, 3))
-    atoms = st.one_of(st.integers(0, 20).map(str), st.sampled_from(VAR_NAMES[:nvars]))
+    atoms = st.one_of(st.integers(0, 20).map(str), st.sampled_from(VAR_NAMES[:nvars])
+                      ).map(lambda t: [t])
 
     def extend(inner):
-        group = inner.map(lambda t: f"({t})")
+        group = inner.map(lambda t: ["(", *t, ")"])
         return st.one_of(
-            st.tuples(inner, st.sampled_from(["+", " - ", "*", " * "]), group).map("".join),
-            st.tuples(st.sampled_from(["-", "+"]), inner.filter(lambda t: t[0] not in "+-")
-                      ).map("".join),
-            st.tuples(group, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
-            st.tuples(atoms, st.integers(0, 8)).map(lambda t: f"{t[0]}^{t[1]}"),
+            st.tuples(inner, st.sampled_from("+-*"), group).map(lambda t: [*t[0], t[1], *t[2]]),
+            st.tuples(st.sampled_from("-+"), inner.filter(lambda t: t[0] not in "+-")
+                      ).map(lambda t: [t[0], *t[1]]),
+            st.tuples(group, st.integers(0, 3)).map(lambda t: [*t[0], "^", str(t[1])]),
+            st.tuples(atoms, st.integers(0, 8)).map(lambda t: [*t[0], "^", str(t[1])]),
         )
 
-    return draw(st.recursive(atoms, extend, max_leaves=8)), nvars
+    tokens = draw(st.recursive(atoms, extend, max_leaves=8))
+    gaps = draw(st.lists(st.sampled_from(["", "", "", " ", "\t", "  ", " \t "]),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(gap + token for gap, token in zip(gaps, tokens + [""])), nvars
 
 
 @given(expressions())
@@ -237,7 +242,11 @@ def test_parser_matches_reference(case):
 
 BAD_INPUTS = [("x^^2", 2), ("x^2)", 2), ("(x+y", 2), ("", 2), ("x+", 2), ("2*", 2),
               ("x^", 2), ("x+z", 2), ("x^-1", 2), ("x y", 2), ("x**2", 2), ("3.5*x", 2),
-              ("w", 3), ("x*-y", 3), ("+-x", 1), ("(x)(y)", 2), ("y", 1)]
+              ("w", 3), ("x*-y", 3), ("+-x", 1), ("(x)(y)", 2), ("y", 1),
+              # whitespace between tokens, so positions map back past it
+              ("x ^ ^2", 2), (" (x+y ", 2), ("x^2 3", 2), ("x+\t", 2), ("1 2", 2),
+              ("\t", 2), (" x *\t( y + z )", 2), ("x ^\t", 1), ("2 x", 2),
+              ("( x ) ( y )", 2), ("x^ 12 34", 2), ("  - - x", 1)]
 
 
 @pytest.mark.parametrize("text,nvars", BAD_INPUTS)
@@ -247,6 +256,20 @@ def test_bad_input_errors_match_reference(text, nvars):
     with pytest.raises(PolySyntaxError) as got:
         parse_poly(text, nvars)
     assert (str(got.value), got.value.position) == (str(want.value), want.value.position)
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("x^\u00b2", "expected a natural number", 2),                 # x^², a superscript two
+    ("\u00b2*x", "expected a number, variable, or '('", 0),       # ²*x
+    ("x^\u0663+y^2", "expected a natural number", 2),             # x^٣, an Arabic-Indic three
+    ("3\u0663*x", "unexpected character '\u0663'", 1),
+])
+def test_non_ascii_digits_are_syntax_errors(text, message, position):
+    # str.isdigit accepts these; the grammar's natural numbers are ASCII only
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 INEXACT = [F(1, 2), F(3), 0.5, True]
