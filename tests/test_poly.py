@@ -297,6 +297,28 @@ def test_malformed_terms_raise(terms):
         Poly(terms, 2)
 
 
+@pytest.mark.parametrize("terms, error, message", [
+    ({(1, 0): F(1, 2)}, TypeError, "coefficients must be int, not Fraction"),
+    ({(1, 0): True}, TypeError, "coefficients must be int, not bool"),
+    ({(-1, 0.5): 0.5}, TypeError, "coefficients must be int, not float"),
+    ({(2, 0): 0}, ValueError, "zero coefficient at exponent (2, 0)"),
+    ({(-1, 0): 0}, ValueError, "zero coefficient at exponent (-1, 0)"),
+    ({(3,): 1}, ValueError, "exponent (3,) is not a tuple of 2 non-negative ints"),
+    ({(1, 0, 0): 1}, ValueError, "exponent (1, 0, 0) is not a tuple of 2 non-negative ints"),
+    ({(1, -1): 1}, ValueError, "exponent (1, -1) is not a tuple of 2 non-negative ints"),
+    ({(1.0, 0): 1}, ValueError, "exponent (1.0, 0) is not a tuple of 2 non-negative ints"),
+    ({(True, 0): 1}, ValueError, "exponent (True, 0) is not a tuple of 2 non-negative ints"),
+    ({(0, False): 1}, ValueError, "exponent (0, False) is not a tuple of 2 non-negative ints"),
+    ({"ab": 1}, ValueError, "exponent 'ab' is not a tuple of 2 non-negative ints"),
+    ({(1, 0): 1, (0, -2): 3}, ValueError,
+     "exponent (0, -2) is not a tuple of 2 non-negative ints"),
+], ids=repr)
+def test_invalid_terms_name_the_first_bad_term(terms, error, message):
+    with pytest.raises(error) as exc:
+        Poly(terms, 2)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 @pytest.mark.parametrize("nvars", [0, 4])
 def test_nvars_out_of_range_raises(nvars):
     with pytest.raises(TooManyVariables, match=r"nvars must be in \[1, 3\]"):
