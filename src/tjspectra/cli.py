@@ -8,10 +8,8 @@ with 12 significant digits.
 """
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product, repeat
 
@@ -24,7 +22,7 @@ from .poly import parse_poly
 from .rational import decimal_str, format_ratio
 from .spectra import stats_of_values, subset_stats
 
-FLAGS = sorted({f.name for params in FAMILIES.values() for f in fields(params)})
+FLAGS = sorted({name for params in FAMILIES.values() for name in params._fields})
 FLAG_OPTIONS = {f"--{name}" for name in FLAGS}
 
 TSV_COLUMNS = ("family", "params", "mu", "tau", "delta_exact", "delta_decimal",
@@ -127,7 +125,7 @@ def sweep_row(family, values, subset):
         indices = sorted(inst.tjurina_indices)
     st = subset_stats(inst.spectrum, indices)
     full = stats_of_values(inst.spectrum.values)
-    v = thm31_verdict(replace(inst, tjurina_indices=frozenset(indices)))
+    v = thm31_verdict(inst._replace(tjurina_indices=frozenset(indices)))
     if inst.swh and subset == "tjurina":  # Hertling's equality, and Theorem 3.1's conclusion
         if full.delta != 0:
             raise InternalConsistencyError(f"{inst.family_tag}: full-spectrum delta = {full.delta}")
@@ -164,6 +162,8 @@ def cmd_sweep(args):
         rows = list(map(sweep_row, *row_args))
     rows = [r for r in rows if r is not None]
     if args.format == "json":
+        # imported here: loading json costs every other CLI call
+        import json
         print(json.dumps(rows, indent=2))
     else:
         out = ["\t".join(TSV_COLUMNS)]
@@ -187,7 +187,7 @@ def cmd_verify(args):
 def _family_values(args):
     """The family's flag values by parameter name; a missing flag, or one
     the family does not take, is an input error."""
-    names = [f.name for f in fields(FAMILIES[args.family])]
+    names = FAMILIES[args.family]._fields
     for name in FLAGS:
         given = getattr(args, name) is not None
         if given != (name in names):

@@ -9,9 +9,8 @@ two-Puiseux-pair family.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
                      NotSingleSwap, SubsetTooSmall, TjspectraError, WrongDirection)
@@ -19,8 +18,7 @@ from .families import TjurinaInstance
 from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
 
 
-@dataclass(frozen=True)
-class Thm31Verdict:
+class Thm31Verdict(NamedTuple):
     tjurina: SubsetStats    # statistics over the Tjurina subset
     mu_ne_tau: bool
     av_condition: bool      # av over T <= av over the full spectrum
@@ -45,8 +43,7 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     width_condition = full.alpha_max - full.alpha_min <= 2
     cond_3_3 = Fraction(mu, 12) * (full.alpha_max - tj.alpha_max) >= (mu - tau) * full.alpha_max ** 2
     guaranteed = (inst.swh and mu_ne_tau and (width_condition or av_condition) and cond_3_3)
-    return Thm31Verdict(tj, mu_ne_tau, av_condition, width_condition,
-                        cond_3_3, guaranteed)
+    return Thm31Verdict(tj, mu_ne_tau, av_condition, width_condition, cond_3_3, guaranteed)
 
 
 def mple_failure_bound(m: int, n: int, gap: int) -> bool:
@@ -58,8 +55,7 @@ def mple_failure_bound(m: int, n: int, gap: int) -> bool:
     return (m - 1) ** n >= 12 * m * n * n * gap
 
 
-@dataclass(frozen=True)
-class Prop41Outcome:
+class Prop41Outcome(NamedTuple):
     hypothesis_42: bool       # (alpha_i0 - av_T)^2 >= width_T / 12
     extremes_preserved: bool  # min and max survive the removal of i0
     guaranteed: bool          # conclusion delta_{T minus i0} <= 0 is forced
@@ -82,8 +78,7 @@ def prop41_step(s: Spectrum, T: Iterable[int], i0: int) -> Prop41Outcome:
                          guaranteed=extremes and hyp and st.delta <= 0)
 
 
-@dataclass(frozen=True)
-class SwapComparison:
+class SwapComparison(NamedTuple):
     case: Literal["max_drops", "max_fixed", "inapplicable"]
     prediction: Literal["delta_less", "delta_greater", "none"]
 
@@ -130,8 +125,7 @@ def remark32_compare(t_values: Sequence[Fraction],
     return SwapComparison("inapplicable", "none")
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     """One hypothetical Tjurina spectrum: drop a top block of size j and a
     middle block starting at the first index past alpha_1 + 1."""
     tau_prime: int
@@ -140,8 +134,7 @@ class CandidateRecord:
     stats: SubsetStats
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     k: int            # first 1-based index with alpha_k > alpha_1 + 1 (mu+1 if none)
     slack: int        # effective slack after clamping
     clamped: bool

@@ -12,9 +12,9 @@ level; this is the normal form the downstream index-based operations rely
 on, and it does not change any value multiset.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import localg
 from .errors import (Condition81Violated, DegenerateExponent, GcdViolation,
@@ -23,8 +23,7 @@ from .poly import Poly
 from .spectra import Spectrum, make_spectrum, spectrum_of_numerators
 
 
-@dataclass(frozen=True)
-class TjurinaInstance:
+class TjurinaInstance(NamedTuple):
     spectrum: Spectrum
     tjurina_indices: frozenset[int]  # 1-based
     defining_poly: Poly
@@ -57,8 +56,7 @@ class TjurinaInstance:
                 raise error(f"tau = {self.tau} but the engine computes {tau_engine} for {f}")
 
 
-@dataclass(frozen=True)
-class BrieskornParams:
+class BrieskornParams(NamedTuple):
     """Weighted-homogeneous x^a + y^b."""
     a: int
     b: int
@@ -71,8 +69,7 @@ class BrieskornParams:
         return brieskorn_instance(self)
 
 
-@dataclass(frozen=True)
-class SwhParams:
+class SwhParams(NamedTuple):
     """Deformation x^a + y^b + x^(a-1-c) y^(b-1-d) of a Brieskorn point."""
     a: int
     b: int
@@ -80,13 +77,13 @@ class SwhParams:
     d: int
 
     def validate(self):
-        BrieskornParams(self.a, self.b).validate()
-        if self.c < 1 or self.d < 1:
+        a, b, c, d = self
+        BrieskornParams(a, b).validate()
+        if c < 1 or d < 1:
             raise InvalidFamilyParameters("c and d must be positive")
-        if not (2 * self.c < self.a and 2 * self.d < self.b):
+        if not (2 * c < a and 2 * d < b):
             raise InvalidFamilyParameters(
-                f"need c < a/2 and d < b/2, got (a,b,c,d)=({self.a},{self.b},{self.c},{self.d})")
-        a, b, c, d = self.a, self.b, self.c, self.d
+                f"need c < a/2 and d < b/2, got (a,b,c,d)=({a},{b},{c},{d})")
         if Fraction(a - 1 - c, a) + Fraction(b - 1 - d, b) <= 1:
             raise InvalidFamilyParameters(
                 "the perturbing monomial is not above the weighted degree: "
@@ -96,8 +93,7 @@ class SwhParams:
         return swh_instance(self)
 
 
-@dataclass(frozen=True)
-class ThreeMonomialParams:
+class ThreeMonomialParams(NamedTuple):
     """Newton non-degenerate f = x^a y^b + x^c + y^d."""
     a: int
     b: int
@@ -105,7 +101,7 @@ class ThreeMonomialParams:
     d: int
 
     def validate(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c, d = self
         if not (2 <= a < b):
             raise InvalidFamilyParameters(f"need 2 <= a < b, got ({a}, {b})")
         if c < 1 or d < 1:
@@ -118,8 +114,7 @@ class ThreeMonomialParams:
         return three_monomial_instance(self)
 
 
-@dataclass(frozen=True)
-class PuiseuxParams:
+class PuiseuxParams(NamedTuple):
     """Irreducible plane curve branch with Puiseux pairs (a, b), (c, d)."""
     a: int
     b: int
@@ -174,7 +169,7 @@ def brieskorn_instance(params: BrieskornParams) -> TjurinaInstance:
     built from the numerators i*b + j*a over a*b, and mu = tau = (a-1)(b-1),
     so the Tjurina subset is the whole spectrum."""
     params.validate()
-    a, b = params.a, params.b
+    a, b = params
     spectrum = spectrum_of_numerators([i * b + j * a for i in range(1, a) for j in range(1, b)],
                                       a * b, 2, complete=True)
     return TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)),
@@ -190,7 +185,7 @@ def swh_instance(params: SwhParams) -> TjurinaInstance:
     exactly when i < a - c or j < b - d.
     """
     params.validate()
-    a, b, c, d = params.a, params.b, params.c, params.d
+    a, b, c, d = params
     pairs = [(Fraction(i, a) + Fraction(j, b), i < a - c or j < b - d)
              for i in range(1, a) for j in range(1, b)]
     inst = _lattice_instance(pairs, Poly({(a, 0): 1, (0, b): 1, (a - 1 - c, b - 1 - d): 1}, 2),
@@ -216,7 +211,7 @@ def _three_monomial_lattice(params: ThreeMonomialParams):
     respectively, plus the extra wall {nu_1 = c, nu_2 >= d-b+1} when
     2b > d + 1.
     """
-    a, b, c, d = params.a, params.b, params.c, params.d
+    a, b, c, d = params
     g = gcd(a, b)
     for k in range(1, 2 * g):
         yield Fraction(k, g), k <= g  # point (k*a/g, k*b/g)
@@ -234,7 +229,7 @@ def _three_monomial_lattice(params: ThreeMonomialParams):
 def three_monomial_instance(params: ThreeMonomialParams) -> TjurinaInstance:
     """Instance for f = x^a y^b + x^c + y^d via Newton-polygon lattice sets."""
     params.validate()
-    a, b, c, d = params.a, params.b, params.c, params.d
+    a, b, c, d = params
     inst = _lattice_instance(_three_monomial_lattice(params),
                              Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2),
                              f"three_monomial({a},{b},{c},{d})", swh=False)
@@ -277,7 +272,7 @@ def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:
     An engine tau outside [1, mu] is an internal error.
     """
     spectrum = puiseux_spectrum(params)
-    a, b, d, q, r = params.a, params.b, params.d, params.q, params.r
+    a, b, d, q, r = params
     f = (Poly.monomial((0, b)) - Poly.monomial((a, 0))) ** d - Poly.monomial((a * d + q, r))
     tau = localg.tjurina(f)
     if not 1 <= tau <= spectrum.mu:

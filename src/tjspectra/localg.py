@@ -77,7 +77,6 @@ lowest-degree term, so truncation keeps it: the cap-N leads are exactly the
 pivot leads of degree <= N.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count, product
@@ -86,7 +85,7 @@ from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm
-from .poly import MAX_VARS, Exponent, IntPoly, Poly, add_terms
+from .poly import MAX_VARS, Exponent, IntPoly, Poly, _read_only, add_terms
 
 INFINITE = "infinite"
 FIELD_BITS = 16                           # W: the width of each packed field
@@ -323,18 +322,25 @@ def _shared_nvars(gens: Sequence[Poly]) -> int:
     return nvars.pop()
 
 
-@dataclass(frozen=True, repr=False)
 class StdBasisResult:
-    """A standard basis, its lead exponents and its colength.
+    """A standard basis, its lead exponents and its colength (an int or INFINITE).
 
     ``generators`` is built from the packed (generator, lead, ecart) triples
     on first read; two results are equal when their generators, leads and
     colengths are, which the packed triples decide without unpacking.
     """
-    lead_exponents: tuple[Exponent, ...]
-    colength: Union[int, str]  # int or INFINITE
-    _nvars: int
-    _packed: tuple[tuple[PackedPoly, int, int], ...]
+    __setattr__ = __delattr__ = _read_only  # immutable; __eq__ with no __hash__: unhashable
+
+    def __init__(self, lead_exponents: tuple[Exponent, ...], colength: Union[int, str],
+                 _nvars: int, _packed: tuple[tuple[PackedPoly, int, int], ...]):
+        vars(self).update(lead_exponents=lead_exponents, colength=colength,
+                          _nvars=_nvars, _packed=_packed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.lead_exponents, self.colength, self._nvars, self._packed)
+                == (other.lead_exponents, other.colength, other._nvars, other._packed))
 
     @cached_property
     def generators(self) -> tuple[Poly, ...]:

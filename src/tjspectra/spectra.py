@@ -16,17 +16,15 @@ numerators.  Statistics are integer power sums over the numerators, and a
 ``Fraction`` is built only for each value returned.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptySpectrum, EmptySubset, SymmetryViolation, ValueOutOfRange
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     values: tuple[Fraction, ...]  # weakly increasing
     n: int                        # number of variables
     complete: bool                # symmetry verified at construction
@@ -40,8 +38,7 @@ class Spectrum:
         return self.values[i - 1]
 
 
-@dataclass(frozen=True)
-class SubsetStats:
+class SubsetStats(NamedTuple):
     tau: int
     av: Fraction
     var: Fraction

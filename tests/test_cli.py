@@ -347,10 +347,9 @@ def test_cross_check_tau_mismatch(monkeypatch, capsys, family, flags, error, cod
 ], ids=["full-delta-nonzero", "thm31-without-positive-delta"])
 def test_sweep_row_invariant_violation_exits_2(monkeypatch, capsys, name, field, value,
                                                message):
-    from dataclasses import replace
     from tjspectra import cli
     real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda arg: replace(real(arg), **{field: value}))
+    monkeypatch.setattr(cli, name, lambda arg: real(arg)._replace(**{field: value}))
     # the invariants hold only for the Tjurina subset
     assert cli.main(SWH_ARGS + ["--subset", "drop-max"]) == 0
     capsys.readouterr()

@@ -1,8 +1,10 @@
 """The package surface: no runtime dependencies, since every absolute
-import in src/tjspectra names a standard-library module, and exactly the
-public names listed below exported from `tjspectra`."""
+import in src/tjspectra names a standard-library module, exactly the
+public names listed below exported from `tjspectra`, and no standard-library
+module loaded at start-up that the CLI does not need."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -49,3 +51,26 @@ def test_package_exports_exactly_these_names():
         "StdBasisResult", "colength_oracle", "local_std_basis", "milnor", "tjurina",
         "decimal_str", "format_ratio",
     }
+
+
+def imported_modules(*args):
+    """The modules a fresh interpreter run with these arguments imports, by
+    the names that -X importtime reports, less those a bare start imports."""
+    def names(*argv):
+        err = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                             capture_output=True, text=True, check=True).stderr
+        return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                if line.startswith("import time:") and "imported package" not in line}
+    return names(*args) - names("-c", "pass")
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    loaded = imported_modules("-c", "import tjspectra.cli")
+    assert "tjspectra.cli" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_a_colength_call_loads_no_json():
+    loaded = imported_modules("-m", "tjspectra.cli", "milnor", "--poly", "x^2+y^3")
+    assert "tjspectra.localg" in loaded
+    assert not {"json", "dataclasses", "inspect"} & loaded
