@@ -28,13 +28,11 @@ borrows and sets its guard bit.  A degree of
 engine forms before it knows a highest corner N <= 2^(W-1) (below), after
 which such terms are dropped.  So no kept term reaches a guard bit, and no
 field carries into the next.  There is one packing per number of
-variables, built at import.  Generators are packed once on entry.  The
-result of :func:`local_std_basis` keeps the packed basis and unpacks it
-into ``Poly``s only when its ``generators`` are first read.  ``milnor``
-and ``tjurina`` build neither a ``Poly`` nor a result: they pack f's terms
-once and form each partial derivative on the packed ints, where dividing
-a monomial by x_v is subtracting packed x_v, then count the colength from
-the engine's lead tuples.
+variables, built at import.  Generators are packed once on entry.
+``milnor`` and ``tjurina`` build neither a ``Poly`` nor a result: they
+pack f's terms once and form each partial derivative on the packed ints,
+where dividing a monomial by x_v is subtracting packed x_v, then count the
+colength from the engine's lead tuples.
 
 Highest-corner cut (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 1.7; Singular's ``noether``).  Once the leads hold a
@@ -77,15 +75,14 @@ lowest-degree term, so truncation keeps it: the cap-N leads are exactly the
 pivot leads of degree <= N.
 """
 
-from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count, product
 from math import comb, gcd
 from operator import add, mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm
-from .poly import MAX_VARS, Exponent, IntPoly, Poly, _read_only, add_terms
+from .poly import MAX_VARS, Exponent, IntPoly, Poly, add_terms
 
 INFINITE = "infinite"
 FIELD_BITS = 16                           # W: the width of each packed field
@@ -322,35 +319,11 @@ def _shared_nvars(gens: Sequence[Poly]) -> int:
     return nvars.pop()
 
 
-class StdBasisResult:
-    """A standard basis, its lead exponents and its colength (an int or INFINITE).
-
-    ``generators`` is built from the packed (generator, lead, ecart) triples
-    on first read; two results are equal when their generators, leads and
-    colengths are, which the packed triples decide without unpacking.
-    """
-    __setattr__ = __delattr__ = _read_only  # immutable; __eq__ with no __hash__: unhashable
-
-    def __init__(self, lead_exponents: tuple[Exponent, ...], colength: Union[int, str],
-                 _nvars: int, _packed: tuple[tuple[PackedPoly, int, int], ...]):
-        vars(self).update(lead_exponents=lead_exponents, colength=colength,
-                          _nvars=_nvars, _packed=_packed)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.lead_exponents, self.colength, self._nvars, self._packed)
-                == (other.lead_exponents, other.colength, other._nvars, other._packed))
-
-    @cached_property
-    def generators(self) -> tuple[Poly, ...]:
-        unpack = _PACKINGS[self._nvars].unpack
-        return tuple(Poly({unpack(m): c for m, c in g.items()}, self._nvars)
-                     for g, _, _ in self._packed)
-
-    def __repr__(self) -> str:
-        return (f"StdBasisResult(generators={self.generators!r}, "
-                f"lead_exponents={self.lead_exponents!r}, colength={self.colength!r})")
+class StdBasisResult(NamedTuple):
+    """A standard basis, its lead exponents and its colength (an int or INFINITE)."""
+    generators: tuple[Poly, ...]
+    lead_exponents: tuple[Exponent, ...]
+    colength: Union[int, str]
 
 
 def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
@@ -365,7 +338,9 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     packing = _PACKINGS[nvars]
     packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
     basis, leads, pure = _std_int(packed, packing)
-    return StdBasisResult(tuple(leads), _colength_of_leads(leads, pure), nvars, tuple(basis))
+    generators = tuple(Poly({packing.unpack(m): c for m, c in g.items()}, nvars)
+                       for g, _, _ in basis)
+    return StdBasisResult(generators, tuple(leads), _colength_of_leads(leads, pure))
 
 
 def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:

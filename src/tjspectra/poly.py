@@ -73,15 +73,10 @@ def mul_terms(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def pow_terms(p: IntPoly, k: int, nvars: int) -> IntPoly:
-    """The term map of p ** k (p ** 0 is 1, also for p = 0); ValueError for k < 0.
-
-    A one-term base is raised directly; any other by repeated squaring.
-    """
+    """The term map of p ** k by repeated squaring (p ** 0 is 1, also for
+    p = 0); ValueError for k < 0."""
     if k < 0:
         raise ValueError("negative power")
-    if len(p) == 1:
-        ((e, c),) = p.items()
-        return {tuple(k * x for x in e): c ** k}
     result: IntPoly = {(0,) * nvars: 1}
     while k:
         if k & 1:

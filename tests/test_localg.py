@@ -89,14 +89,15 @@ def test_milnor_and_tjurina_build_no_generator(monkeypatch):
     monkeypatch.setattr(Poly, "derivative", refuse)
     assert milnor(f) == 36
     assert tjurina(f) == 35
-    # the patches do catch a build: a Jacobian, a result, its generators
+    # the patches do catch a build: a Jacobian, and the generators that
+    # local_std_basis builds before its result
     with pytest.raises(AssertionError, match="built a generator"):
         jacobian(f)
     with pytest.raises(AssertionError, match="built a generator"):
         local_std_basis(jac)
     monkeypatch.setattr(localg, "StdBasisResult", StdBasisResult)
     with pytest.raises(AssertionError, match="built a generator"):
-        local_std_basis(jac).generators
+        local_std_basis(jac)
 
 
 def reference_number(f, ideal):
@@ -175,9 +176,7 @@ def test_std_basis_result_is_plain_data():
               ("x*y^2", "x^2*y"), ("y", "x^3+x^4")]
     results = [local_std_basis(gens_of(*texts)) for texts in ideals]
     results.append(local_std_basis([parse_poly("x^2", nvars=3), parse_poly("y^2", nvars=3)]))
-    # a fresh result against one whose generators have been read
     again = local_std_basis(gens_of(*ideals[0]))
-    assert results[0].generators and "generators" not in vars(again)
     assert again == results[0]
     for r in results:
         assert pickle.loads(pickle.dumps(r)) == r

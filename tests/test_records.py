@@ -1,5 +1,6 @@
 """The record classes as callers see them: constructor parameters, keyword
-construction, immutability, pickling and repr, for every public record."""
+construction, immutability, pickling and repr, for every public record, and
+tuple unpacking and equality for the named tuples."""
 
 import inspect
 import pickle
@@ -47,7 +48,7 @@ RECORDS = [
     (EnumerationResult, ["k", "slack", "clamped", "records"],
      lambda: enumerate_candidates(_spectrum(), 3)),
     (Poly, ["terms", "nvars"], lambda: parse_poly("x^2-3*x*y^4+y^3")),
-    (StdBasisResult, ["lead_exponents", "colength", "_nvars", "_packed"], _std_basis),
+    (StdBasisResult, ["generators", "lead_exponents", "colength"], _std_basis),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -85,10 +86,25 @@ def test_pickle_round_trip(cls, names, make):
 @pytest.mark.parametrize("cls, names, make", RECORDS, ids=IDS)
 def test_repr_names_each_field(cls, names, make):
     record = make()
-    if cls is StdBasisResult:  # the generators stand for the packed private fields
-        names = ["generators", "lead_exponents", "colength"]
     shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
     assert repr(record) == f"{cls.__name__}({shown})"
+
+
+NAMED_TUPLES = [record for record in RECORDS if record[0] is not Poly]
+
+
+@pytest.mark.parametrize("cls, names, make", NAMED_TUPLES,
+                         ids=[cls.__name__ for cls, _, _ in NAMED_TUPLES])
+def test_named_tuple_records_unpack_and_equal_a_tuple(cls, names, make):
+    record = make()
+    assert tuple(record) == tuple(getattr(record, name) for name in names)
+    assert record == tuple(record)
+
+
+def test_std_basis_result_hashes_only_with_no_generators():
+    with pytest.raises(TypeError):
+        hash(_std_basis())
+    hash(StdBasisResult((), (), 0))
 
 
 def test_poly_is_unhashable():
