@@ -34,6 +34,11 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     All flags are exact rational comparisons; guaranteed_failure implies
     tjurina.delta > 0, that is, the generalized Hertling inequality fails
     (sufficiency only, not necessity).
+
+    Two invariants are checked on every call, and a violation raises
+    InternalConsistencyError: Hertling's inequality, delta <= 0 over the
+    full spectrum, with equality when ``inst.swh``; and Theorem 3.1's
+    conclusion, tjurina.delta > 0 whenever guaranteed_failure holds.
     """
     full = stats_of_values(inst.spectrum.values)
     tj = subset_stats(inst.spectrum, inst.tjurina_indices)
@@ -43,6 +48,10 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     width_condition = full.alpha_max - full.alpha_min <= 2
     cond_3_3 = Fraction(mu, 12) * (full.alpha_max - tj.alpha_max) >= (mu - tau) * full.alpha_max ** 2
     guaranteed = (inst.swh and mu_ne_tau and (width_condition or av_condition) and cond_3_3)
+    if full.delta > 0 or (inst.swh and full.delta != 0):  # Hertling's inequality; = 0 when swh
+        raise InternalConsistencyError(f"{inst.family_tag}: full-spectrum delta = {full.delta}")
+    if guaranteed and tj.delta <= 0:  # Theorem 3.1's conclusion
+        raise InternalConsistencyError(f"{inst.family_tag}: thm31 fires but delta = {tj.delta}")
     return Thm31Verdict(tj, mu_ne_tau, av_condition, width_condition, cond_3_3, guaranteed)
 
 

@@ -172,6 +172,13 @@ def test_sweep_deterministic_and_roundtrip():
         assert format_ratio(Fraction(exact)) == exact
 
 
+def test_sweep_prints_each_tuple_once(capsys):
+    from tjspectra import cli
+    assert cli.main(["sweep", "swh", "--a", "8,7,7", "--b", "7", "--c", "1,1", "--d", "1"]) == 0
+    rows = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == ["7,7,1,1", "8,7,1,1"]
+
+
 def test_sweep_jobs_match_serial(monkeypatch, capsys):
     import concurrent.futures
     from tjspectra import cli
@@ -341,22 +348,54 @@ def test_cross_check_tau_mismatch(monkeypatch, capsys, family, flags, error, cod
     assert ("tau = " in capsys.readouterr().err) == (error is not None)
 
 
-@pytest.mark.parametrize("name, field, value, message", [
-    ("stats_of_values", "delta", 1, "full-spectrum delta = 1"),
-    ("thm31_verdict", "guaranteed_failure", True, "thm31 fires but delta = -"),
+FRONTIER = ["swh", "--a", "48", "--b", "48", "--c", "1", "--d", "1"]  # thm31 fires from m = 48
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("stats_of_values", 1, "full-spectrum delta = 1"),
+    ("subset_stats", -1, "thm31 fires but delta = -1"),
 ], ids=["full-delta-nonzero", "thm31-without-positive-delta"])
-def test_sweep_row_invariant_violation_exits_2(monkeypatch, capsys, name, field, value,
-                                               message):
-    from tjspectra import cli
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda arg: real(arg)._replace(**{field: value}))
-    # the invariants hold only for the Tjurina subset
-    assert cli.main(SWH_ARGS + ["--subset", "drop-max"]) == 0
-    capsys.readouterr()
-    assert cli.main(SWH_ARGS) == 2
-    out, err = capsys.readouterr()
+def test_sweep_row_invariant_violation_exits_2(monkeypatch, capsys, name, value, message):
+    from tjspectra import cli, conjecture
+    real = getattr(conjecture, name)
+    monkeypatch.setattr(conjecture, name, lambda *args: real(*args)._replace(delta=value))
+    # the drop-max subset of swh(m,m,1,1) is its Tjurina subset, so drop-max rows are checked too
+    for argv in (["check"] + FRONTIER, ["sweep"] + FRONTIER,
+                 ["sweep"] + FRONTIER + ["--subset", "drop-max"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"internal error: swh(48,48,1,1): {message}\n"
+
+
+@pytest.mark.parametrize("family, flags, tag", [
+    ("three-monomial", ["--a", "2", "--b", "4", "--c", "7", "--d", "6"], "three_monomial(2,4,7,6)"),
+    ("puiseux", ["--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"],
+     "puiseux(3,2,2,q=1,r=1)"),
+], ids=["three-monomial", "puiseux"])
+def test_hertling_inequality_violation_exits_2(monkeypatch, capsys, family, flags, tag):
+    from fractions import Fraction
+    from tjspectra import cli, conjecture
+    real = conjecture.stats_of_values
+    for delta, status in ((Fraction(-1, 7), 0), (Fraction(1, 7), 2)):  # off swh, < 0 is legal
+        monkeypatch.setattr(conjecture, "stats_of_values",
+                            lambda values: real(values)._replace(delta=delta))
+        assert cli.main(["check", family] + flags) == status
+        out, err = capsys.readouterr()
     assert out == ""
-    assert f"internal error: swh(5,5,1,1): {message}" in err
+    assert err == f"internal error: {tag}: full-spectrum delta = 1/7\n"
+
+
+@pytest.mark.parametrize("m, fires, delta", [
+    (47, "false", "82849/58556172 (+)"),
+    (48, "true", "7391/5308416 (+)"),
+])
+def test_check_thm31_frontier_at_c_d_1(capsys, m, fires, delta):
+    from tjspectra import cli
+    assert cli.main(["check", "swh", "--a", str(m), "--b", str(m), "--c", "1", "--d", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"thm31_guaranteed_failure = {fires}" in lines
+    assert any(line.startswith(f"delta = {delta} ~ ") for line in lines)
 
 
 def test_closed_stdout_exits_1_with_nothing_on_stderr():

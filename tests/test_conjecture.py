@@ -5,10 +5,10 @@ import pytest
 from tjspectra.conjecture import (closed_form_tau_delta_322,
                                   enumerate_candidates, mple_failure_bound,
                                   prop41_step, remark32_compare, thm31_verdict)
-from tjspectra.errors import (EvenC, GapZero, IndexNotInSubset, NotSingleSwap,
-                              SubsetTooSmall, WrongDirection)
-from tjspectra.families import (BrieskornParams, PuiseuxParams, SwhParams,
-                                puiseux_instance, swh_instance)
+from tjspectra.errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
+                              NotSingleSwap, SubsetTooSmall, WrongDirection)
+from tjspectra.families import (BrieskornParams, PuiseuxParams, SwhParams, ThreeMonomialParams,
+                                puiseux_instance, swh_instance, three_monomial_instance)
 from tjspectra.spectra import stats_of_values, subset_stats
 
 
@@ -52,6 +52,16 @@ def test_thm31_77_sufficiency_not_necessity():
 def test_thm31_weighted_homogeneous():
     v = thm31_verdict(full_instance(5, 5))
     assert not v.mu_ne_tau and not v.guaranteed_failure
+
+
+def test_thm31_verdict_checks_hertlings_equality_when_swh():
+    inst = three_monomial_instance(ThreeMonomialParams(2, 4, 7, 6))
+    delta = stats_of_values(inst.spectrum.values).delta
+    assert delta < 0  # legal off swh, an error when swh
+    thm31_verdict(inst)
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"^three_monomial\(2,4,7,6\): full-spectrum delta = {delta}$"):
+        thm31_verdict(inst._replace(swh=True))
 
 
 def test_mple_bound():

@@ -10,7 +10,8 @@ from tjspectra.errors import (DegenerateExponent, GcdViolation,
 from tjspectra.families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhParams,
                                 ThreeMonomialParams, puiseux_instance, puiseux_spectrum,
                                 swh_instance, three_monomial_instance)
-from tjspectra.poly import parse_poly
+from tjspectra.localg import colength_oracle
+from tjspectra.poly import jacobian, parse_poly
 from tjspectra.spectra import stats_of_values
 from tjspectra.verify import THREE_MONOMIAL_TUPLES, swh_grid
 
@@ -166,6 +167,15 @@ def test_puiseux_c5():
     inst.cross_check()
     assert (inst.mu, inst.tau) == (20, 18)
     assert inst.defining_poly == parse_poly("(y^2-x^3)^2-x^7*y")
+
+
+@pytest.mark.parametrize("params", [(3, 2, 2, 1, 1), (5, 2, 2, 1, 1), (4, 3, 2, 1, 1)])
+def test_puiseux_tau_matches_the_oracle(params):
+    # tau <= mu puts every monomial of degree mu in (J_f, f), so the cap mu
+    # needs nothing from the engine
+    inst = puiseux_instance(PuiseuxParams(*params))
+    f = inst.defining_poly
+    assert inst.tau == colength_oracle(jacobian(f) + [f], inst.mu)
 
 
 def test_puiseux_gcd_violation():
