@@ -144,7 +144,7 @@ def cmd_sweep(args):
         raise TjspectraError("empty parameter range")
     if args.jobs < 1:
         raise TjspectraError(f"--jobs must be at least 1, got {args.jobs}")
-    values = [dict(zip(raw, t)) for t in sorted(set(product(*ranges)))]
+    values = [dict(zip(raw, t)) for t in product(*(sorted(set(r)) for r in ranges))]
     row_args = (repeat(args.family), values, repeat(args.subset))
     workers = min(args.jobs, os.cpu_count() or 1, len(values))
     if workers > 1:

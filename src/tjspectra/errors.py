@@ -2,7 +2,11 @@
 
 
 class TjspectraError(Exception):
-    """Base class for every error raised by this package."""
+    """Base of every exception class in this module; the CLI exits 2 on
+    InternalConsistencyError and 1 on the others.  A misused library call
+    (``Poly``, ``pow_terms``, ``colength_oracle``, ``local_std_basis``,
+    ``mple_failure_bound``, ``closed_form_tau_delta_322``, the statistics)
+    raises the built-in TypeError or ValueError instead."""
 
 
 # --- spectrum construction / statistics ---

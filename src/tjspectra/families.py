@@ -1,8 +1,8 @@
 """Spectrum generators for the four explicit singularity families.
 
 :data:`FAMILIES` maps each family name to its parameter class, whose
-``instance`` method returns a :class:`TjurinaInstance`: the complete
-spectrum, the Tjurina index subset, the defining polynomial that
+``instance`` method returns a :class:`TjurinaInstance`: the spectrum,
+the Tjurina index subset, the defining polynomial that
 :meth:`TjurinaInstance.cross_check` hands to the local-algebra engine, and
 what only the family knows about them.
 
@@ -84,7 +84,7 @@ class SwhParams(NamedTuple):
         if not (2 * c < a and 2 * d < b):
             raise InvalidFamilyParameters(
                 f"need c < a/2 and d < b/2, got (a,b,c,d)=({a},{b},{c},{d})")
-        if Fraction(a - 1 - c, a) + Fraction(b - 1 - d, b) <= 1:
+        if (a - 1 - c) * b + (b - 1 - d) * a <= a * b:
             raise InvalidFamilyParameters(
                 "the perturbing monomial is not above the weighted degree: "
                 f"(a-1-c)/a + (b-1-d)/b <= 1 for (a,b,c,d)=({a},{b},{c},{d})")
@@ -159,7 +159,7 @@ def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInst
     pairs, sorted with the Tjurina members first among equal values, and
     whose Tjurina subset is the indices of the members."""
     ordered = sorted(pairs, key=lambda p: (p[0], not p[1]))
-    spectrum = make_spectrum([v for v, _ in ordered], n=2, complete=True)
+    spectrum = make_spectrum([v for v, _ in ordered], n=2)
     indices = frozenset(i for i, (_, tj) in enumerate(ordered, 1) if tj)
     return TjurinaInstance(spectrum, indices, f, family_tag, swh=swh, subset_assumed=False)
 
@@ -171,7 +171,7 @@ def brieskorn_instance(params: BrieskornParams) -> TjurinaInstance:
     params.validate()
     a, b = params
     spectrum = spectrum_of_numerators([i * b + j * a for i in range(1, a) for j in range(1, b)],
-                                      a * b, 2, complete=True)
+                                      a * b, 2)
     return TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)),
                            Poly({(a, 0): 1, (0, b): 1}, 2), f"brieskorn({a},{b})",
                            swh=True, subset_assumed=False)
@@ -260,7 +260,7 @@ def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
     for i in range(1, a):
         for t in range(i * b + a, a * b, a):  # t = i*b + j*a < ab
             lower.extend(range(t * per_abd, L, a * b * per_abd))  # k = 0, ..., d-1
-    return spectrum_of_numerators(lower + [2 * L - k for k in lower], L, 2, complete=True)
+    return spectrum_of_numerators(lower + [2 * L - k for k in lower], L, 2)
 
 
 def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:

@@ -1,8 +1,8 @@
 """Spectra of isolated hypersurface singularities and their variance statistics.
 
-A spectrum is a weakly increasing multiset of exact rationals in (0, n).
-A *complete* spectrum additionally satisfies the symmetry
-alpha_i + alpha_{mu+1-i} = n.  All statistics here are exact; the defect
+A spectrum is a weakly increasing multiset of exact rationals in (0, n)
+with the symmetry alpha_i + alpha_{mu+1-i} = n, checked at construction.
+All statistics here are exact; the defect
 ``delta = Var - width/12`` is the quantity whose sign the (generalized)
 Hertling conjecture constrains.
 
@@ -25,9 +25,7 @@ from .errors import EmptySpectrum, EmptySubset, SymmetryViolation, ValueOutOfRan
 
 
 class Spectrum(NamedTuple):
-    values: tuple[Fraction, ...]  # weakly increasing
-    n: int                        # number of variables
-    complete: bool                # symmetry verified at construction
+    values: tuple[Fraction, ...]  # weakly increasing, symmetric about n/2
 
     @property
     def mu(self) -> int:
@@ -51,11 +49,11 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     """Integer numerators of exact rationals over their least common denominator.
 
     Returns ``(nums, L)`` with ``values[i] == nums[i] / L``.  Ints count as
-    ``n/1``; floats and every other type raise TypeError, so that no inexact
-    number enters the arithmetic.
+    ``n/1``; bools, floats and every other type raise TypeError, so that no
+    inexact number or truth value enters the arithmetic.
     """
     for t in set(map(type, values)):
-        if not issubclass(t, (int, Fraction)):
+        if issubclass(t, bool) or not issubclass(t, (int, Fraction)):
             raise TypeError(f"spectral values must be int or Fraction, not {t.__name__}")
     pairs = [v.as_integer_ratio() for v in values]
     dens = {d for _, d in pairs}
@@ -64,10 +62,9 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     return [k * scale[d] for k, d in pairs], L
 
 
-def _checked_numerators(nums: Iterable[int], L: int, n: int, complete: bool) -> list[int]:
+def _checked_numerators(nums: Iterable[int], L: int, n: int) -> list[int]:
     """The numerators sorted, once the values k/L are known to lie in (0, n),
-    that is 0 < k < nL, and, with ``complete``, to satisfy
-    k_i + k_{mu+1-i} = nL."""
+    that is 0 < k < nL, and to satisfy k_i + k_{mu+1-i} = nL."""
     nums = sorted(nums)
     if not nums:
         raise EmptySpectrum("a spectrum must contain at least one value")
@@ -75,26 +72,23 @@ def _checked_numerators(nums: Iterable[int], L: int, n: int, complete: bool) -> 
     if nums[0] <= 0 or nums[-1] >= top:
         bad = nums[0] if nums[0] <= 0 else nums[-1]
         raise ValueOutOfRange(f"spectral value {Fraction(bad, L)} outside (0, {n})")
-    if complete:
-        mu = len(nums)
-        for i, pair_sum in enumerate(map(add, nums, reversed(nums))):
-            if pair_sum != top:
-                raise SymmetryViolation(
-                    f"alpha_{i + 1} + alpha_{mu - i} = {Fraction(pair_sum, L)} != {n}")
+    for i, pair_sum in enumerate(map(add, nums, reversed(nums))):
+        if pair_sum != top:
+            raise SymmetryViolation(
+                f"alpha_{i + 1} + alpha_{len(nums) - i} = {Fraction(pair_sum, L)} != {n}")
     return nums
 
 
-def spectrum_of_numerators(nums: Iterable[int], L: int, n: int,
-                           complete: bool = False) -> Spectrum:
+def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
     """Spectrum of the values k/L for the int numerators k, in any order,
     with the checks of :func:`make_spectrum`; each distinct value's
     ``Fraction`` is built once."""
-    nums = _checked_numerators(nums, L, n, complete)
+    nums = _checked_numerators(nums, L, n)
     value = {k: Fraction(k, L) for k in set(nums)}
-    return Spectrum(tuple(map(value.__getitem__, nums)), n, complete)
+    return Spectrum(tuple(map(value.__getitem__, nums)))
 
 
-def make_spectrum(values: Iterable[Fraction], n: int, complete: bool = False) -> Spectrum:
+def make_spectrum(values: Iterable[Fraction], n: int) -> Spectrum:
     """Spectrum of int or Fraction values, in any order, with the range and
     symmetry checks run on their numerators over the least common
     denominator.  The caller's ``Fraction`` objects are kept: building each
@@ -102,8 +96,8 @@ def make_spectrum(values: Iterable[Fraction], n: int, complete: bool = False) ->
     items = list(values)
     nums, L = _over_common_denominator(items)
     value = {k: v if type(v) is Fraction else Fraction(v) for k, v in zip(nums, items)}
-    nums = _checked_numerators(nums, L, n, complete)
-    return Spectrum(tuple(map(value.__getitem__, nums)), n, complete)
+    nums = _checked_numerators(nums, L, n)
+    return Spectrum(tuple(map(value.__getitem__, nums)))
 
 
 def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:
@@ -114,7 +108,7 @@ def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:
     av = S1 / (tau L), Var = (tau S2 - S1^2) / (tau^2 L^2) by the
     sum-of-squares identity sum (a_i - av)^2 = sum a_i^2 - tau * av^2;
     the property tests compare every field with a Fraction-sum reference.
-    A float raises TypeError.
+    A bool or a float raises TypeError.
     """
     tau = len(values)
     if tau == 0:

@@ -1,7 +1,7 @@
-"""Exact stdout of `spectrum`, `check` and a Puiseux `sweep`, one instance of
-every family, and of `enumerate` and `verify`, pinned against files in
-tests/golden/.  `spectrum` and `check` with `--cross-check` must print the
-same file as without it.
+"""Exact stdout of `spectrum` and `check`, one instance of every family, of
+a Puiseux and an swh drop-max `sweep`, and of `enumerate` and `verify`,
+pinned against files in tests/golden/.  `spectrum` and `check` with
+`--cross-check` must print the same file as without it.
 
 The family files were written by the CLI before the family table replaced
 the per-family code in `cli.py`, and the `enumerate` and `verify` files
@@ -31,6 +31,8 @@ GOLDEN = {f"{command}-{family}{suffix}": [command, family] + flags + extra
 GOLDEN["sweep-puiseux-drop-max"] = ["sweep", "puiseux", "--a", "3", "--b", "2", "--d", "2",
                                     "--q=-1:9", "--r", "1", "--subset", "drop-max",
                                     "--format", "json"]
+GOLDEN["sweep-swh-drop-max"] = ["sweep", "swh", "--a", "47:48", "--b", "47:48", "--c", "1:2",
+                                "--d", "1", "--subset", "drop-max"]
 GOLDEN["enumerate-x7-y7"] = ["enumerate", "--poly", "x^7+y^7", "--slack", "10"]
 GOLDEN["verify"] = ["verify"]
 

@@ -68,7 +68,8 @@ def test_integer_power_sums_match_fraction_sums(values):
 
 
 @given(st.lists(mixed_values, max_size=10),
-       st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10))
+       st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans()),
+       st.integers(0, 10))
 def test_float_input_raises_type_error(values, x, at):
     values.insert(at, x)
     with pytest.raises(TypeError):
@@ -190,7 +191,6 @@ def test_remark32_agrees_with_direct_ordering_on_candidates():
 @settings(max_examples=40, deadline=None)
 def test_complete_spectrum_properties(a, b):
     s = BrieskornParams(a, b).instance().spectrum
-    assert s.complete
     mu = s.mu
     for i in range(mu):
         assert s.values[i] + s.values[mu - 1 - i] == 2
@@ -199,7 +199,7 @@ def test_complete_spectrum_properties(a, b):
 
 @given(st.lists(rationals, min_size=1, max_size=10))
 def test_sorting_idempotence(values):
-    s = make_spectrum(values, n=2)
+    s = make_spectrum(values + [2 - v for v in values], n=2)
     assert make_spectrum(s.values, n=2).values == s.values
 
 

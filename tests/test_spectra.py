@@ -13,14 +13,14 @@ from tjspectra.spectra import (make_spectrum, spectrum_of_numerators,
 
 
 def test_make_spectrum_sorts():
-    s = make_spectrum([F(7, 6), F(5, 6)], n=2, complete=True)
+    s = make_spectrum([F(7, 6), F(5, 6)], n=2)
     assert s.values == (F(5, 6), F(7, 6))
     assert s.mu == 2
 
 
 def test_make_spectrum_eq45_multiset():
     vals = [F(4 * p + 5 * q, 20) for p in range(1, 5) for q in range(1, 4)]
-    s = make_spectrum(vals, n=2, complete=True)
+    s = make_spectrum(vals, n=2)
     assert s.mu == 12
     assert s.values[0] == F(9, 20)
     assert s.values[-1] == F(31, 20)
@@ -28,7 +28,9 @@ def test_make_spectrum_eq45_multiset():
 
 def test_make_spectrum_symmetry_violation():
     with pytest.raises(SymmetryViolation):
-        make_spectrum([F(5, 6), F(7, 6), F(7, 6)], n=2, complete=True)
+        make_spectrum([F(5, 6), F(7, 6), F(7, 6)], n=2)
+    with pytest.raises(SymmetryViolation, match=r"alpha_1 \+ alpha_2 = 3/2 != 2$"):
+        make_spectrum([F(1, 2), F(1)], 2)
 
 
 def test_make_spectrum_errors():
@@ -93,7 +95,7 @@ def test_average_is_half_n_for_complete():
 
 
 def test_singleton_spectrum():
-    s = make_spectrum([F(1)], n=2, complete=True)
+    s = make_spectrum([F(1)], n=2)
     st = stats_of_values(s.values)
     assert st.var == 0 and st.alpha_max - st.alpha_min == 0 and st.delta == 0
 
@@ -107,7 +109,7 @@ def test_hertling_defect_zero_on_brieskorn():
 
 def test_hertling_defect_eq45_spectrum():
     vals = [F(4 * p + 5 * q, 20) for p in range(1, 5) for q in range(1, 4)]
-    assert stats_of_values(make_spectrum(vals, n=2, complete=True).values).delta == 0
+    assert stats_of_values(make_spectrum(vals, n=2).values).delta == 0
 
 
 def test_variance_centers_at_average_not_half_n():
@@ -117,47 +119,48 @@ def test_variance_centers_at_average_not_half_n():
     assert st.var == F(1, 64)
 
 
-def reference_check(values, n, complete):
+def reference_check(values, n):
     """Range and symmetry checks on sorted Fractions, the slow route for the
     integer checks in make_spectrum: (exception type, message) or None."""
     vals = sorted(values)
     if vals[0] <= 0 or vals[-1] >= n:
         bad = vals[0] if vals[0] <= 0 else vals[-1]
         return ValueOutOfRange, f"spectral value {bad} outside (0, {n})"
-    if complete:
-        mu = len(vals)
-        for i in range(mu):
-            if vals[i] + vals[mu - 1 - i] != n:
-                return SymmetryViolation, (f"alpha_{i + 1} + alpha_{mu - i} = "
-                                           f"{vals[i] + vals[mu - 1 - i]} != {n}")
+    mu = len(vals)
+    for i in range(mu):
+        if vals[i] + vals[mu - 1 - i] != n:
+            return SymmetryViolation, (f"alpha_{i + 1} + alpha_{mu - i} = "
+                                       f"{vals[i] + vals[mu - 1 - i]} != {n}")
     return None
 
 
 @given(st.sampled_from([(2, 3), (5, 4), (7, 7), (9, 6)]), st.data(),
        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=1009),
-       st.booleans(), st.booleans())
-def test_integer_checks_match_fraction_checks(ab, data, shift, complete, append):
+       st.booleans())
+def test_integer_checks_match_fraction_checks(ab, data, shift, append):
     values = list(BrieskornParams(*ab).instance().spectrum.values)
     if append:
         values.append(values[-1] + shift)
     else:
         i = data.draw(st.integers(0, len(values) - 1))
         values[i] += shift
-    expected = reference_check(values, 2, complete)
+    expected = reference_check(values, 2)
     if expected is None:
-        s = make_spectrum(values, n=2, complete=complete)
+        s = make_spectrum(values, n=2)
         assert s.values == tuple(sorted(values))
     else:
         with pytest.raises(expected[0], match=re.escape(expected[1]) + "$"):
-            make_spectrum(values, n=2, complete=complete)
+            make_spectrum(values, n=2)
 
 
 def test_make_spectrum_accepts_ints_and_rejects_floats():
-    s = make_spectrum([1, F(1, 2), F(3, 2)], n=2, complete=True)
+    s = make_spectrum([1, F(1, 2), F(3, 2)], n=2)
     assert s.values == (F(1, 2), F(1), F(3, 2))
     assert all(type(v) is F for v in s.values)
     with pytest.raises(TypeError):
         make_spectrum([0.5, F(3, 2)], n=2)
+    with pytest.raises(TypeError, match="not bool$"):
+        make_spectrum([True, F(1, 2), F(3, 2)], n=2)
 
 
 def outcome(build, *args):
@@ -168,25 +171,26 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
-@given(st.integers(1, 60), st.integers(1, 3), st.booleans(), st.booleans(),
+@given(st.integers(1, 60), st.integers(1, 3), st.booleans(),
        st.lists(st.integers(-5, 200), max_size=12), st.integers(-3, 3), st.data())
-def test_numerator_constructor_matches_make_spectrum(L, n, complete, mirror, nums, shift, data):
+def test_numerator_constructor_matches_make_spectrum(L, n, mirror, nums, shift, data):
     if mirror:  # a symmetric multiset, with one numerator moved by shift
         nums = nums + [n * L - k for k in nums]
         if nums:
             i = data.draw(st.integers(0, len(nums) - 1))
             nums[i] += shift
-    expected = outcome(make_spectrum, [F(k, L) for k in nums], n, complete)
-    assert outcome(spectrum_of_numerators, nums, L, n, complete) == expected
+    expected = outcome(make_spectrum, [F(k, L) for k in nums], n)
+    assert outcome(spectrum_of_numerators, nums, L, n) == expected
 
 
-@pytest.mark.parametrize("nums, complete, error", [
+@pytest.mark.parametrize("nums, descending, error", [
     ([], False, EmptySpectrum),
     ([0, 3], False, ValueOutOfRange),
     ([3, 12], False, ValueOutOfRange),
     ([3, 5, 7], True, SymmetryViolation),
 ])
-def test_numerator_constructor_raises_what_make_spectrum_raises(nums, complete, error):
-    expected = outcome(make_spectrum, [F(k, 6) for k in nums], 2, complete)
+def test_numerator_constructor_raises_what_make_spectrum_raises(nums, descending, error):
+    nums = sorted(nums, reverse=descending)  # the order given must not matter
+    expected = outcome(make_spectrum, [F(k, 6) for k in nums], 2)
     assert expected[0] is error
-    assert outcome(spectrum_of_numerators, nums, 6, 2, complete) == expected
+    assert outcome(spectrum_of_numerators, nums, 6, 2) == expected
