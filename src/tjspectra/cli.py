@@ -119,12 +119,12 @@ def sweep_row(family, values, subset):
     if subset == "drop-max":
         if inst.mu == 1:
             return None
-        indices = range(1, inst.mu)
+        subset_inst = inst._replace(tjurina_indices=frozenset(range(1, inst.mu)))
     else:
-        indices = sorted(inst.tjurina_indices)
-    st = subset_stats(inst.spectrum, indices)
+        subset_inst = inst
+    st = subset_stats(inst.spectrum, subset_inst.tjurina_indices)
     full = stats_of_values(inst.spectrum.values)
-    v = thm31_verdict(inst._replace(tjurina_indices=frozenset(indices)))
+    v = thm31_verdict(subset_inst)
     return {
         "family": family,
         "params": ",".join(map(str, values.values())),

@@ -10,6 +10,12 @@ Index convention: within a group of equal spectral values the Tjurina
 members are placed first, so the Tjurina subset is an initial run of each
 level; this is the normal form the downstream index-based operations rely
 on, and it does not change any value multiset.
+
+Every spectrum is built from int numerators by
+:func:`~tjspectra.spectra.spectrum_of_numerators`.  Brieskorn and Puiseux
+produce them over their own denominator; the swh and three-monomial
+lattices yield ``(Fraction, is_tjurina)`` pairs, which
+:func:`_lattice_instance` maps to numerators once and sorts as int pairs.
 """
 
 from fractions import Fraction
@@ -20,7 +26,7 @@ from . import localg
 from .errors import (Condition81Violated, DegenerateExponent, GcdViolation,
                      InternalConsistencyError, InvalidFamilyParameters)
 from .poly import Poly
-from .spectra import Spectrum, make_spectrum, spectrum_of_numerators
+from .spectra import Spectrum, _over_common_denominator, spectrum_of_numerators
 
 
 class TjurinaInstance(NamedTuple):
@@ -157,10 +163,16 @@ FAMILIES = {"brieskorn": BrieskornParams, "swh": SwhParams,
 def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInstance:
     """The instance whose spectrum is the values of the (value, is_tjurina)
     pairs, sorted with the Tjurina members first among equal values, and
-    whose Tjurina subset is the indices of the members."""
-    ordered = sorted(pairs, key=lambda p: (p[0], not p[1]))
-    spectrum = make_spectrum([v for v, _ in ordered], n=2)
-    indices = frozenset(i for i, (_, tj) in enumerate(ordered, 1) if tj)
+    whose Tjurina subset is the indices of the members.
+
+    The values are mapped to int numerators k over their least common
+    denominator L once, and the sort runs on the int pairs (k, not is_tjurina),
+    so that no comparison goes through ``Fraction``."""
+    pairs = list(pairs)
+    nums, L = _over_common_denominator([v for v, _ in pairs])
+    ordered = sorted(zip(nums, [not tj for _, tj in pairs]))
+    spectrum = spectrum_of_numerators([k for k, _ in ordered], L, 2)
+    indices = frozenset(i for i, (_, later) in enumerate(ordered, 1) if not later)
     return TjurinaInstance(spectrum, indices, f, family_tag, swh=swh, subset_assumed=False)
 
 

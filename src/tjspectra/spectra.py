@@ -6,14 +6,13 @@ All statistics here are exact; the defect
 ``delta = Var - width/12`` is the quantity whose sign the (generalized)
 Hertling conjecture constrains.
 
-Arithmetic runs on integers.  A spectrum is built either from int
-numerators k over one denominator L (:func:`spectrum_of_numerators`, for
-the families that know their L), which builds each distinct value's
-``Fraction`` once, or from rational values (:func:`make_spectrum`), which
-maps them to numerators over their least common denominator and keeps the
-caller's objects.  Both run the same range and symmetry checks on the
-numerators.  Statistics are integer power sums over the numerators, and a
-``Fraction`` is built only for each value returned.
+Arithmetic runs on integers.  A spectrum is built from int numerators k
+over one denominator L (:func:`spectrum_of_numerators`), which runs the
+range and symmetry checks on the numerators and builds each distinct
+value's ``Fraction`` once; :func:`make_spectrum` takes rational values and
+maps them to numerators over their least common denominator first.
+Statistics are integer power sums over the numerators, and a ``Fraction``
+is built only for each value returned.
 """
 
 from fractions import Fraction
@@ -62,9 +61,10 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     return [k * scale[d] for k, d in pairs], L
 
 
-def _checked_numerators(nums: Iterable[int], L: int, n: int) -> list[int]:
-    """The numerators sorted, once the values k/L are known to lie in (0, n),
-    that is 0 < k < nL, and to satisfy k_i + k_{mu+1-i} = nL."""
+def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
+    """Spectrum of the values k/L for the int numerators k, in any order.
+    The values must lie in (0, n), that is 0 < k < nL, and satisfy
+    k_i + k_{mu+1-i} = nL; each distinct value's ``Fraction`` is built once."""
     nums = sorted(nums)
     if not nums:
         raise EmptySpectrum("a spectrum must contain at least one value")
@@ -76,28 +76,15 @@ def _checked_numerators(nums: Iterable[int], L: int, n: int) -> list[int]:
         if pair_sum != top:
             raise SymmetryViolation(
                 f"alpha_{i + 1} + alpha_{len(nums) - i} = {Fraction(pair_sum, L)} != {n}")
-    return nums
-
-
-def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
-    """Spectrum of the values k/L for the int numerators k, in any order,
-    with the checks of :func:`make_spectrum`; each distinct value's
-    ``Fraction`` is built once."""
-    nums = _checked_numerators(nums, L, n)
     value = {k: Fraction(k, L) for k in set(nums)}
     return Spectrum(tuple(map(value.__getitem__, nums)))
 
 
 def make_spectrum(values: Iterable[Fraction], n: int) -> Spectrum:
-    """Spectrum of int or Fraction values, in any order, with the range and
-    symmetry checks run on their numerators over the least common
-    denominator.  The caller's ``Fraction`` objects are kept: building each
-    value again from its numerator costs an swh sweep about 4% of its time."""
-    items = list(values)
-    nums, L = _over_common_denominator(items)
-    value = {k: v if type(v) is Fraction else Fraction(v) for k, v in zip(nums, items)}
-    nums = _checked_numerators(nums, L, n)
-    return Spectrum(tuple(map(value.__getitem__, nums)))
+    """Spectrum of int or Fraction values, in any order: their numerators
+    over the least common denominator, through :func:`spectrum_of_numerators`."""
+    nums, L = _over_common_denominator(list(values))
+    return spectrum_of_numerators(nums, L, n)
 
 
 def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:

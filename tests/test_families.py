@@ -4,15 +4,18 @@ from itertools import groupby, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tjspectra.errors import (DegenerateExponent, GcdViolation,
-                              InvalidFamilyParameters)
+                              InvalidFamilyParameters, TjspectraError)
 from tjspectra.families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhParams,
-                                ThreeMonomialParams, puiseux_instance, puiseux_spectrum,
+                                ThreeMonomialParams, TjurinaInstance, _lattice_instance,
+                                _three_monomial_lattice, puiseux_instance, puiseux_spectrum,
                                 swh_instance, three_monomial_instance)
 from tjspectra.localg import colength_oracle
-from tjspectra.poly import jacobian, parse_poly
-from tjspectra.spectra import stats_of_values
+from tjspectra.poly import Poly, jacobian, parse_poly
+from tjspectra.spectra import make_spectrum, stats_of_values
 from tjspectra.verify import THREE_MONOMIAL_TUPLES, swh_grid
 
 PUISEUX_REFERENCE = (Path(__file__).resolve().parent.parent
@@ -254,3 +257,87 @@ def test_puiseux_spectrum_matches_fraction_reference():
         s = puiseux_spectrum(p)
         assert list(s.values) == reference_puiseux_values(p), p
         assert all(type(v) is F for v in s.values), p
+
+
+def reference_lattice(pairs, f, family_tag, swh):
+    """The instance by a keyed sort of the (value, is_tjurina) pairs and
+    make_spectrum: the slow route for the integer sort of _lattice_instance."""
+    ordered = sorted(pairs, key=lambda p: (p[0], not p[1]))
+    spectrum = make_spectrum([v for v, _ in ordered], n=2)
+    indices = frozenset(i for i, (_, tj) in enumerate(ordered, 1) if tj)
+    return TjurinaInstance(spectrum, indices, f, family_tag, swh=swh, subset_assumed=False)
+
+
+def assert_matches_reference(inst, pairs):
+    expected = reference_lattice(pairs, inst.defining_poly, inst.family_tag, inst.swh)
+    assert inst == expected, inst.family_tag
+    assert all(type(v) is F for v in inst.spectrum.values), inst.family_tag
+
+
+def test_swh_matches_the_keyed_sort_reference():
+    grid = list(swh_grid(12))
+    assert len(grid) == 423
+    for p in grid:
+        a, b, c, d = p
+        pairs = [(F(i, a) + F(j, b), i < a - c or j < b - d)
+                 for i in range(1, a) for j in range(1, b)]
+        assert_matches_reference(swh_instance(p), pairs)
+
+
+def three_monomial_grid():
+    """THREE_MONOMIAL_TUPLES, then every valid tuple with a in 2..4, b in
+    3..6 and c, d in 5..14."""
+    yield from map(ThreeMonomialParams._make, THREE_MONOMIAL_TUPLES)
+    for t in product(range(2, 5), range(3, 7), range(5, 15), range(5, 15)):
+        p = ThreeMonomialParams(*t)
+        try:
+            p.validate()
+        except InvalidFamilyParameters:
+            continue
+        yield p
+
+
+def test_three_monomial_matches_the_keyed_sort_reference():
+    grid = list(dict.fromkeys(three_monomial_grid()))
+    assert len(grid) == 600  # the grid holds every tuple of THREE_MONOMIAL_TUPLES
+    for p in grid:
+        assert_matches_reference(three_monomial_instance(p), list(_three_monomial_lattice(p)))
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(value, is_tjurina) pairs over a few small mixed denominators, so that
+    equal values recur with both flags, in any order.  They are symmetric
+    about 1 unless one value is moved or one pair added, which may also put
+    a value outside (0, 2)."""
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 9, 12]), min_size=1, max_size=3))
+    value = st.sampled_from(dens).flatmap(
+        lambda d: st.integers(1, d).map(lambda k: F(k, d) if d > 1 else k))
+    lower = draw(st.lists(st.tuples(value, st.booleans()), max_size=20))
+    pairs = lower + [(2 - v, draw(st.booleans())) for v, _ in lower]
+    change = draw(st.sampled_from(["none", "none", "move", "add"]))
+    shift = draw(value) - draw(st.sampled_from([0, 1, 2]))
+    if change == "move" and pairs:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0] + shift, pairs[i][1])
+    elif change == "add":
+        pairs.append((1 + shift, draw(st.booleans())))
+    return draw(st.permutations(pairs))
+
+
+def outcome(build, *args):
+    """The instance that build returns, or the type and message it raises."""
+    try:
+        return build(*args)
+    except TjspectraError as exc:
+        return type(exc), str(exc)
+
+
+@given(lattice_pairs())
+@settings(max_examples=300)
+def test_lattice_instance_matches_the_keyed_sort_reference(pairs):
+    f = Poly({(2, 0): 1, (0, 3): 1}, 2)
+    expected = outcome(reference_lattice, pairs, f, "lattice", False)
+    assert outcome(_lattice_instance, iter(pairs), f, "lattice", False) == expected
+    if isinstance(expected, TjurinaInstance):
+        assert all(type(v) is F for v in expected.spectrum.values)
