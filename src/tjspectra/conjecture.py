@@ -12,8 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
-                     NotSingleSwap, SubsetTooSmall, TjspectraError, WrongDirection)
+from .errors import InternalConsistencyError, TjspectraError
 from .families import TjurinaInstance
 from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
 
@@ -57,9 +56,7 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
 
 def mple_failure_bound(m: int, n: int, gap: int) -> bool:
     """Ordinary m-ple point criterion: (m-1)^n >= 12 m n^2 (mu - tau)."""
-    if gap == 0:
-        raise GapZero("the criterion requires mu != tau")
-    if m < 2 or n < 1 or gap < 0:
+    if m < 2 or n < 1 or gap < 1:
         raise ValueError(f"need m >= 2, n >= 1, gap >= 1, got ({m}, {n}, {gap})")
     return (m - 1) ** n >= 12 * m * n * n * gap
 
@@ -75,9 +72,9 @@ def prop41_step(s: Spectrum, T: Iterable[int], i0: int) -> Prop41Outcome:
     is far enough from the mean, non-positivity of delta is inherited."""
     T = sorted(set(T))
     if i0 not in T:
-        raise IndexNotInSubset(f"index {i0} not in subset")
+        raise ValueError(f"index {i0} not in subset")
     if len(T) < 2:
-        raise SubsetTooSmall("need |T| >= 2 to remove a point")
+        raise ValueError("need |T| >= 2 to remove a point")
     st = subset_stats(s, T)
     rest = [i for i in T if i != i0]
     rest_vals = [s.value_at(i) for i in rest]
@@ -102,15 +99,15 @@ def remark32_compare(t_values: Sequence[Fraction],
     unchanged, delta(T) > delta(T') is predicted if beta + beta' >= av + av'.
     """
     if len(t_values) != len(t_prime_values):
-        raise NotSingleSwap("multisets must have equal size")
+        raise ValueError("multisets must have equal size")
     ct, ct2 = Counter(t_values), Counter(t_prime_values)
     only_t, only_t2 = ct - ct2, ct2 - ct
     if sum(only_t.values()) != 1 or sum(only_t2.values()) != 1:
-        raise NotSingleSwap("multisets must differ by exactly one element")
+        raise ValueError("multisets must differ by exactly one element")
     beta = next(iter(only_t))
     beta_p = next(iter(only_t2))
     if beta <= beta_p:
-        raise WrongDirection(f"need beta > beta', got {beta} <= {beta_p}")
+        raise ValueError(f"need beta > beta', got {beta} <= {beta_p}")
 
     tau = len(t_values)
     st, st2 = stats_of_values(t_values), stats_of_values(t_prime_values)
@@ -201,7 +198,7 @@ def closed_form_tau_delta_322(c: int,
     consecutive: T drops the top two indices (|T| = c + 13).
     """
     if c < 1 or c % 2 == 0:
-        raise EvenC(f"c must be a positive odd integer, got {c}")
+        raise ValueError(f"c must be a positive odd integer, got {c}")
     if mode == "nonconsecutive":
         return Fraction(-(c**3 + 37 * c**2 + 455 * c + 1764),
                         144 * c**2 + 3744 * c + 24192)

@@ -2,14 +2,20 @@
 
 
 class TjspectraError(Exception):
-    """Base of every exception class in this module; the CLI exits 2 on
-    InternalConsistencyError and 1 on the others.  A misused library call
-    (``Poly``, ``pow_terms``, ``colength_oracle``, ``local_std_basis``,
-    ``mple_failure_bound``, ``closed_form_tau_delta_322``, the statistics)
-    raises the built-in TypeError or ValueError instead."""
+    """A failure the CLI reports from its input (exit 1), or an
+    InternalConsistencyError (exit 2); every class here derives from it.
+
+    A library function given an argument outside its domain raises the
+    built-in ValueError, or TypeError for a wrong type: ``Poly``,
+    ``pow_terms``, ``colength_oracle``, ``local_std_basis``,
+    ``mple_failure_bound``, ``prop41_step``, ``remark32_compare``,
+    ``closed_form_tau_delta_322`` and the statistics do so.
+    ``Spectrum.value_at`` raises IndexError outside 1..mu, as a tuple does.
+    Spectrum construction keeps EmptySpectrum, ValueOutOfRange and
+    SymmetryViolation, because it also checks every family's spectrum."""
 
 
-# --- spectrum construction / statistics ---
+# --- spectrum construction ---
 
 class EmptySpectrum(TjspectraError):
     pass
@@ -20,10 +26,6 @@ class ValueOutOfRange(TjspectraError):
 
 
 class SymmetryViolation(TjspectraError):
-    pass
-
-
-class EmptySubset(TjspectraError):
     pass
 
 
@@ -43,32 +45,6 @@ class GcdViolation(InvalidFamilyParameters):
 
 class Condition81Violated(TjspectraError):
     """Lattice-generated Tjurina count disagrees with the local-algebra engine."""
-
-
-# --- conjecture evaluation ---
-
-class GapZero(TjspectraError):
-    pass
-
-
-class IndexNotInSubset(TjspectraError):
-    pass
-
-
-class SubsetTooSmall(TjspectraError):
-    pass
-
-
-class NotSingleSwap(TjspectraError):
-    pass
-
-
-class WrongDirection(TjspectraError):
-    pass
-
-
-class EvenC(TjspectraError):
-    pass
 
 
 # --- polynomial engine ---

@@ -20,7 +20,7 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptySpectrum, EmptySubset, SymmetryViolation, ValueOutOfRange
+from .errors import EmptySpectrum, SymmetryViolation, ValueOutOfRange
 
 
 class Spectrum(NamedTuple):
@@ -31,7 +31,10 @@ class Spectrum(NamedTuple):
         return len(self.values)
 
     def value_at(self, i: int) -> Fraction:
-        """1-based access, matching the alpha_i indexing convention."""
+        """1-based access, matching the alpha_i indexing convention; an index
+        outside 1..mu raises IndexError, as a tuple does."""
+        if i < 1:
+            raise IndexError(f"spectrum index {i} outside [1, {self.mu}]")
         return self.values[i - 1]
 
 
@@ -95,11 +98,11 @@ def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:
     av = S1 / (tau L), Var = (tau S2 - S1^2) / (tau^2 L^2) by the
     sum-of-squares identity sum (a_i - av)^2 = sum a_i^2 - tau * av^2;
     the property tests compare every field with a Fraction-sum reference.
-    A bool or a float raises TypeError.
+    An empty multiset raises ValueError, and a bool or a float TypeError.
     """
     tau = len(values)
     if tau == 0:
-        raise EmptySubset("statistics of an empty subset are undefined")
+        raise ValueError("statistics of an empty subset are undefined")
     nums, L = _over_common_denominator(values)
     s1 = sum(nums)
     spread = tau * sum(map(mul, nums, nums)) - s1 * s1
@@ -112,8 +115,9 @@ def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:
 
 
 def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
-    """Statistics of the sub-multiset selected by 1-based indices."""
+    """Statistics of the sub-multiset selected by 1-based indices; no index,
+    or one outside 1..mu, raises ValueError."""
     idx = sorted(set(indices))
     if idx and (idx[0] < 1 or idx[-1] > s.mu):
-        raise ValueOutOfRange(f"subset index outside [1, {s.mu}]")
+        raise ValueError(f"subset index outside [1, {s.mu}]")
     return stats_of_values([s.values[i - 1] for i in idx])

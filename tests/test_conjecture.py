@@ -5,8 +5,7 @@ import pytest
 from tjspectra.conjecture import (closed_form_tau_delta_322,
                                   enumerate_candidates, mple_failure_bound,
                                   prop41_step, remark32_compare, thm31_verdict)
-from tjspectra.errors import (EvenC, GapZero, IndexNotInSubset, InternalConsistencyError,
-                              NotSingleSwap, SubsetTooSmall, WrongDirection)
+from tjspectra.errors import InternalConsistencyError
 from tjspectra.families import (BrieskornParams, PuiseuxParams, SwhParams, ThreeMonomialParams,
                                 puiseux_instance, swh_instance, three_monomial_instance)
 from tjspectra.spectra import stats_of_values, subset_stats
@@ -67,8 +66,13 @@ def test_thm31_verdict_checks_hertlings_equality_when_swh():
 def test_mple_bound():
     assert mple_failure_bound(50, 2, 1)        # 49^2 = 2401 >= 2400
     assert not mple_failure_bound(49, 2, 1)    # 2304 < 2352
-    with pytest.raises(GapZero):
-        mple_failure_bound(50, 2, 0)
+
+
+@pytest.mark.parametrize("m, n, gap", [(1, 2, 1), (50, 0, 1), (50, 2, 0), (50, 2, -1)])
+def test_mple_bound_domain(m, n, gap):
+    with pytest.raises(ValueError,
+                       match=rf"^need m >= 2, n >= 1, gap >= 1, got \({m}, {n}, {gap}\)$"):
+        mple_failure_bound(m, n, gap)
 
 
 def index_of_value(s, v):
@@ -98,9 +102,9 @@ def test_prop41_center_point():
 
 def test_prop41_errors():
     s = full_instance(7, 7).spectrum
-    with pytest.raises(IndexNotInSubset):
+    with pytest.raises(ValueError, match=r"^index 3 not in subset$"):
         prop41_step(s, [1, 2], 3)
-    with pytest.raises(SubsetTooSmall):
+    with pytest.raises(ValueError, match=r"^need \|T\| >= 2 to remove a point$"):
         prop41_step(s, [1], 1)
 
 
@@ -119,11 +123,11 @@ def test_remark32_max_drops_condition_fails():
 
 
 def test_remark32_errors():
-    with pytest.raises(NotSingleSwap):
+    with pytest.raises(ValueError, match="^multisets must differ by exactly one element$"):
         remark32_compare([F(1, 2), F(1)], [F(1, 2), F(1)])
-    with pytest.raises(NotSingleSwap):
+    with pytest.raises(ValueError, match="^multisets must have equal size$"):
         remark32_compare([F(1, 2)], [F(1, 2), F(1)])
-    with pytest.raises(WrongDirection):
+    with pytest.raises(ValueError, match="^need beta > beta', got 3/4 <= 1$"):
         remark32_compare([F(1, 2), F(3, 4)], [F(1, 2), F(1)])
 
 
@@ -181,9 +185,9 @@ def test_closed_forms_at_one():
 
 
 def test_closed_forms_even_c():
-    with pytest.raises(EvenC):
+    with pytest.raises(ValueError, match="^c must be a positive odd integer, got 2$"):
         closed_form_tau_delta_322(2, "nonconsecutive")
-    with pytest.raises(EvenC):
+    with pytest.raises(ValueError, match="^c must be a positive odd integer, got 2$"):
         closed_form_tau_delta_322(2, "consecutive")
 
 

@@ -2,13 +2,12 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tjspectra.errors import (EmptySpectrum, EmptySubset, SymmetryViolation,
-                              TjspectraError, ValueOutOfRange)
+from tjspectra.errors import EmptySpectrum, SymmetryViolation, TjspectraError, ValueOutOfRange
 from tjspectra.families import BrieskornParams
-from tjspectra.spectra import (make_spectrum, spectrum_of_numerators,
+from tjspectra.spectra import (Spectrum, make_spectrum, spectrum_of_numerators,
                                stats_of_values, subset_stats)
 
 
@@ -74,10 +73,19 @@ def test_stats_of_values_hand_example():
 
 def test_subset_stats_errors():
     s = BrieskornParams(2, 3).instance().spectrum
-    with pytest.raises(EmptySubset):
+    with pytest.raises(ValueError, match="^statistics of an empty subset are undefined$"):
         subset_stats(s, [])
-    with pytest.raises(ValueOutOfRange):
+    with pytest.raises(ValueError, match=r"^subset index outside \[1, 2\]$"):
         subset_stats(s, [0, 1])
+
+
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_value_at_outside_one_to_mu_raises_index_error(i):
+    s = BrieskornParams(3, 2).instance().spectrum
+    assert s.values == (F(5, 6), F(7, 6))
+    assert (s.value_at(1), s.value_at(2)) == s.values
+    with pytest.raises(IndexError):
+        s.value_at(i)
 
 
 def test_average_variance_width_brieskorn23():
@@ -120,9 +128,12 @@ def test_variance_centers_at_average_not_half_n():
 
 
 def reference_check(values, n):
-    """Range and symmetry checks on sorted Fractions, the slow route for the
-    integer checks in make_spectrum: (exception type, message) or None."""
+    """Emptiness, range and symmetry checks on sorted Fractions, the slow
+    route for the integer checks in spectrum_of_numerators: (exception type,
+    message) or None."""
     vals = sorted(values)
+    if not vals:
+        return EmptySpectrum, "a spectrum must contain at least one value"
     if vals[0] <= 0 or vals[-1] >= n:
         bad = vals[0] if vals[0] <= 0 else vals[-1]
         return ValueOutOfRange, f"spectral value {bad} outside (0, {n})"
@@ -171,16 +182,25 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
+def reference_outcome(values, n):
+    """What a spectrum constructor must give for these Fractions: the sorted
+    Spectrum, or reference_check's exception type and message."""
+    return reference_check(values, n) or Spectrum(tuple(sorted(values)))
+
+
 @given(st.integers(1, 60), st.integers(1, 3), st.booleans(),
-       st.lists(st.integers(-5, 200), max_size=12), st.integers(-3, 3), st.data())
-def test_numerator_constructor_matches_make_spectrum(L, n, mirror, nums, shift, data):
+       st.lists(st.integers(-5, 200), max_size=12), st.integers(-3, 3), st.integers(0, 23))
+@example(6, 2, False, [0, 3], 0, 0)  # out of range at 0, the lower end
+@example(6, 2, True, [3, 5], -1, 0)  # symmetric but for a pair sum below n
+def test_numerator_constructor_matches_make_spectrum(L, n, mirror, nums, shift, index):
     if mirror:  # a symmetric multiset, with one numerator moved by shift
         nums = nums + [n * L - k for k in nums]
         if nums:
-            i = data.draw(st.integers(0, len(nums) - 1))
-            nums[i] += shift
-    expected = outcome(make_spectrum, [F(k, L) for k in nums], n)
+            nums[index % len(nums)] += shift
+    values = [F(k, L) for k in nums]
+    expected = reference_outcome(values, n)
     assert outcome(spectrum_of_numerators, nums, L, n) == expected
+    assert outcome(make_spectrum, values, n) == expected
 
 
 @pytest.mark.parametrize("nums, descending, error", [
@@ -191,6 +211,8 @@ def test_numerator_constructor_matches_make_spectrum(L, n, mirror, nums, shift, 
 ])
 def test_numerator_constructor_raises_what_make_spectrum_raises(nums, descending, error):
     nums = sorted(nums, reverse=descending)  # the order given must not matter
-    expected = outcome(make_spectrum, [F(k, 6) for k in nums], 2)
+    values = [F(k, 6) for k in nums]
+    expected = reference_outcome(values, 2)
     assert expected[0] is error
     assert outcome(spectrum_of_numerators, nums, 6, 2) == expected
+    assert outcome(make_spectrum, values, 2) == expected

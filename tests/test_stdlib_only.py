@@ -1,6 +1,7 @@
 """The package surface: no runtime dependencies, since every absolute
 import in src/tjspectra names a standard-library module, exactly the
-public names listed below exported from `tjspectra`, and no standard-library
+public names listed below exported from `tjspectra`, exactly the exception
+classes listed below defined in `tjspectra.errors`, and no standard-library
 module loaded at start-up that the CLI does not need."""
 
 import ast
@@ -12,6 +13,7 @@ from types import ModuleType
 import pytest
 
 import tjspectra
+from tjspectra import errors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tjspectra"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -50,6 +52,18 @@ def test_package_exports_exactly_these_names():
         "Poly", "jacobian", "parse_poly",
         "StdBasisResult", "colength_oracle", "local_std_basis", "milnor", "tjurina",
         "decimal_str", "format_ratio",
+    }
+
+
+def test_errors_defines_exactly_these_classes():
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert defined == {
+        "TjspectraError", "EmptySpectrum", "ValueOutOfRange", "SymmetryViolation",
+        "InvalidFamilyParameters", "DegenerateExponent", "GcdViolation",
+        "Condition81Violated", "PolySyntaxError", "TooManyVariables",
+        "NonIsolatedSingularity", "NonzeroConstantTerm", "DegreeTooLarge",
+        "InternalConsistencyError",
     }
 
 
