@@ -8,6 +8,7 @@ with 12 significant digits.
 """
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -201,14 +202,17 @@ class _Parser(argparse.ArgumentParser):
         raise TjspectraError(message)
 
 
+@functools.cache
 def build_parser():
+    """The parser every `main` call shares; callers must not mutate it.  A
+    subcommand stores its `cmd_*` name, which `main` looks up on each call."""
     parser = _Parser(prog="tjspectra",
                      description="Exact Tjurina spectra and Hertling variance defects")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, text in (
-            ("spectrum", cmd_spectrum, "print a family spectrum"),
-            ("check", cmd_check, "defect and failure-criterion verdict for one instance")):
+            ("spectrum", "cmd_spectrum", "print a family spectrum"),
+            ("check", "cmd_check", "defect and failure-criterion verdict for one instance")):
         p = sub.add_parser(name, help=text)
         _add_family_flags(p, type=int)
         p.add_argument("--cross-check", action="store_true",
@@ -219,7 +223,7 @@ def build_parser():
     p.add_argument("--poly", required=True)
     p.add_argument("--slack", type=int, default=10,
                    help="how far below tau the candidate Tjurina numbers may go")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func="cmd_enumerate")
 
     p = sub.add_parser("sweep", help="tabulate defects over parameter ranges (TSV or JSON)")
     _add_family_flags(p, help="integer, lo:hi range, or comma list")
@@ -228,16 +232,16 @@ def build_parser():
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most the CPU count and the tuple count")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func="cmd_sweep")
 
     for name in ("milnor", "tjurina"):
         p = sub.add_parser(name, help=f"{name} number via local standard basis")
         p.add_argument("--poly", required=True)
         p.add_argument("--nvars", type=int, default=2)
-        p.set_defaults(func=cmd_colength)
+        p.set_defaults(func="cmd_colength")
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
     return parser
 
 
@@ -257,7 +261,7 @@ def main(argv=None):
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        status = args.func(args)
+        status = globals()[args.func](args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

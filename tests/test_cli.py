@@ -495,3 +495,83 @@ def test_sweep_jobs_are_clamped(monkeypatch, capsys, jobs, cpus, workers):
     assert cli.main(SWH_ARGS + ["--jobs", jobs]) == 0
     assert made == ([] if workers is None else [workers])
     assert len(capsys.readouterr().out.splitlines()) == 1 + 9
+
+
+# --- one parser shared by every main() call in the process ---
+
+CHECK_SWH = ["check", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1"]
+PUISEUX_SWEEP = ["sweep", "puiseux", "--a", "3", "--b", "2", "--d", "2", "--q=-1:9", "--r", "1"]
+
+
+def _golden(name):
+    with open(os.path.join(os.path.dirname(__file__), "golden", f"{name}.txt")) as fh:
+        return fh.read()
+
+
+def _fresh_stdout(argv):
+    """stdout of the CLI in a new interpreter, which builds its own parser."""
+    r = run(*argv)
+    assert (r.returncode, r.stderr) == (0, "")
+    return r.stdout
+
+
+@pytest.mark.parametrize("pair", [
+    (SWH_ARGS + ["--format", "json"], SWH_ARGS),
+    (PUISEUX_SWEEP + ["--subset", "drop-max"], PUISEUX_SWEEP),
+], ids=["json-and-tsv", "drop-max-and-tjurina"])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_repeated_main_calls_print_what_fresh_processes_print(capsys, pair, order):
+    from tjspectra import cli
+    for argv in pair[::order]:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (_fresh_stdout(argv), "")
+
+
+@pytest.mark.parametrize("bad", [
+    CHECK_SWH + ["--bogus", "1"],
+    ["check", "swh", "--a", "x", "--b", "7", "--c", "1", "--d", "1"],
+    ["check", "nonesuch", "--a", "7"],
+])
+def test_bad_flag_leaves_the_next_main_call_unchanged(capsys, bad):
+    from tjspectra import cli
+    assert cli.main(bad) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert cli.main(CHECK_SWH) == 0
+    assert capsys.readouterr() == (_golden("check-swh"), "")
+
+
+def test_cross_check_does_not_carry_to_the_next_main_call(monkeypatch, capsys):
+    from tjspectra import cli, localg
+    polys = []
+    real = localg.milnor
+
+    def counted(f):
+        polys.append(f)
+        return real(f)
+
+    monkeypatch.setattr(localg, "milnor", counted)
+    assert cli.main(CHECK_SWH + ["--cross-check"]) == 0
+    assert len(polys) == 1
+    assert cli.main(CHECK_SWH) == 0
+    assert len(polys) == 1  # the engine ran for the first call only
+    assert capsys.readouterr() == (2 * _golden("check-swh"), "")
+
+
+def test_main_looks_up_each_subcommand_when_called(monkeypatch, capsys):
+    from tjspectra import cli
+    assert cli.main(["milnor", "--poly", "x^2+y^3"]) == 0  # the parser now exists
+    assert cli.build_parser() is cli.build_parser()
+    called = []
+
+    def recorder(args):
+        called.append(args.command)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_sweep", recorder)
+    monkeypatch.setattr(cli, "cmd_colength", recorder)
+    assert cli.main(SWH_ARGS) == 0
+    assert cli.main(["tjurina", "--poly", "x^2+y^3"]) == 0
+    assert called == ["sweep", "tjurina"]
+    assert capsys.readouterr().out == "2\n"  # only the unpatched first call printed
