@@ -124,7 +124,7 @@ def sweep_row(family, values, subset):
     else:
         subset_inst = inst
     st = subset_stats(inst.spectrum, subset_inst.tjurina_indices)
-    full = stats_of_values(inst.spectrum.values)
+    full = stats_of_values(inst.spectrum.nums, inst.spectrum.L)
     v = thm31_verdict(subset_inst)
     return {
         "family": family,

@@ -39,7 +39,7 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     full spectrum, with equality when ``inst.swh``; and Theorem 3.1's
     conclusion, tjurina.delta > 0 whenever guaranteed_failure holds.
     """
-    full = stats_of_values(inst.spectrum.values)
+    full = stats_of_values(inst.spectrum.nums, inst.spectrum.L)
     tj = subset_stats(inst.spectrum, inst.tjurina_indices)
     mu, tau = full.tau, tj.tau
     mu_ne_tau = mu != tau

@@ -206,10 +206,13 @@ def swh_instance(params: SwhParams) -> TjurinaInstance:
     if inst.tau != (a - 1) * (b - 1) - c * d:
         raise InternalConsistencyError("Tjurina count disagrees with (a-1)(b-1) - cd")
     # closed-form check on the Tjurina value sum
-    expected_sum = ((a - 1) * (b - 1)
-                    - (Fraction(2 * a - 1 - c, a) + Fraction(2 * b - 1 - d, b)) * c * d / 2)
-    actual_sum = sum((inst.spectrum.value_at(i) for i in inst.tjurina_indices), Fraction(0))
-    if actual_sum != expected_sum:
+    #   sum_T alpha_i = (a-1)(b-1) - ((2a-1-c)/a + (2b-1-d)/b) cd/2,
+    # multiplied by 2ab L to run on the numerators alpha_i = k_i / L
+    nums, L = inst.spectrum.nums, inst.spectrum.L
+    actual_sum = sum(nums[i - 1] for i in inst.tjurina_indices)
+    expected_sum = (2 * a * b * (a - 1) * (b - 1)
+                    - ((2 * a - 1 - c) * b + (2 * b - 1 - d) * a) * c * d) * L
+    if 2 * a * b * actual_sum != expected_sum:
         raise InternalConsistencyError("Tjurina value sum disagrees with the closed form")
     return inst
 

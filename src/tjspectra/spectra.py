@@ -8,15 +8,17 @@ Hertling conjecture constrains.
 
 Arithmetic runs on integers.  A spectrum is built from int numerators k
 over one denominator L (:func:`spectrum_of_numerators`), which runs the
-range and symmetry checks on the numerators and builds each distinct
-value's ``Fraction`` once; :func:`make_spectrum` takes rational values and
-maps them to numerators over their least common denominator first.
-Statistics are integer power sums over the numerators, and a ``Fraction``
-is built only for each value returned.
+range and symmetry checks on the numerators, reduces them and L to lowest
+terms, and builds each distinct value's ``Fraction`` once;
+:func:`make_spectrum` takes rational values and maps them to numerators
+over their least common denominator first.  A :class:`Spectrum` keeps its
+numerators and L beside its values, and every statistic of a spectrum is
+an integer power sum over those numerators (``stats_of_values(s.nums,
+s.L)``), with a ``Fraction`` built only for each value returned.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,6 +27,8 @@ from .errors import EmptySpectrum, SymmetryViolation, ValueOutOfRange
 
 class Spectrum(NamedTuple):
     values: tuple[Fraction, ...]  # weakly increasing, symmetric about n/2
+    nums: tuple[int, ...]         # values[i] == nums[i] / L ...
+    L: int                        # ... in lowest terms: gcd(L, *nums) == 1
 
     @property
     def mu(self) -> int:
@@ -67,7 +71,9 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
     """Spectrum of the values k/L for the int numerators k, in any order.
     The values must lie in (0, n), that is 0 < k < nL, and satisfy
-    k_i + k_{mu+1-i} = nL; each distinct value's ``Fraction`` is built once."""
+    k_i + k_{mu+1-i} = nL.  The spectrum keeps the numerators and L divided
+    by gcd(L, *nums), so equal values give equal spectra whatever L the
+    caller chose; each distinct value's ``Fraction`` is built once."""
     nums = sorted(nums)
     if not nums:
         raise EmptySpectrum("a spectrum must contain at least one value")
@@ -79,8 +85,12 @@ def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
         if pair_sum != top:
             raise SymmetryViolation(
                 f"alpha_{i + 1} + alpha_{len(nums) - i} = {Fraction(pair_sum, L)} != {n}")
+    g = gcd(L, *nums)
+    if g > 1:
+        L //= g
+        nums = [k // g for k in nums]
     value = {k: Fraction(k, L) for k in set(nums)}
-    return Spectrum(tuple(map(value.__getitem__, nums)))
+    return Spectrum(tuple(map(value.__getitem__, nums)), tuple(nums), L)
 
 
 def make_spectrum(values: Iterable[Fraction], n: int) -> Spectrum:
@@ -90,20 +100,32 @@ def make_spectrum(values: Iterable[Fraction], n: int) -> Spectrum:
     return spectrum_of_numerators(nums, L, n)
 
 
-def stats_of_values(values: Sequence[Fraction]) -> SubsetStats:
-    """Exact statistics of a plain value multiset of ints and Fractions.
+def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
+    """Exact statistics of the multiset {v / L} for ints and Fractions v.
 
-    With numerators k_i over the common denominator L, the power sums
+    When every value is an int, the values are the numerators k_i over L,
+    as ``stats_of_values(s.nums, s.L)`` passes them, and no value is
+    converted; otherwise they are first mapped to numerators over their
+    least common denominator, which multiplies L.  The power sums
     S1 = sum k_i and S2 = sum k_i^2 are integers, and
     av = S1 / (tau L), Var = (tau S2 - S1^2) / (tau^2 L^2) by the
     sum-of-squares identity sum (a_i - av)^2 = sum a_i^2 - tau * av^2;
     the property tests compare every field with a Fraction-sum reference.
-    An empty multiset raises ValueError, and a bool or a float TypeError.
+    An empty multiset or an L below 1 raises ValueError, and a bool or a
+    float among the values, or an L that is not an int, TypeError.
     """
+    if type(L) is not int:
+        raise TypeError(f"L must be an int, not {type(L).__name__}")
+    if L < 1:
+        raise ValueError(f"L must be positive, got {L}")
     tau = len(values)
     if tau == 0:
         raise ValueError("statistics of an empty subset are undefined")
-    nums, L = _over_common_denominator(values)
+    if set(map(type, values)) == {int}:
+        nums = values
+    else:
+        nums, scale = _over_common_denominator(values)
+        L *= scale
     s1 = sum(nums)
     spread = tau * sum(map(mul, nums, nums)) - s1 * s1
     lo, hi = min(nums), max(nums)
@@ -120,4 +142,4 @@ def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
     idx = sorted(set(indices))
     if idx and (idx[0] < 1 or idx[-1] > s.mu):
         raise ValueError(f"subset index outside [1, {s.mu}]")
-    return stats_of_values([s.values[i - 1] for i in idx])
+    return stats_of_values([s.nums[i - 1] for i in idx], s.L)

@@ -82,7 +82,8 @@ def check_small_grid():
 def check_weighted_homogeneous_equality():
     for b in range(2, 13):
         for a in range(b, 13):
-            d = stats_of_values(BrieskornParams(a, b).instance().spectrum.values).delta
+            s = BrieskornParams(a, b).instance().spectrum
+            d = stats_of_values(s.nums, s.L).delta
             if d != 0:
                 return f"brieskorn({a},{b}) defect = {d}, expected 0"
 

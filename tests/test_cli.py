@@ -66,9 +66,9 @@ def test_check_makes_one_tjurina_statistics_pass(monkeypatch, capsys):
     real = spectra.stats_of_values
     lengths = []
 
-    def counted(values):
+    def counted(values, L=1):
         lengths.append(len(values))
-        return real(values)
+        return real(values, L)
 
     for module in (spectra, conjecture, cli):
         monkeypatch.setattr(module, "stats_of_values", counted)
@@ -76,6 +76,30 @@ def test_check_makes_one_tjurina_statistics_pass(monkeypatch, capsys):
     assert lengths == [36, 35]  # the full spectrum, then the Tjurina subset
     with open(os.path.join(os.path.dirname(__file__), "golden", "check-swh.txt")) as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["sweep", "puiseux", "--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"], []),
+    # the one call maps the 36 lattice values of swh(7,7,1,1) in _lattice_instance
+    (["check", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1"], [36]),
+], ids=["sweep-puiseux", "check-swh"])
+def test_statistics_convert_no_fractions(monkeypatch, capsys, argv, calls):
+    from tjspectra import cli, families, spectra
+    real = spectra._over_common_denominator
+    lengths = []
+
+    def counted(values):
+        lengths.append(len(values))
+        return real(values)
+
+    holders = [mod for name, mod in sorted(sys.modules.items())
+               if name.split(".")[0] == "tjspectra" and vars(mod).get(real.__name__) is real]
+    assert {families, spectra} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, real.__name__, counted)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert lengths == calls
 
 
 def test_check_nonpositive_is_not_an_error():
@@ -379,7 +403,7 @@ def test_hertling_inequality_violation_exits_2(monkeypatch, capsys, family, flag
     real = conjecture.stats_of_values
     for delta, status in ((Fraction(-1, 7), 0), (Fraction(1, 7), 2)):  # off swh, < 0 is legal
         monkeypatch.setattr(conjecture, "stats_of_values",
-                            lambda values: real(values)._replace(delta=delta))
+                            lambda values, L=1: real(values, L)._replace(delta=delta))
         assert cli.main(["check", family] + flags) == status
         out, err = capsys.readouterr()
     assert out == ""

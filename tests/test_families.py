@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tjspectra.errors import (DegenerateExponent, GcdViolation,
+from tjspectra.errors import (DegenerateExponent, GcdViolation, InternalConsistencyError,
                               InvalidFamilyParameters, TjspectraError)
 from tjspectra.families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhParams,
                                 ThreeMonomialParams, TjurinaInstance, _lattice_instance,
@@ -109,6 +109,28 @@ def test_swh_excluded_value_multiset():
     expected = sorted(F(i, a) + F(j, b)
                       for i in range(a - c, a) for j in range(b - d, b))
     assert missing == expected
+
+
+def test_swh_value_sum_check_catches_a_swapped_tjurina_index(monkeypatch, capsys):
+    from tjspectra import cli, families
+    real = families._lattice_instance
+
+    def swapped(*args, **kwargs):
+        # trade one Tjurina index for a missing one of another value: tau stays
+        inst = real(*args, **kwargs)
+        s, tj = inst.spectrum, inst.tjurina_indices
+        out = next(i for i in range(1, s.mu + 1) if i not in tj)
+        into = next(i for i in sorted(tj) if s.value_at(i) != s.value_at(out))
+        return inst._replace(tjurina_indices=(tj - {into}) | {out})
+
+    monkeypatch.setattr(families, "_lattice_instance", swapped)
+    message = "Tjurina value sum disagrees with the closed form"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        swh_instance(SwhParams(7, 7, 1, 1))
+    assert cli.main(["check", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal error: {message}\n"
 
 
 def test_level_initial_segment_invariant():

@@ -1,12 +1,15 @@
 """Exact stdout of `spectrum` and `check`, one instance of every family, of
-a Puiseux and an swh drop-max `sweep`, and of `enumerate` and `verify`,
-pinned against files in tests/golden/.  `spectrum` and `check` with
+a Puiseux and an swh drop-max `sweep`, of `check` on swh(300,299,1,1) at
+scale (mu = 89102, L = 89700), and of `enumerate` and `verify`, pinned
+against files in tests/golden/.  `spectrum` and `check` with
 `--cross-check` must print the same file as without it.
 
 The family files were written by the CLI before the family table replaced
-the per-family code in `cli.py`, and the `enumerate` and `verify` files
-before those commands read the statistics fields directly; any byte of
-difference is a regression.
+the per-family code in `cli.py`, the `enumerate` and `verify` files
+before those commands read the statistics fields directly, and the
+swh(300,299,1,1) file before the statistics and the swh value-sum check ran
+on the spectrum's integer numerators; any byte of difference is a
+regression.
 """
 
 import os
@@ -33,6 +36,7 @@ GOLDEN["sweep-puiseux-drop-max"] = ["sweep", "puiseux", "--a", "3", "--b", "2", 
                                     "--format", "json"]
 GOLDEN["sweep-swh-drop-max"] = ["sweep", "swh", "--a", "47:48", "--b", "47:48", "--c", "1:2",
                                 "--d", "1", "--subset", "drop-max"]
+GOLDEN["check-swh-300-299"] = ["check", "swh", "--a", "300", "--b", "299", "--c", "1", "--d", "1"]
 GOLDEN["enumerate-x7-y7"] = ["enumerate", "--poly", "x^7+y^7", "--slack", "10"]
 GOLDEN["verify"] = ["verify"]
 

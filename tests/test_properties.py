@@ -58,12 +58,26 @@ mixed_values = st.one_of(
 )
 
 
-@given(st.lists(mixed_values, min_size=1, max_size=25))
-def test_integer_power_sums_match_fraction_sums(values):
-    got = stats_of_values(values)
-    assert got == reference_stats(values)
-    assert all(type(x) is F for x in
-               (got.av, got.var, got.alpha_min, got.alpha_max, got.delta))
+@given(st.lists(mixed_values, min_size=1, max_size=25),
+       st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=25),
+       st.one_of(st.integers(1, 360), big_denominators))
+def test_integer_power_sums_match_fraction_sums(values, nums, L):
+    # rational values, and int numerators over L, as a spectrum passes them
+    for got, want in ((stats_of_values(values), reference_stats(values)),
+                      (stats_of_values(nums, L), reference_stats([F(k, L) for k in nums])),
+                      (stats_of_values(values, L), reference_stats([v / F(L) for v in values]))):
+        assert got == want
+        assert all(type(x) is F for x in
+                   (got.av, got.var, got.alpha_min, got.alpha_max, got.delta))
+    for x in (True, 0.5):
+        with pytest.raises(TypeError):
+            stats_of_values(nums + [x], L)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"^L must be positive, got {bad}$"):
+            stats_of_values(nums, bad)
+    for bad in (True, F(1, 2), 2.0):
+        with pytest.raises(TypeError, match=f"^L must be an int, not {type(bad).__name__}$"):
+            stats_of_values(nums, bad)
 
 
 @given(st.lists(mixed_values, max_size=10),

@@ -27,7 +27,7 @@ def _std_basis():
 
 # class, its constructor's parameter names in order, and a sample instance
 RECORDS = [
-    (Spectrum, ["values"], _spectrum),
+    (Spectrum, ["values", "nums", "L"], _spectrum),
     (SubsetStats, ["tau", "av", "var", "alpha_min", "alpha_max", "delta"],
      lambda: stats_of_values([F(1, 3), F(1, 2), F(5, 4)])),
     (TjurinaInstance, ["spectrum", "tjurina_indices", "defining_poly", "family_tag", "swh",

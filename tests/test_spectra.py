@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -182,10 +183,19 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
+def reference_spectrum(values):
+    """The Spectrum of these Fractions, built from the Fractions alone: the
+    sorted values, and their numerators over the lcm of their denominators,
+    which is the lowest common denominator."""
+    values = tuple(sorted(values))
+    L = lcm(*(v.denominator for v in values))
+    return Spectrum(values, tuple(v.numerator * (L // v.denominator) for v in values), L)
+
+
 def reference_outcome(values, n):
     """What a spectrum constructor must give for these Fractions: the sorted
     Spectrum, or reference_check's exception type and message."""
-    return reference_check(values, n) or Spectrum(tuple(sorted(values)))
+    return reference_check(values, n) or reference_spectrum(values)
 
 
 @given(st.integers(1, 60), st.integers(1, 3), st.booleans(),
@@ -216,3 +226,24 @@ def test_numerator_constructor_raises_what_make_spectrum_raises(nums, descending
     assert expected[0] is error
     assert outcome(spectrum_of_numerators, nums, 6, 2) == expected
     assert outcome(make_spectrum, values, 2) == expected
+
+
+@given(st.integers(1, 60), st.integers(1, 3), st.integers(1, 6),
+       st.lists(st.integers(0, 200), min_size=1, max_size=12), st.integers(-3, 3),
+       st.integers(0, 23))
+@example(6, 2, 4, [2, 4], 0, 0)   # every numerator even: L = 6 reduces to 3
+@example(6, 2, 3, [0, 5], 0, 0)   # out of range at 0, the lower end
+@example(6, 2, 5, [3, 5], -1, 0)  # symmetric but for a pair sum below n
+def test_numerators_are_kept_in_lowest_terms(L, n, m, half, shift, index):
+    # a symmetric multiset of numerators in [0, nL], with one moved by shift
+    nums = [k % (n * L + 1) for k in half]
+    nums += [n * L - k for k in nums]
+    nums[index % len(nums)] += shift
+    values = [F(k, L) for k in nums]
+    expected = reference_outcome(values, n)
+    scaled = outcome(spectrum_of_numerators, [m * k for k in nums], m * L, n)
+    assert scaled == outcome(spectrum_of_numerators, nums, L, n) == expected
+    assert outcome(make_spectrum, values, n) == expected
+    if isinstance(scaled, Spectrum):
+        assert gcd(scaled.L, *scaled.nums) == 1
+        assert scaled.values == tuple(F(k, scaled.L) for k in scaled.nums)
