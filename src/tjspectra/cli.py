@@ -85,8 +85,9 @@ def cmd_enumerate(args):
     if result.clamped:
         print(f"A replaced by {result.slack}")
     for rec in result.records:
+        delta = rec.stats.delta
         print(f"tau' = {rec.tau_prime}  j = {rec.j}  max_index = {s.mu - rec.j}  "
-              f"delta = {format_ratio(rec.stats.delta)} ~ {decimal_str(rec.stats.delta)}")
+              f"delta = {format_ratio(delta)} ~ {decimal_str(delta)}")
     return 0
 
 
@@ -126,15 +127,16 @@ def sweep_row(family, values, subset):
     st = subset_stats(inst.spectrum, subset_inst.tjurina_indices)
     full = stats_of_values(inst.spectrum.nums, inst.spectrum.L)
     v = thm31_verdict(subset_inst)
+    delta = st.delta
     return {
         "family": family,
         "params": ",".join(map(str, values.values())),
         "mu": inst.mu,
         "tau": inst.tau,
-        "delta_exact": format_ratio(st.delta),
-        "delta_decimal": decimal_str(st.delta),
+        "delta_exact": format_ratio(delta),
+        "delta_decimal": decimal_str(delta),
         "thm31": str(v.guaranteed_failure).lower(),
-        "av_obs": str(st.av <= full.av).lower(),
+        "av_obs": str(st.av_le(full)).lower(),
     }
 
 

@@ -30,7 +30,9 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     """Sufficient condition for the inequality to fail, which the theorem
     states only for semi-weighted-homogeneous instances (``inst.swh``).
 
-    All flags are exact rational comparisons; guaranteed_failure implies
+    All flags are exact comparisons of ints: each rational condition is
+    multiplied through by its positive denominators, and the sign of a
+    defect is the sign of ``scaled_delta``.  guaranteed_failure implies
     tjurina.delta > 0, that is, the generalized Hertling inequality fails
     (sufficiency only, not necessity).
 
@@ -42,14 +44,17 @@ def thm31_verdict(inst: TjurinaInstance) -> Thm31Verdict:
     full = stats_of_values(inst.spectrum.nums, inst.spectrum.L)
     tj = subset_stats(inst.spectrum, inst.tjurina_indices)
     mu, tau = full.tau, tj.tau
+    L, top = full.L, full.k_max
     mu_ne_tau = mu != tau
-    av_condition = tj.av <= full.av
-    width_condition = full.alpha_max - full.alpha_min <= 2
-    cond_3_3 = Fraction(mu, 12) * (full.alpha_max - tj.alpha_max) >= (mu - tau) * full.alpha_max ** 2
+    av_condition = tj.av_le(full)
+    width_condition = top - full.k_min <= 2 * L
+    # (3.3) multiplied by 12 L^2 tj.L
+    cond_3_3 = mu * L * (top * tj.L - tj.k_max * L) >= 12 * (mu - tau) * top * top * tj.L
     guaranteed = (inst.swh and mu_ne_tau and (width_condition or av_condition) and cond_3_3)
-    if full.delta > 0 or (inst.swh and full.delta != 0):  # Hertling's inequality; = 0 when swh
+    full_sign = full.scaled_delta
+    if full_sign > 0 or (inst.swh and full_sign != 0):  # Hertling's inequality; = 0 when swh
         raise InternalConsistencyError(f"{inst.family_tag}: full-spectrum delta = {full.delta}")
-    if guaranteed and tj.delta <= 0:  # Theorem 3.1's conclusion
+    if guaranteed and tj.scaled_delta <= 0:  # Theorem 3.1's conclusion
         raise InternalConsistencyError(f"{inst.family_tag}: thm31 fires but delta = {tj.delta}")
     return Thm31Verdict(tj, mu_ne_tau, av_condition, width_condition, cond_3_3, guaranteed)
 

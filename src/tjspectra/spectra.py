@@ -14,7 +14,9 @@ terms, and builds each distinct value's ``Fraction`` once;
 over their least common denominator first.  A :class:`Spectrum` keeps its
 numerators and L beside its values, and every statistic of a spectrum is
 an integer power sum over those numerators (``stats_of_values(s.nums,
-s.L)``), with a ``Fraction`` built only for each value returned.
+s.L)``).  A :class:`SubsetStats` record holds only ints, over its caller's
+L; its rational statistics are built as ``Fraction``s when they are read,
+and the sign of its defect is the sign of the int ``scaled_delta``.
 """
 
 from fractions import Fraction
@@ -43,12 +45,51 @@ class Spectrum(NamedTuple):
 
 
 class SubsetStats(NamedTuple):
+    """Statistics of a multiset of tau values k_i / L as integer power sums.
+
+    The record is over its caller's L, which need not be in lowest terms
+    with the numerators; each rational property below is a ``Fraction`` in
+    lowest terms, built when it is read.
+    """
     tau: int
-    av: Fraction
-    var: Fraction
-    alpha_min: Fraction
-    alpha_max: Fraction
-    delta: Fraction
+    L: int
+    s1: int     # sum k_i
+    s2: int     # sum k_i^2
+    k_min: int
+    k_max: int
+
+    @property
+    def av(self) -> Fraction:
+        return Fraction(self.s1, self.tau * self.L)
+
+    @property
+    def var(self) -> Fraction:
+        # sum (a_i - av)^2 = sum a_i^2 - tau * av^2, over tau
+        return Fraction(self.tau * self.s2 - self.s1 * self.s1, (self.tau * self.L) ** 2)
+
+    @property
+    def alpha_min(self) -> Fraction:
+        return Fraction(self.k_min, self.L)
+
+    @property
+    def alpha_max(self) -> Fraction:
+        return Fraction(self.k_max, self.L)
+
+    @property
+    def scaled_delta(self) -> int:
+        """12 tau^2 L^2 * delta, an int with the sign of delta."""
+        tau = self.tau
+        return (12 * (tau * self.s2 - self.s1 * self.s1)
+                - tau * tau * self.L * (self.k_max - self.k_min))
+
+    @property
+    def delta(self) -> Fraction:
+        """Var - (alpha_max - alpha_min) / 12."""
+        return Fraction(self.scaled_delta, 12 * (self.tau * self.L) ** 2)
+
+    def av_le(self, other: "SubsetStats") -> bool:
+        """Whether self.av <= other.av, compared on ints."""
+        return self.s1 * other.tau * other.L <= other.s1 * self.tau * self.L
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -106,11 +147,10 @@ def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
     When every value is an int, the values are the numerators k_i over L,
     as ``stats_of_values(s.nums, s.L)`` passes them, and no value is
     converted; otherwise they are first mapped to numerators over their
-    least common denominator, which multiplies L.  The power sums
-    S1 = sum k_i and S2 = sum k_i^2 are integers, and
-    av = S1 / (tau L), Var = (tau S2 - S1^2) / (tau^2 L^2) by the
-    sum-of-squares identity sum (a_i - av)^2 = sum a_i^2 - tau * av^2;
-    the property tests compare every field with a Fraction-sum reference.
+    least common denominator, which multiplies L.  The record keeps the
+    power sums S1 = sum k_i and S2 = sum k_i^2 and the extreme numerators,
+    and builds no ``Fraction``; the property tests compare each derived
+    statistic with a Fraction-sum reference.
     An empty multiset or an L below 1 raises ValueError, and a bool or a
     float among the values, or an L that is not an int, TypeError.
     """
@@ -126,20 +166,15 @@ def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
     else:
         nums, scale = _over_common_denominator(values)
         L *= scale
-    s1 = sum(nums)
-    spread = tau * sum(map(mul, nums, nums)) - s1 * s1
-    lo, hi = min(nums), max(nums)
-    return SubsetStats(tau=tau, av=Fraction(s1, tau * L),
-                       var=Fraction(spread, tau * tau * L * L),
-                       alpha_min=Fraction(lo, L), alpha_max=Fraction(hi, L),
-                       delta=Fraction(12 * spread - tau * tau * L * (hi - lo),
-                                      12 * tau * tau * L * L))
+    return SubsetStats(tau, L, sum(nums), sum(map(mul, nums, nums)), min(nums), max(nums))
 
 
 def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
-    """Statistics of the sub-multiset selected by 1-based indices; no index,
-    or one outside 1..mu, raises ValueError."""
-    idx = sorted(set(indices))
-    if idx and (idx[0] < 1 or idx[-1] > s.mu):
+    """Statistics of the sub-multiset selected by 1-based indices, each
+    counted once, over s.L; no index, or one outside 1..mu, raises
+    ValueError."""
+    idx = frozenset(indices)  # a frozenset is not copied
+    if idx and (min(idx) < 1 or max(idx) > s.mu):
         raise ValueError(f"subset index outside [1, {s.mu}]")
-    return stats_of_values([s.nums[i - 1] for i in idx], s.L)
+    nums = s.nums
+    return stats_of_values([nums[i - 1] for i in idx], s.L)

@@ -375,14 +375,31 @@ def test_cross_check_tau_mismatch(monkeypatch, capsys, family, flags, error, cod
 FRONTIER = ["swh", "--a", "48", "--b", "48", "--c", "1", "--d", "1"]  # thm31 fires from m = 48
 
 
+def with_delta(st, delta):
+    """A fault injected through the integer fields: the record over 12 tau q
+    times st.L, where q is delta's denominator, with st's tau, av, alpha_min
+    and alpha_max but the given delta."""
+    from fractions import Fraction
+    from tjspectra.spectra import SubsetStats
+    f = 12 * st.tau * Fraction(delta).denominator
+    L, s1, lo, hi = (f * x for x in (st.L, st.s1, st.k_min, st.k_max))
+    s2 = (s1 * s1 + Fraction(st.tau ** 2 * L * (hi - lo), 12) + delta * (st.tau * L) ** 2) / st.tau
+    assert s2.denominator == 1
+    out = SubsetStats(st.tau, L, s1, s2.numerator, lo, hi)
+    assert (out.av, out.alpha_min, out.alpha_max, out.delta) == (
+        st.av, st.alpha_min, st.alpha_max, delta)
+    return out
+
+
 @pytest.mark.parametrize("name, value, message", [
     ("stats_of_values", 1, "full-spectrum delta = 1"),
     ("subset_stats", -1, "thm31 fires but delta = -1"),
-], ids=["full-delta-nonzero", "thm31-without-positive-delta"])
+    ("subset_stats", 0, "thm31 fires but delta = 0"),
+], ids=["full-delta-nonzero", "thm31-without-positive-delta", "thm31-with-zero-delta"])
 def test_sweep_row_invariant_violation_exits_2(monkeypatch, capsys, name, value, message):
     from tjspectra import cli, conjecture
     real = getattr(conjecture, name)
-    monkeypatch.setattr(conjecture, name, lambda *args: real(*args)._replace(delta=value))
+    monkeypatch.setattr(conjecture, name, lambda *args: with_delta(real(*args), value))
     # the drop-max subset of swh(m,m,1,1) is its Tjurina subset, so drop-max rows are checked too
     for argv in (["check"] + FRONTIER, ["sweep"] + FRONTIER,
                  ["sweep"] + FRONTIER + ["--subset", "drop-max"]):
@@ -403,7 +420,7 @@ def test_hertling_inequality_violation_exits_2(monkeypatch, capsys, family, flag
     real = conjecture.stats_of_values
     for delta, status in ((Fraction(-1, 7), 0), (Fraction(1, 7), 2)):  # off swh, < 0 is legal
         monkeypatch.setattr(conjecture, "stats_of_values",
-                            lambda values, L=1: real(values, L)._replace(delta=delta))
+                            lambda values, L=1: with_delta(real(values, L), delta))
         assert cli.main(["check", family] + flags) == status
         out, err = capsys.readouterr()
     assert out == ""

@@ -715,3 +715,23 @@ def test_inputs_that_ran_for_minutes_without_the_cut(command, text, nvars, numbe
     f = parse_poly(text, nvars=nvars)
     gens = [g for g in jacobian(f) if not g.is_zero()] + ([f] if command == "tjurina" else [])
     assert colength_oracle(gens, cap) == number
+
+
+# tjurina slows about cubically in k here: one Mora normal form runs about
+# 0.7 k steps on a two-term remainder whose lead climbs to the highest corner
+# while its coefficients grow, and the content gcds take most of the time
+ONE_LARGE_POWER = "x^3*z^3-2*x^5-2*y^{}+4*z^4"
+
+
+@pytest.mark.parametrize("k", [1000, 2000])
+def test_one_large_pure_power_gives_twelve_k_minus_one(k):
+    f = parse_poly(ONE_LARGE_POWER.format(k), nvars=3)
+    assert milnor(f) == tjurina(f) == 12 * (k - 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_one_large_pure_power_matches_the_oracle(k):
+    f = parse_poly(ONE_LARGE_POWER.format(k), nvars=3)
+    gens = [g for g in jacobian(f) if not g.is_zero()]
+    assert milnor(f) == colength_oracle(gens, 12) == 12 * (k - 1)
+    assert tjurina(f) == colength_oracle(gens + [f], 12) == 12 * (k - 1)

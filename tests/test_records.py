@@ -28,7 +28,7 @@ def _std_basis():
 # class, its constructor's parameter names in order, and a sample instance
 RECORDS = [
     (Spectrum, ["values", "nums", "L"], _spectrum),
-    (SubsetStats, ["tau", "av", "var", "alpha_min", "alpha_max", "delta"],
+    (SubsetStats, ["tau", "L", "s1", "s2", "k_min", "k_max"],
      lambda: stats_of_values([F(1, 3), F(1, 2), F(5, 4)])),
     (TjurinaInstance, ["spectrum", "tjurina_indices", "defining_poly", "family_tag", "swh",
                        "subset_assumed"], lambda: SwhParams(7, 7, 1, 1).instance()),

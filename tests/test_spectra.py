@@ -80,6 +80,19 @@ def test_subset_stats_errors():
         subset_stats(s, [0, 1])
 
 
+def test_subset_stats_counts_each_index_once_in_any_iterable():
+    s = BrieskornParams(7, 5).instance().spectrum
+    picks = [9, 2, 17, 2, 24, 9, 1, 24]
+    want = stats_of_values([s.nums[i - 1] for i in sorted(set(picks))], s.L)
+    for indices in (picks, (i for i in picks), frozenset(picks)):
+        assert subset_stats(s, indices) == want
+    for bad, error in (([], "statistics of an empty subset are undefined"),
+                       ([1, s.mu + 1, 1], rf"subset index outside \[1, {s.mu}\]")):
+        for indices in (bad, (i for i in bad), frozenset(bad)):
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                subset_stats(s, indices)
+
+
 @pytest.mark.parametrize("i", [0, -1, 3])
 def test_value_at_outside_one_to_mu_raises_index_error(i):
     s = BrieskornParams(3, 2).instance().spectrum
