@@ -2,7 +2,8 @@
 
 Subcommands: spectrum | check | enumerate | sweep | milnor | tjurina | verify.
 Exit codes: 0 success, 1 input error or a stdout closed early (as by
-`| head`, with nothing on stderr), 2 internal consistency failure.
+`| head`, with nothing on stderr), 2 internal consistency failure, a family
+spectrum that fails its own range or symmetry check included.
 All rationals are printed as "p/q"; decimal columns are advisory renderings
 with 12 significant digits.
 """

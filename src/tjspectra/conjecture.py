@@ -8,6 +8,7 @@ spectrum, and the closed-form products tau*delta for the (3, 2, 2)
 two-Puiseux-pair family.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Sequence
@@ -164,12 +165,7 @@ def enumerate_candidates(s: Spectrum, slack: int) -> EnumerationResult:
     mu = s.mu
     if slack < 0:
         raise TjspectraError(f"slack must be non-negative, got {slack}")
-    limit = s.values[0] + 1
-    k = mu + 1
-    for i in range(mu):
-        if s.values[i] > limit:
-            k = i + 1
-            break
+    k = bisect_right(s.nums, s.nums[0] + s.L) + 1  # alpha_1 + 1 is (k_1 + L) / L
     clamped = False
     if k > mu - slack + 1:
         slack = mu - k + 1

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules: one class per CLI outcome."""
 
 
 class TjspectraError(Exception):
@@ -9,66 +9,25 @@ class TjspectraError(Exception):
     built-in ValueError, or TypeError for a wrong type: ``Poly``,
     ``pow_terms``, ``colength_oracle``, ``local_std_basis``,
     ``mple_failure_bound``, ``prop41_step``, ``remark32_compare``,
-    ``closed_form_tau_delta_322`` and the statistics do so.
+    ``closed_form_tau_delta_322``, the statistics and the spectrum
+    constructors ``make_spectrum`` and ``spectrum_of_numerators`` do so.
     ``Spectrum.value_at`` raises IndexError outside 1..mu, as a tuple does.
-    Spectrum construction keeps EmptySpectrum, ValueOutOfRange and
-    SymmetryViolation, because it also checks every family's spectrum."""
+    A family spectrum that fails its own range or symmetry check is an
+    InternalConsistencyError (exit 2)."""
 
-
-# --- spectrum construction ---
-
-class EmptySpectrum(TjspectraError):
-    pass
-
-
-class ValueOutOfRange(TjspectraError):
-    pass
-
-
-class SymmetryViolation(TjspectraError):
-    pass
-
-
-# --- family generators ---
 
 class InvalidFamilyParameters(TjspectraError):
-    pass
-
-
-class DegenerateExponent(InvalidFamilyParameters):
-    pass
-
-
-class GcdViolation(InvalidFamilyParameters):
-    pass
+    """The tuple lies outside its family; ``sweep`` skips it."""
 
 
 class Condition81Violated(TjspectraError):
     """Lattice-generated Tjurina count disagrees with the local-algebra engine."""
 
 
-# --- polynomial engine ---
-
 class PolySyntaxError(TjspectraError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class TooManyVariables(TjspectraError):
-    pass
-
-
-class NonIsolatedSingularity(TjspectraError):
-    pass
-
-
-class NonzeroConstantTerm(TjspectraError):
-    pass
-
-
-class DegreeTooLarge(TjspectraError):
-    """A term of total degree beyond ``localg.MAX_DEGREE``."""
 
 
 class InternalConsistencyError(TjspectraError):

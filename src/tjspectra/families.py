@@ -11,8 +11,10 @@ members are placed first, so the Tjurina subset is an initial run of each
 level; this is the normal form the downstream index-based operations rely
 on, and it does not change any value multiset.
 
-Every spectrum is built from int numerators by
-:func:`~tjspectra.spectra.spectrum_of_numerators`.  Brieskorn and Puiseux
+Every spectrum is built from int numerators by :func:`_spectrum`, which
+hands them to :func:`~tjspectra.spectra.spectrum_of_numerators` and turns a
+failed range or symmetry check, the family's own fault and never the
+input's, into InternalConsistencyError.  Brieskorn and Puiseux
 produce them over their own denominator; the swh and three-monomial
 lattices yield ``(Fraction, is_tjurina)`` pairs, which
 :func:`_lattice_instance` maps to numerators once and sorts as int pairs.
@@ -23,8 +25,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import localg
-from .errors import (Condition81Violated, DegenerateExponent, GcdViolation,
-                     InternalConsistencyError, InvalidFamilyParameters)
+from .errors import Condition81Violated, InternalConsistencyError, InvalidFamilyParameters
 from .poly import Poly
 from .spectra import Spectrum, _over_common_denominator, spectrum_of_numerators
 
@@ -69,7 +70,7 @@ class BrieskornParams(NamedTuple):
 
     def validate(self):
         if min(self.a, self.b) < 2:
-            raise DegenerateExponent(f"need a, b >= 2, got ({self.a}, {self.b})")
+            raise InvalidFamilyParameters(f"need a, b >= 2, got ({self.a}, {self.b})")
 
     def instance(self):
         return brieskorn_instance(self)
@@ -146,9 +147,9 @@ class PuiseuxParams(NamedTuple):
         if self.c <= 0:
             raise InvalidFamilyParameters(f"need c = b*q + a*r > 0, got {self.c}")
         if gcd(self.a, self.b) != 1:
-            raise GcdViolation(f"gcd(a, b) = {gcd(self.a, self.b)} != 1")
+            raise InvalidFamilyParameters(f"gcd(a, b) = {gcd(self.a, self.b)} != 1")
         if gcd(self.c, self.d) != 1:
-            raise GcdViolation(f"gcd(c, d) = {gcd(self.c, self.d)} != 1")
+            raise InvalidFamilyParameters(f"gcd(c, d) = {gcd(self.c, self.d)} != 1")
 
     def instance(self):
         return puiseux_instance(self)
@@ -158,6 +159,14 @@ class PuiseuxParams(NamedTuple):
 # wrapper put in place of that name sees every call.
 FAMILIES = {"brieskorn": BrieskornParams, "swh": SwhParams,
             "three-monomial": ThreeMonomialParams, "puiseux": PuiseuxParams}
+
+
+def _spectrum(nums: list[int], L: int) -> Spectrum:
+    """The family spectrum of the numerators k/L, values in (0, 2)."""
+    try:
+        return spectrum_of_numerators(nums, L, 2)
+    except ValueError as exc:
+        raise InternalConsistencyError(str(exc)) from None
 
 
 def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInstance:
@@ -171,7 +180,7 @@ def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInst
     pairs = list(pairs)
     nums, L = _over_common_denominator([v for v, _ in pairs])
     ordered = sorted(zip(nums, [not tj for _, tj in pairs]))
-    spectrum = spectrum_of_numerators([k for k, _ in ordered], L, 2)
+    spectrum = _spectrum([k for k, _ in ordered], L)
     indices = frozenset(i for i, (_, later) in enumerate(ordered, 1) if not later)
     return TjurinaInstance(spectrum, indices, f, family_tag, swh=swh, subset_assumed=False)
 
@@ -182,8 +191,7 @@ def brieskorn_instance(params: BrieskornParams) -> TjurinaInstance:
     so the Tjurina subset is the whole spectrum."""
     params.validate()
     a, b = params
-    spectrum = spectrum_of_numerators([i * b + j * a for i in range(1, a) for j in range(1, b)],
-                                      a * b, 2)
+    spectrum = _spectrum([i * b + j * a for i in range(1, a) for j in range(1, b)], a * b)
     return TjurinaInstance(spectrum, frozenset(range(1, spectrum.mu + 1)),
                            Poly({(a, 0): 1, (0, b): 1}, 2), f"brieskorn({a},{b})",
                            swh=True, subset_assumed=False)
@@ -275,7 +283,7 @@ def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
     for i in range(1, a):
         for t in range(i * b + a, a * b, a):  # t = i*b + j*a < ab
             lower.extend(range(t * per_abd, L, a * b * per_abd))  # k = 0, ..., d-1
-    return spectrum_of_numerators(lower + [2 * L - k for k in lower], L, 2)
+    return _spectrum(lower + [2 * L - k for k in lower], L)
 
 
 def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:

@@ -24,7 +24,7 @@ field, so ``a | b`` is one subtraction: ``(b - a) & guard`` is zero
 exactly when a divides b, because the lowest field where b is smaller
 borrows and sets its guard bit.  A degree of
 :data:`MAX_DEGREE` + 1 = 2^(W-1) or more raises
-:class:`~tjspectra.errors.DegreeTooLarge`: in the input, and in a term the
+:class:`~tjspectra.errors.TjspectraError`: in the input, and in a term the
 engine forms before it knows a highest corner N <= 2^(W-1) (below), after
 which such terms are dropped.  So no kept term reaches a guard bit, and no
 field carries into the next.  There is one packing per number of
@@ -81,7 +81,7 @@ from math import comb, gcd
 from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import DegreeTooLarge, NonIsolatedSingularity, NonzeroConstantTerm
+from .errors import TjspectraError
 from .poly import MAX_VARS, Exponent, IntPoly, Poly, add_terms
 
 INFINITE = "infinite"
@@ -110,8 +110,8 @@ def _lead(p: IntPoly) -> Exponent:
     return min(p, key=_lead_key)
 
 
-def _too_large(degree: int) -> DegreeTooLarge:
-    return DegreeTooLarge(f"a term of degree {degree} is beyond the engine's "
+def _too_large(degree: int) -> TjspectraError:
+    return TjspectraError(f"a term of degree {degree} is beyond the engine's "
                           f"limit of {MAX_DEGREE}")
 
 
@@ -332,7 +332,7 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     Output is deterministic for fixed input: generators appear in the order
     they were produced, normalized to integer content-free form, and those
     made once the highest corner is known have no term at or above it.
-    DegreeTooLarge for a term beyond MAX_DEGREE, in gens or on the way.
+    TjspectraError for a term beyond MAX_DEGREE, in gens or on the way.
     """
     nvars = _shared_nvars(gens)
     packing = _PACKINGS[nvars]
@@ -345,8 +345,8 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
 
 def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
     """Colength of the ideal of f's partial derivatives, with f itself when
-    with_f is set (f's `ideal`); NonIsolatedSingularity when no generator is
-    nonzero or the colength is infinite, and DegreeTooLarge when f has a
+    with_f is set (f's `ideal`); TjspectraError when no generator is
+    nonzero or the colength is infinite, and when f has a
     term beyond MAX_DEGREE.
 
     f's terms are packed once, and the partial derivatives are formed on
@@ -357,7 +357,7 @@ def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
     packing = _PACKINGS[f.nvars]
     try:
         packed = [packing.pack(e) for e in f.terms]
-    except DegreeTooLarge:
+    except TjspectraError:
         raise _too_large(max(map(sum, f.terms))) from None  # the message names f's degree
     partials: list[PackedPoly] = [{} for _ in packing.variables]
     for m, (e, c) in zip(packed, f.terms.items()):
@@ -368,11 +368,11 @@ def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
         partials.append(dict(zip(packed, f.terms.values())))
     gens = [_strip_content(g) for g in partials if g]
     if not gens:
-        raise NonIsolatedSingularity(if_zero)
+        raise TjspectraError(if_zero)
     _, leads, pure = _std_int(gens, packing)
     colength = _colength_of_leads(leads, pure)
     if colength == INFINITE:
-        raise NonIsolatedSingularity(f"{ideal} of {f} has infinite colength")
+        raise TjspectraError(f"{ideal} of {f} has infinite colength")
     return colength
 
 
@@ -384,7 +384,7 @@ def milnor(f: Poly) -> int:
 def tjurina(f: Poly) -> int:
     """Tjurina number: colength of the ideal (df, f)."""
     if f.constant_term() != 0:
-        raise NonzeroConstantTerm("tjurina number requires f(0) = 0")
+        raise TjspectraError("tjurina number requires f(0) = 0")
     return _colength(f, "ideal (df, f)", "zero polynomial", with_f=True)
 
 

@@ -28,7 +28,7 @@ where the grammar failed, or the length of the text at its end.
 import re
 from operator import add
 
-from .errors import PolySyntaxError, TooManyVariables
+from .errors import PolySyntaxError, TjspectraError
 
 VAR_NAMES = ("x", "y", "z")
 MAX_VARS = 3
@@ -39,7 +39,7 @@ IntPoly = dict[Exponent, int]
 
 def _check_nvars(nvars: int) -> None:
     if not 1 <= nvars <= MAX_VARS:
-        raise TooManyVariables(f"nvars must be in [1, {MAX_VARS}]")
+        raise TjspectraError(f"nvars must be in [1, {MAX_VARS}]")
 
 
 def add_terms(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -95,7 +95,7 @@ class Poly:
     """A polynomial in nvars variables.  Construction raises TypeError for
     a coefficient that is not an int (a Fraction, float or bool), ValueError
     for a zero coefficient or an exponent that is not a tuple of nvars
-    non-negative ints, and TooManyVariables for nvars outside [1, MAX_VARS]."""
+    non-negative ints, and TjspectraError for nvars outside [1, MAX_VARS]."""
 
     __slots__ = ("terms", "nvars")
     __setattr__ = __delattr__ = _read_only  # immutable; __eq__ with no __hash__: unhashable

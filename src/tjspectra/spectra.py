@@ -24,8 +24,6 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptySpectrum, SymmetryViolation, ValueOutOfRange
-
 
 class Spectrum(NamedTuple):
     values: tuple[Fraction, ...]  # weakly increasing, symmetric about n/2
@@ -112,19 +110,20 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
     """Spectrum of the values k/L for the int numerators k, in any order.
     The values must lie in (0, n), that is 0 < k < nL, and satisfy
-    k_i + k_{mu+1-i} = nL.  The spectrum keeps the numerators and L divided
+    k_i + k_{mu+1-i} = nL; no values, or values that fail either check,
+    raise ValueError.  The spectrum keeps the numerators and L divided
     by gcd(L, *nums), so equal values give equal spectra whatever L the
     caller chose; each distinct value's ``Fraction`` is built once."""
     nums = sorted(nums)
     if not nums:
-        raise EmptySpectrum("a spectrum must contain at least one value")
+        raise ValueError("a spectrum must contain at least one value")
     top = n * L
     if nums[0] <= 0 or nums[-1] >= top:
         bad = nums[0] if nums[0] <= 0 else nums[-1]
-        raise ValueOutOfRange(f"spectral value {Fraction(bad, L)} outside (0, {n})")
+        raise ValueError(f"spectral value {Fraction(bad, L)} outside (0, {n})")
     for i, pair_sum in enumerate(map(add, nums, reversed(nums))):
         if pair_sum != top:
-            raise SymmetryViolation(
+            raise ValueError(
                 f"alpha_{i + 1} + alpha_{len(nums) - i} = {Fraction(pair_sum, L)} != {n}")
     g = gcd(L, *nums)
     if g > 1:

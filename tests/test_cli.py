@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -317,6 +318,36 @@ def test_engine_tau_above_mu_exits_2(monkeypatch, capsys):
     assert f"internal error: the engine computes tau = {mu + 1} outside [1, mu = {mu}]" in err
 
 
+def test_family_spectrum_failing_its_check_exits_2(monkeypatch, capsys):
+    # a family spectrum that fails its own symmetry check is the program's
+    # fault, not the input's; the spectrum constructors given such values
+    # as library arguments raise ValueError
+    from tjspectra import cli, families
+    from tjspectra.spectra import make_spectrum, spectrum_of_numerators
+    monkeypatch.setattr(families, "spectrum_of_numerators",
+                        lambda nums, L, n: spectrum_of_numerators(sorted(nums)[:-1], L, n))
+    for argv in (["check", "brieskorn", "--a", "5", "--b", "4"],
+                 ["spectrum", "swh", "--a", "7", "--b", "7", "--c", "1", "--d", "1"],
+                 ["sweep", "puiseux", "--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"],
+                 ["enumerate", "--poly", "x^7+y^7"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("internal error: alpha_1 + alpha_"), err
+
+    for build, args, message in (
+            (make_spectrum, ([], 2), "a spectrum must contain at least one value"),
+            (spectrum_of_numerators, ([], 6, 2), "a spectrum must contain at least one value"),
+            (make_spectrum, ([F(5, 2)], 2), "spectral value 5/2 outside (0, 2)"),
+            (spectrum_of_numerators, ([0, 3], 6, 2), "spectral value 0 outside (0, 2)"),
+            (make_spectrum, ([F(1, 2), F(1)], 2), "alpha_1 + alpha_2 = 3/2 != 2"),
+            (spectrum_of_numerators, ([7, 5, 3], 6, 2), "alpha_1 + alpha_3 = 5/3 != 2")):
+        with pytest.raises(ValueError) as exc:
+            build(*args)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
+
 SWH_ARGS = ["sweep", "swh", "--a", "5:7", "--b", "5:7", "--c", "1", "--d", "1"]
 
 
@@ -482,6 +513,12 @@ def test_sweep_drop_max_skips_single_value_spectrum(capsys):
     ["sweep", "swh", "--b", "5", "--c", "1", "--d", "1", "--a"],
     ["milnor", "--poly", "x^\u00b2+y^3"],        # a superscript two
     ["tjurina", "--poly", "x^\u0663+y^2"],       # an Arabic-Indic three
+    ["check", "brieskorn", "--a", "1", "--b", "5"],  # an exponent below 2
+    ["check", "puiseux", "--a", "4", "--b", "2", "--d", "3", "--q", "1", "--r", "1"],  # gcd 2
+    ["milnor", "--poly", "x^2+y^3", "--nvars", "4"],
+    ["milnor", "--poly", "x^2*y^2"],            # not an isolated singularity
+    ["tjurina", "--poly", "1+x^2+y^3"],         # f(0) != 0
+    ["milnor", "--poly", "x^40000+y^2"],        # a degree beyond MAX_DEGREE
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     from tjspectra import cli
