@@ -79,6 +79,8 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
+    if args.slack < 0:
+        raise TjspectraError(f"slack must be non-negative, got {args.slack}")
     a, b = _brieskorn_exponents(parse_poly(args.poly))
     s = BrieskornParams(a, b).instance().spectrum
     result = enumerate_candidates(s, args.slack)

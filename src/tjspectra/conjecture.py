@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .errors import InternalConsistencyError, TjspectraError
+from .errors import InternalConsistencyError
 from .families import TjurinaInstance
 from .spectra import Spectrum, SubsetStats, stats_of_values, subset_stats
 
@@ -160,11 +160,12 @@ def enumerate_candidates(s: Spectrum, slack: int) -> EnumerationResult:
 
     For each tau' the missing set is a top block {mu-j+1..mu} plus a middle
     block {k..k+mu-tau'-j-1}; j runs from mu-tau' down to 1, admitted when
-    j = mu-tau' (no middle block) or tau' >= k.
+    j = mu-tau' (no middle block) or tau' >= k.  A negative slack raises
+    ValueError.
     """
     mu = s.mu
     if slack < 0:
-        raise TjspectraError(f"slack must be non-negative, got {slack}")
+        raise ValueError(f"slack must be non-negative, got {slack}")
     k = bisect_right(s.nums, s.nums[0] + s.L) + 1  # alpha_1 + 1 is (k_1 + L) / L
     clamped = False
     if k > mu - slack + 1:

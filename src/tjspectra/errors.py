@@ -9,19 +9,16 @@ class TjspectraError(Exception):
     built-in ValueError, or TypeError for a wrong type: ``Poly``,
     ``pow_terms``, ``colength_oracle``, ``local_std_basis``,
     ``mple_failure_bound``, ``prop41_step``, ``remark32_compare``,
-    ``closed_form_tau_delta_322``, the statistics and the spectrum
-    constructors ``make_spectrum`` and ``spectrum_of_numerators`` do so.
+    ``enumerate_candidates``, ``closed_form_tau_delta_322``, the
+    statistics and ``make_spectrum`` and ``spectrum_of_numerators`` do so.
     ``Spectrum.value_at`` raises IndexError outside 1..mu, as a tuple does.
     A family spectrum that fails its own range or symmetry check is an
     InternalConsistencyError (exit 2)."""
 
 
 class InvalidFamilyParameters(TjspectraError):
-    """The tuple lies outside its family; ``sweep`` skips it."""
-
-
-class Condition81Violated(TjspectraError):
-    """Lattice-generated Tjurina count disagrees with the local-algebra engine."""
+    """The tuple lies outside its family, a three-monomial tuple whose
+    lattice tau the engine contradicts included; ``sweep`` skips it."""
 
 
 class PolySyntaxError(TjspectraError):

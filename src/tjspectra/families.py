@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import localg
-from .errors import Condition81Violated, InternalConsistencyError, InvalidFamilyParameters
+from .errors import InternalConsistencyError, InvalidFamilyParameters
 from .poly import Poly
 from .spectra import Spectrum, _over_common_denominator, spectrum_of_numerators
 
@@ -48,9 +48,7 @@ class TjurinaInstance(NamedTuple):
 
     def cross_check(self):
         """Recompute mu, and tau unless the subset is assumed, with the
-        local-algebra engine.  A tau mismatch on a non-swh instance raises
-        Condition81Violated (the filtered-basis condition fails); any other
-        mismatch is an internal error."""
+        local-algebra engine; any mismatch is an internal error."""
         f = self.defining_poly
         mu_engine = localg.milnor(f)
         if mu_engine != self.mu:
@@ -59,8 +57,8 @@ class TjurinaInstance(NamedTuple):
         if not self.subset_assumed:
             tau_engine = localg.tjurina(f)
             if tau_engine != self.tau:
-                error = InternalConsistencyError if self.swh else Condition81Violated
-                raise error(f"tau = {self.tau} but the engine computes {tau_engine} for {f}")
+                raise InternalConsistencyError(
+                    f"tau = {self.tau} but the engine computes {tau_engine} for {f}")
 
 
 class BrieskornParams(NamedTuple):
@@ -250,14 +248,19 @@ def _three_monomial_lattice(params: ThreeMonomialParams):
 
 
 def three_monomial_instance(params: ThreeMonomialParams) -> TjurinaInstance:
-    """Instance for f = x^a y^b + x^c + y^d via Newton-polygon lattice sets."""
+    """Instance for f = x^a y^b + x^c + y^d via Newton-polygon lattice sets;
+    a tuple whose lattice tau the engine contradicts raises InvalidFamilyParameters."""
     params.validate()
     a, b, c, d = params
-    inst = _lattice_instance(_three_monomial_lattice(params),
-                             Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2),
+    f = Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2)
+    inst = _lattice_instance(_three_monomial_lattice(params), f,
                              f"three_monomial({a},{b},{c},{d})", swh=False)
     if inst.mu - inst.tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
         raise InternalConsistencyError("lattice exclusion count disagrees with the closed form")
+    tau_engine = localg.tjurina(f)
+    if tau_engine != inst.tau:
+        raise InvalidFamilyParameters(
+            f"tau = {inst.tau} but the engine computes {tau_engine} for {f}")
     return inst
 
 

@@ -110,11 +110,20 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
     """Spectrum of the values k/L for the int numerators k, in any order.
     The values must lie in (0, n), that is 0 < k < nL, and satisfy
-    k_i + k_{mu+1-i} = nL; no values, or values that fail either check,
-    raise ValueError.  The spectrum keeps the numerators and L divided
-    by gcd(L, *nums), so equal values give equal spectra whatever L the
-    caller chose; each distinct value's ``Fraction`` is built once."""
+    k_i + k_{mu+1-i} = nL; no values, values that fail either check, or
+    an L below 1 raise ValueError, and a numerator, L or n that is not an
+    int (a bool included) TypeError.  The spectrum keeps the numerators
+    and L divided by gcd(L, *nums), so equal values give equal spectra
+    whatever L the caller chose; each distinct value's ``Fraction`` is
+    built once."""
+    for name, x in (("L", L), ("n", n)):
+        if type(x) is not int:
+            raise TypeError(f"{name} must be an int, not {type(x).__name__}")
+    if L < 1:
+        raise ValueError(f"L must be positive, got {L}")
     nums = sorted(nums)
+    for t in set(map(type, nums)) - {int}:
+        raise TypeError(f"numerators must be ints, not {t.__name__}")
     if not nums:
         raise ValueError("a spectrum must contain at least one value")
     top = n * L

@@ -10,7 +10,7 @@ from itertools import product
 
 from . import localg
 from .conjecture import closed_form_tau_delta_322, enumerate_candidates
-from .errors import Condition81Violated, InternalConsistencyError, InvalidFamilyParameters
+from .errors import InternalConsistencyError, InvalidFamilyParameters
 from .families import (BrieskornParams, PuiseuxParams, SwhParams, ThreeMonomialParams,
                        puiseux_spectrum, swh_instance, three_monomial_instance)
 from .poly import jacobian, parse_poly
@@ -103,7 +103,7 @@ def check_three_monomial_localg():
     for a, b, c, d in THREE_MONOMIAL_TUPLES:
         try:
             three_monomial_instance(ThreeMonomialParams(a, b, c, d)).cross_check()
-        except (InternalConsistencyError, Condition81Violated) as exc:
+        except (InternalConsistencyError, InvalidFamilyParameters) as exc:
             return f"(a,b,c,d)=({a},{b},{c},{d}): {exc}"
 
 

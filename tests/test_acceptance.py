@@ -43,6 +43,13 @@ def test_three_monomial_check_propagates_programming_errors(monkeypatch):
         verify.check_three_monomial_localg()
 
 
+def test_three_monomial_check_reports_a_tau_the_engine_contradicts(monkeypatch):
+    real = localg.tjurina
+    monkeypatch.setattr(localg, "tjurina", lambda f: real(f) + 1)
+    assert verify.check_three_monomial_localg() == (
+        "(a,b,c,d)=(2,4,7,6): tau = 24 but the engine computes 25 for x^7 + x^2*y^4 + y^6")
+
+
 @pytest.mark.parametrize("number", ["milnor", "tjurina"])
 def test_oracle_check_compares_milnor_and_tjurina(monkeypatch, number):
     real = getattr(localg, number)

@@ -383,8 +383,9 @@ def test_cross_check_runs_the_engine(monkeypatch, capsys, family, flags):
 @pytest.mark.parametrize("family, flags, error, code", [
     ("brieskorn", ["--a", "5", "--b", "4"], "InternalConsistencyError", 2),
     ("swh", ["--a", "5", "--b", "4", "--c", "1", "--d", "1"], "InternalConsistencyError", 2),
+    # the CLI builds the instance anew, and the build rejects the tuple (exit 1)
     ("three-monomial", ["--a", "2", "--b", "4", "--c", "7", "--d", "6"],
-     "Condition81Violated", 1),
+     "InternalConsistencyError", 1),
     # the Puiseux subset is assumed from the engine's own tau: nothing to compare
     ("puiseux", ["--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"], None, 0),
 ])
@@ -401,6 +402,29 @@ def test_cross_check_tau_mismatch(monkeypatch, capsys, family, flags, error, cod
             inst.cross_check()
     assert cli.main(["check", family] + flags + ["--cross-check"]) == code
     assert ("tau = " in capsys.readouterr().err) == (error is not None)
+
+
+# the lattice counts tau = 41, the engine and colength_oracle 40
+CONTRADICTED = ["three-monomial", "--a", "3", "--b", "4", "--c", "4", "--d", "17"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--cross-check"]])
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_three_monomial_tau_the_engine_contradicts_exits_1(capsys, command, flags):
+    from tjspectra import cli
+    assert cli.main([command] + CONTRADICTED + flags) == 1
+    assert capsys.readouterr() == (
+        "", "error: tau = 41 but the engine computes 40 for y^17 + x^3*y^4 + x^4\n")
+
+
+def test_sweep_skips_a_three_monomial_tau_the_engine_contradicts(capsys):
+    from tjspectra import cli
+    assert cli.main(["sweep", "three-monomial", "--a", "3", "--b", "4",
+                     "--c", "4:8", "--d", "17:18"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [row.split("\t")[1] for row in out.splitlines()[1:]] == [
+        f"3,4,{c},{d}" for c in range(5, 9) for d in (17, 18)]
 
 
 FRONTIER = ["swh", "--a", "48", "--b", "48", "--c", "1", "--d", "1"]  # thm31 fires from m = 48
@@ -526,6 +550,12 @@ def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_enumerate_negative_slack_exits_1(capsys):
+    from tjspectra import cli
+    assert cli.main(["enumerate", "--poly", "x^7+y^7", "--slack", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: slack must be non-negative, got -1\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])

@@ -149,6 +149,11 @@ def test_enumerate_slack_two():
     assert tau34 == [(2, [35, 36]), (1, [31, 36])]
 
 
+def test_enumerate_negative_slack_is_a_value_error():
+    with pytest.raises(ValueError, match="^slack must be non-negative, got -1$"):
+        enumerate_candidates(full_instance(7, 7).spectrum, -1)
+
+
 def test_enumerate_clamp():
     s = full_instance(7, 7).spectrum
     res = enumerate_candidates(s, 100)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 from itertools import groupby, product
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tjspectra import localg
 from tjspectra.errors import InternalConsistencyError, InvalidFamilyParameters, TjspectraError
 from tjspectra.families import (FAMILIES, BrieskornParams, PuiseuxParams, SwhParams,
                                 ThreeMonomialParams, TjurinaInstance, _lattice_instance,
@@ -171,6 +173,42 @@ def test_three_monomial_cross_checks(tpl):
     inst = three_monomial_instance(ThreeMonomialParams(*tpl))
     inst.cross_check()
     assert inst.mu - inst.tau == (tpl[0] - 1) * (tpl[1] - 1) + max(2 * tpl[1] - tpl[3] - 1, 0)
+
+
+def test_three_monomial_tau_is_the_engines_on_a_grid():
+    """Every instance that builds has the engine's tau; a tuple whose
+    lattice count the engine contradicts raises InvalidFamilyParameters."""
+    valid, rejected = 0, []
+    for t in product(range(2, 6), range(3, 8), range(1, 21), range(1, 21)):
+        p = ThreeMonomialParams(*t)
+        try:
+            p.validate()
+        except InvalidFamilyParameters:
+            continue
+        valid += 1
+        f = Poly({(p.a, p.b): 1, (p.c, 0): 1, (0, p.d): 1}, 2)
+        tau = localg.tjurina(f)
+        lattice_tau = sum(tj for _, tj in _three_monomial_lattice(p))
+        if lattice_tau == tau:
+            assert three_monomial_instance(p).tau == tau, t
+        else:
+            with pytest.raises(InvalidFamilyParameters, match=re.escape(
+                    f"tau = {lattice_tau} but the engine computes {tau} for {f}") + "$"):
+                three_monomial_instance(p)
+            rejected.append(t)
+    assert (valid, len(rejected)) == (2728, 17)
+    assert all(c < 2 * a for a, _, c, _ in rejected)
+
+
+def test_three_monomial_3_4_4_17_has_tau_40():
+    # the lattice counts 41; the oracle is the slow route, capped at mu = 47 >= tau
+    p = ThreeMonomialParams(3, 4, 4, 17)
+    assert sum(tj for _, tj in _three_monomial_lattice(p)) == 41
+    f = parse_poly("x^3*y^4+x^4+y^17")
+    assert (localg.milnor(f), colength_oracle(jacobian(f) + [f], 47)) == (47, 40)
+    with pytest.raises(InvalidFamilyParameters,
+                       match=r"^tau = 41 but the engine computes 40 for y\^17 \+ x\^3\*y\^4 \+ x\^4$"):
+        three_monomial_instance(p)
 
 
 def test_puiseux_c1_spectrum():

@@ -187,6 +187,22 @@ def test_make_spectrum_accepts_ints_and_rejects_floats():
         make_spectrum([True, F(1, 2), F(3, 2)], n=2)
 
 
+@pytest.mark.parametrize("nums, L, n, error, message", [
+    ([True, True], 1, 2, TypeError, "numerators must be ints, not bool"),
+    ([1, 3.0], 2, 2, TypeError, "numerators must be ints, not float"),
+    ([F(1), F(3)], 2, 2, TypeError, "numerators must be ints, not Fraction"),
+    ([1, 3], True, 2, TypeError, "L must be an int, not bool"),
+    ([1, 3], 2.0, 2, TypeError, "L must be an int, not float"),
+    ([1, 3], 2, True, TypeError, "n must be an int, not bool"),
+    ([2, 4], 3, 2.0, TypeError, "n must be an int, not float"),
+    ([1], 0, 2, ValueError, "L must be positive, got 0"),
+    ([1, 3], -2, 2, ValueError, "L must be positive, got -2"),
+])
+def test_spectrum_of_numerators_rejects_bad_types_and_L(nums, L, n, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        spectrum_of_numerators(nums, L, n)
+
+
 def outcome(build, *args):
     """The Spectrum that build returns, or the type and message it raises."""
     try:

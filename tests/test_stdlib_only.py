@@ -59,8 +59,8 @@ def test_errors_defines_exactly_these_classes():
     defined = {name for name, value in vars(errors).items()
                if isinstance(value, type) and value.__module__ == errors.__name__}
     assert defined == {
-        "TjspectraError", "InvalidFamilyParameters", "Condition81Violated",
-        "PolySyntaxError", "InternalConsistencyError",
+        "TjspectraError", "InvalidFamilyParameters", "PolySyntaxError",
+        "InternalConsistencyError",
     }
 
 
