@@ -11,6 +11,9 @@ class TjspectraError(Exception):
     ``mple_failure_bound``, ``prop41_step``, ``remark32_compare``,
     ``enumerate_candidates``, ``closed_form_tau_delta_322``, the
     statistics and ``make_spectrum`` and ``spectrum_of_numerators`` do so.
+    The one exception is an nvars outside [1, 3]: ``Poly`` and
+    ``parse_poly`` raise TjspectraError("nvars must be in [1, 3]") for it,
+    which ``--nvars 4`` reaches (exit 1).
     ``Spectrum.value_at`` raises IndexError outside 1..mu, as a tuple does.
     A family spectrum that fails its own range or symmetry check is an
     InternalConsistencyError (exit 2)."""
@@ -22,9 +25,15 @@ class InvalidFamilyParameters(TjspectraError):
 
 
 class PolySyntaxError(TjspectraError):
+    """The grammar failed at ``position``; ``args`` is (message, position),
+    so the error survives pickling, as ``sweep --jobs`` needs."""
+
     def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message, position)
         self.position = position
+
+    def __str__(self):
+        return "{} (at position {})".format(*self.args)
 
 
 class InternalConsistencyError(TjspectraError):

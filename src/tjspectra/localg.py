@@ -48,6 +48,18 @@ degree N, and the pure powers span it from N on, so the colength is
 unchanged.  N only falls, as smaller pure powers enter, and the S-pairs
 whose lead lcm has degree N or more are dropped unformed.
 
+One-term cut.  A basis element with one term, c*m, puts the monomial m in
+the ideal, and with it every multiple of m.  So the engine drops from each
+generator as it enters, and from each polynomial that the combining step
+builds, every term that such an m divides; a generator left with no term
+does not enter.  Dropping the term c'*m' is subtracting (c'/c)*(m'/m) times
+c*m, a reduction whose product has lead m', at most the lead of the
+polynomial it is dropped from, so every weak normal form keeps its
+standard representation, as under the highest-corner cut.  Without it, a
+remainder that keeps a term such as y^k, which the one-term element
+y^(k-1) divides, can climb for about 0.7*k reduction steps towards the
+highest corner while its coefficients grow.
+
 Chain criterion (Buchberger's second criterion: B. Buchberger, EUROSAM
 1979; R. Gebauer and H. M. Moller, *J. Symb. Comp.* 6, 1988).  Besides the
 pairs with coprime leads (the product criterion), a popped pair (i, j) is
@@ -148,10 +160,16 @@ class _Packing:
 _PACKINGS = {nvars: _Packing(nvars) for nvars in range(1, MAX_VARS + 1)}
 
 
+def _drop_multiples(p: PackedPoly, monomials: Sequence[int], guard: int) -> PackedPoly:
+    """p without the terms that one of the packed monomials divides."""
+    return {m: c for m, c in p.items() if all((m - u) & guard for u in monomials)}
+
+
 def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
-             cut: int) -> PackedPoly:
-    """a*x^df*f - b*x^dg*g with every term at or above cut dropped, content
-    removed: the one step that makes S-polynomials and reductions."""
+             cut: int, monomials: Sequence[int], guard: int) -> PackedPoly:
+    """a*x^df*f - b*x^dg*g with every term at or above cut, and every term
+    that one of the packed monomials divides, dropped, content removed: the
+    one step that makes S-polynomials and reductions."""
     out = {k: a * c for m, c in f.items() if (k := m + df) < cut}
     for m, c in g.items():
         m += dg
@@ -161,6 +179,8 @@ def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
                 out[m] = s
             else:
                 del out[m]
+    if monomials:
+        out = _drop_multiples(out, monomials, guard)
     return _strip_content(out)
 
 
@@ -170,7 +190,9 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
     + Mora NF, with the highest-corner cut): the (generator, lead, ecart)
     triples in the order they were produced, the lead exponent tuples, and
     the least pure-power exponent among the leads of each variable (None
-    where no lead is a pure power of it; all 0 after the lead 1).
+    where no lead is a pure power of it; all 0 after the lead 1).  A
+    generator loses every term that the monomial of a one-term basis
+    element divides, and one that loses all its terms does not enter.
 
     Each generator's lead and ecart are computed once, when it enters the
     basis.  Pending S-pairs sit on one heap keyed by (lcm degree, -seq): the
@@ -184,6 +206,7 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
     pending: set[tuple[int, int]] = set()
     seq = count()
     pure: list[Optional[int]] = [None] * nvars  # least pure-power exponent per variable
+    monomials: list[int] = []  # the packed monomials of the one-term basis elements
     # Terms of degree `top` or more are dropped.  Until the highest corner
     # is at most MAX_DEGREE + 1, `exact` holds and forming such a term
     # raises instead: dropping it would change the ideal.
@@ -220,11 +243,15 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
                     pool.append((h, lm_h, ec_h))
             cf, cg = h[lm_h], g[lm_g]
             d = gcd(cf, cg)
-            h = _combine(h, 0, cg // d, g, lm_h - lm_g, cf // d, cut)
+            h = _combine(h, 0, cg // d, g, lm_h - lm_g, cf // d, cut, monomials, guard)
         return h
 
     def enter(g: PackedPoly) -> None:
         nonlocal top, exact
+        if monomials:
+            g = _strip_content(_drop_multiples(g, monomials, guard))
+            if not g:
+                return
         j = len(basis)
         lm_j = min(g)
         e = packing.unpack(lm_j)
@@ -236,6 +263,8 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
         degree = lm_j >> shift
         basis.append((g, lm_j, (max(g) >> shift) - degree))
         exps.append(e)
+        if len(g) == 1:
+            monomials.append(lm_j)
         for v, k in enumerate(e):
             if k == degree and (pure[v] is None or k < pure[v]):
                 pure[v] = k
@@ -265,7 +294,8 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
         cf, cg = f[lm_f], g[lm_g]
         d = gcd(cf, cg)
         cut = top << shift
-        h = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut), cut)
+        h = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut,
+                             monomials, guard), cut)
         if h:
             enter(h)
     return basis, exps, pure
@@ -330,8 +360,11 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     """Standard basis under the local degree order, with its colength.
 
     Output is deterministic for fixed input: generators appear in the order
-    they were produced, normalized to integer content-free form, and those
-    made once the highest corner is known have no term at or above it.
+    they were produced, normalized to integer content-free form.  Those
+    made once the highest corner is known have no term at or above it, and
+    none has a term that the monomial of an earlier one-term generator
+    divides (module docstring); an input generator left with no term is
+    not returned.
     TjspectraError for a term beyond MAX_DEGREE, in gens or on the way.
     """
     nvars = _shared_nvars(gens)

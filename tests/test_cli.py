@@ -204,7 +204,12 @@ def test_sweep_prints_each_tuple_once(capsys):
     assert rows == ["7,7,1,1", "8,7,1,1"]
 
 
-def test_sweep_jobs_match_serial(monkeypatch, capsys):
+@pytest.mark.parametrize("args", [
+    ["sweep", "swh", "--a", "5:9", "--b", "5:9", "--c", "1:2", "--d", "1:2"],
+    ["sweep", "puiseux", "--a", "4:9", "--b", "2:5", "--d", "1:3", "--q", "4:6", "--r", "1",
+     "--format", "json"],
+], ids=["swh", "puiseux"])
+def test_sweep_jobs_match_serial(monkeypatch, capsys, args):
     import concurrent.futures
     from tjspectra import cli
     made = []
@@ -215,7 +220,6 @@ def test_sweep_jobs_match_serial(monkeypatch, capsys):
             made.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    args = ["sweep", "swh", "--a", "5:9", "--b", "5:9", "--c", "1:2", "--d", "1:2"]
     assert cli.main(args + ["--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)

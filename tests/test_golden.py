@@ -2,7 +2,8 @@
 a Puiseux and an swh drop-max `sweep`, of `check` on swh(300,299,1,1) at
 scale (mu = 89102, L = 89700), and of `enumerate` and `verify`, pinned
 against files in tests/golden/.  `spectrum` and `check` with
-`--cross-check` must print the same file as without it.
+`--cross-check` must print the same file as without it, and a fresh
+process must print the swh(300,299,1,1) file within 20 s.
 
 The family files were written by the CLI before the family table replaced
 the per-family code in `cli.py`, the `enumerate` and `verify` files
@@ -13,6 +14,8 @@ regression.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,11 @@ def test_stdout_is_byte_identical(capsys, name):
     assert cli.main(GOLDEN[name]) == 0
     with open(os.path.join(GOLDEN_DIR, f"{name.removesuffix(CROSS_CHECK)}.txt")) as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("name", ["check-swh-300-299"])
+def test_a_fresh_process_prints_the_golden_file_within_20_s(name):
+    r = subprocess.run([sys.executable, "-m", "tjspectra.cli"] + GOLDEN[name],
+                       capture_output=True, text=True, timeout=20)
+    with open(os.path.join(GOLDEN_DIR, f"{name}.txt")) as fh:
+        assert (r.returncode, r.stdout, r.stderr) == (0, fh.read(), "")

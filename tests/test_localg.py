@@ -157,6 +157,9 @@ def engine_polys(draw):
 
 
 @given(engine_polys())
+# two draws that took minutes before the one-term cut
+@example(parse_poly("x^3*z^3-2*x^5-2*y^32767+4*z^4", nvars=3))
+@example(parse_poly("6*x^32766-4*y^3+8*y^2+8*z^32765", nvars=3))
 @example(parse_poly(f"6*x^{MAX_DEGREE}-4*y^2"))
 @example(parse_poly(f"x^{MAX_DEGREE + 1}+y^{MAX_DEGREE + 3}+x*y"))
 @example(parse_poly("3*x^2-3*x^3", nvars=3))
@@ -400,23 +403,31 @@ def _ref_content_free(p):
     return {e: c // g for e, c in p.items()} if g > 1 else p
 
 
-def _ref_combine(f, df, a, g, dg, b, corner):
+def _ref_without_multiples(p, monomials):
+    """p content-free, without the terms that one of the monomials divides."""
+    return _ref_content_free({e: c for e, c in p.items()
+                              if not any(_ref_divides(u, e) for u in monomials)})
+
+
+def _ref_combine(f, df, a, g, dg, b, corner, monomials):
     """a * x^df * f - b * x^dg * g, content removed, without the terms of
-    degree corner or more (corner None: keep every term)."""
+    degree corner or more (corner None: keep every term) and those that
+    one of the monomials divides."""
     out = {}
     for p, d, k in ((f, df, a), (g, dg, -b)):
         for e, c in p.items():
             e = tuple(x + y for x, y in zip(e, d))
             if corner is None or sum(e) < corner:
                 out[e] = out.get(e, 0) + k * c
-    return _ref_content_free({e: c for e, c in out.items() if c})
+    return _ref_without_multiples({e: c for e, c in out.items() if c}, monomials)
 
 
-def _ref_cancel(f, lm_f, g, lm_g, lcm, corner):
+def _ref_cancel(f, lm_f, g, lm_g, lcm, corner, monomials):
     cf, cg = f[lm_f], g[lm_g]
     d = gcd(cf, cg)
     return _ref_combine(f, tuple(x - y for x, y in zip(lcm, lm_f)), cg // d,
-                        g, tuple(x - y for x, y in zip(lcm, lm_g)), cf // d, corner)
+                        g, tuple(x - y for x, y in zip(lcm, lm_g)), cf // d, corner,
+                        monomials)
 
 
 def _ref_corner(basis):
@@ -431,7 +442,7 @@ def _ref_corner(basis):
     return sum(p - 1 for p in powers) + 1
 
 
-def _ref_mora_nf(f, basis, corner):
+def _ref_mora_nf(f, basis, corner, monomials):
     pool = [(g, _ref_lead(g), _ref_ecart(g, _ref_lead(g))) for g in basis]
     h = f
     while h:
@@ -445,7 +456,7 @@ def _ref_mora_nf(f, basis, corner):
         ec_h = _ref_ecart(h, lm_h)
         if best[2] > ec_h:
             pool.append((h, lm_h, ec_h))
-        h = _ref_cancel(h, lm_h, best[0], best[1], lm_h, corner)
+        h = _ref_cancel(h, lm_h, best[0], best[1], lm_h, corner, monomials)
     return h
 
 
@@ -453,10 +464,21 @@ def _ref_std(gens, cut=True, chain=True, formed=None):
     """The standard-basis loop as first written, re-sorting every pending
     pair on each step and recomputing every lead and the highest corner:
     local_std_basis must return the same generators in the same order.
-    With cut=False no term is ever dropped; with chain=False no pair is
-    skipped by the chain criterion.  `formed`, a list, gets the pair of
-    each S-polynomial formed that is not wholly cut."""
-    basis = [g for g in gens if g]
+    With cut=True the terms that the monomial of a one-term basis element
+    divides are dropped too, from each generator as it enters and from
+    every combined polynomial.  With cut=False no term is ever dropped;
+    with chain=False no pair is skipped by the chain criterion.  `formed`,
+    a list, gets the pair of each S-polynomial formed that is not wholly
+    cut."""
+    basis = []
+
+    def one_term():
+        return [_ref_lead(g) for g in basis if len(g) == 1] if cut else []
+
+    for g in gens:
+        g = _ref_without_multiples(g, one_term())
+        if g:
+            basis.append(g)
     pairs = []
     unfinished = set()  # pairs not yet popped whose leads are not coprime
 
@@ -491,8 +513,9 @@ def _ref_std(gens, cut=True, chain=True, formed=None):
         if formed is not None and (corner is None or sum(m) < corner):
             formed.append((i, j))
         lm_i, lm_j = _ref_lead(basis[i]), _ref_lead(basis[j])
-        h = _ref_mora_nf(_ref_cancel(basis[i], lm_i, basis[j], lm_j, m, corner),
-                         basis, corner)
+        monomials = one_term()
+        h = _ref_mora_nf(_ref_cancel(basis[i], lm_i, basis[j], lm_j, m, corner, monomials),
+                         basis, corner, monomials)
         if h:
             basis.append(h)
             add_pairs(len(basis) - 1)
@@ -719,13 +742,37 @@ def test_inputs_that_ran_for_minutes_without_the_cut(command, text, nvars, numbe
     assert colength_oracle(gens, cap) == number
 
 
-# tjurina slows about cubically in k here: one Mora normal form runs about
-# 0.7 k steps on a two-term remainder whose lead climbs to the highest corner
-# while its coefficients grow, and the content gcds take most of the time
+WITHIN_20_S = [  # (command, polynomial, nvars, number)
+    # the oracle checks these two in ORACLE_CORPUS_3 and CHAIN_CRITERION_CASES
+    ("milnor", "x^2+y^4+z^4+x*y^3*z", 3, 9),
+    ("tjurina", "(y^2-x^3)^2-x^6*y", 2, 16),
+    # pure powers at the top of a 16-bit field; the staircase of the first
+    # holds 268M monomials
+    ("milnor", "x^16383+y^16384+z^2", 3, 268386306),
+    ("tjurina", "x^32767+y^2", 2, 32766),
+    # 52 s and 83-87 s before the one-term cut
+    ("tjurina", "x^3*z^3-2*x^5-2*y^32767+4*z^4", 3, 393192),
+    ("tjurina", "6*x^32766-4*y^3+8*y^2+8*z^32765", 3, 1073512460),
+]
+
+
+@pytest.mark.parametrize("command, text, nvars, number", WITHIN_20_S,
+                         ids=[f"{case[0]} {case[1]}" for case in WITHIN_20_S])
+def test_engine_commands_finish_within_20_s(command, text, nvars, number):
+    r = subprocess.run([sys.executable, "-m", "tjspectra.cli", command, "--poly", text,
+                        "--nvars", str(nvars)], capture_output=True, text=True, timeout=20)
+    assert (r.returncode, r.stdout, r.stderr) == (0, f"{number}\n", "")
+
+
+# Before the one-term cut, tjurina slowed about cubically in k here: f's
+# term -2*y^k, which the one-term generator y^(k-1) of the Jacobian divides,
+# kept one Mora normal form running about 0.7 k steps on a two-term
+# remainder whose lead climbed to the highest corner while its coefficients
+# grew, and the content gcds took most of the time (52 s at k = 32767)
 ONE_LARGE_POWER = "x^3*z^3-2*x^5-2*y^{}+4*z^4"
 
 
-@pytest.mark.parametrize("k", [1000, 2000])
+@pytest.mark.parametrize("k", [1000, 2000, 32767])
 def test_one_large_pure_power_gives_twelve_k_minus_one(k):
     f = parse_poly(ONE_LARGE_POWER.format(k), nvars=3)
     assert milnor(f) == tjurina(f) == 12 * (k - 1)

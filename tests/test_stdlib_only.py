@@ -5,6 +5,7 @@ classes listed below defined in `tjspectra.errors`, and no standard-library
 module loaded at start-up that the CLI does not need."""
 
 import ast
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,18 @@ def test_errors_defines_exactly_these_classes():
         "TjspectraError", "InvalidFamilyParameters", "PolySyntaxError",
         "InternalConsistencyError",
     }
+
+
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and value.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_survives_pickling(cls):
+    # sweep --jobs passes a worker's exception back through pickle
+    exc = cls("expected a natural number", 2) if cls is errors.PolySyntaxError else cls("bad")
+    again = pickle.loads(pickle.dumps(exc))
+    assert (type(again), str(again), vars(again)) == (cls, str(exc), vars(exc))
 
 
 def imported_modules(*args):
