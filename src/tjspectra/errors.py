@@ -20,8 +20,7 @@ class TjspectraError(Exception):
 
 
 class InvalidFamilyParameters(TjspectraError):
-    """The tuple lies outside its family, a three-monomial tuple whose
-    lattice tau the engine contradicts included; ``sweep`` skips it."""
+    """The family's ``validate()`` rejects the tuple; ``sweep`` skips it."""
 
 
 class PolySyntaxError(TjspectraError):

@@ -223,43 +223,44 @@ def swh_instance(params: SwhParams) -> TjurinaInstance:
     return inst
 
 
-def _three_monomial_lattice(params: ThreeMonomialParams):
-    """Yield (spectral value, is_tjurina) over the lattice set Lambda.
+def _three_monomial_side(a, b, c, d):
+    """Yield (spectral value, is_tjurina) over the points (i, j) under the
+    diagonal, 0 < j < b and a*j/b < i < a*j/b + c, of value i/c + j(c-a)/(bc);
+    the Tjurina part drops i > c and the wall {i = c, j > d - b}."""
+    for j in range(1, b):
+        for i in range(a * j // b + 1, -((-a * j - b * c) // b)):
+            yield Fraction(i, c) + Fraction(j * (c - a), b * c), i < c or (i == c and j <= d - b)
 
-    Lambda_0 sits on the diagonal i/a = j/b, Lambda_1 under it (value
-    i/c + j(c-a)/(bc)), Lambda_2 over it (value j/d + i(d-b)/(ad)); the
-    Tjurina part drops the points with nu_1 > a, nu_1 > c, nu_2 > d
-    respectively, plus the extra wall {nu_1 = c, nu_2 >= d-b+1} when
-    2b > d + 1.
-    """
+
+def _three_monomial_lattice(params: ThreeMonomialParams):
+    """Yield (spectral value, is_tjurina) over the lattice set Lambda:
+    Lambda_0 on the diagonal i/a = j/b, Tjurina up to value 1, Lambda_1 under
+    it and Lambda_2, its mirror with (a, b, c, d) and (i, j) swapped, over it.
+    The walls {i = c, j > d - b} and {j = d, i > c - a} are empty unless
+    2b > d + 1 and 2a > c + 1 respectively.  The rule is not derived from the
+    paper's condition 8.1: ``localg.tjurina`` checks its count at build, and
+    the tests check each level against colength(J_f + (f) + N_alpha)."""
     a, b, c, d = params
     g = gcd(a, b)
     for k in range(1, 2 * g):
         yield Fraction(k, g), k <= g  # point (k*a/g, k*b/g)
-    for j in range(1, b):
-        # a*j/b < i < a*j/b + c
-        for i in range(a * j // b + 1, -((-a * j - b * c) // b)):
-            tj = i < c or (i == c and (2 * b <= d + 1 or j <= d - b))
-            yield Fraction(i, c) + Fraction(j * (c - a), b * c), tj
-    for i in range(1, a):
-        # b*i/a < j < b*i/a + d
-        for j in range(b * i // a + 1, -((-b * i - a * d) // a)):
-            yield Fraction(j, d) + Fraction(i * (d - b), a * d), j <= d
+    yield from _three_monomial_side(a, b, c, d)
+    yield from _three_monomial_side(b, a, d, c)
 
 
 def three_monomial_instance(params: ThreeMonomialParams) -> TjurinaInstance:
     """Instance for f = x^a y^b + x^c + y^d via Newton-polygon lattice sets;
-    a tuple whose lattice tau the engine contradicts raises InvalidFamilyParameters."""
+    a lattice tau the engine contradicts is an InternalConsistencyError."""
     params.validate()
     a, b, c, d = params
     f = Poly({(a, b): 1, (c, 0): 1, (0, d): 1}, 2)
     inst = _lattice_instance(_three_monomial_lattice(params), f,
                              f"three_monomial({a},{b},{c},{d})", swh=False)
-    if inst.mu - inst.tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0):
+    if inst.mu - inst.tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0) + max(2 * a - c - 1, 0):
         raise InternalConsistencyError("lattice exclusion count disagrees with the closed form")
     tau_engine = localg.tjurina(f)
     if tau_engine != inst.tau:
-        raise InvalidFamilyParameters(
+        raise InternalConsistencyError(
             f"tau = {inst.tau} but the engine computes {tau_engine} for {f}")
     return inst
 

@@ -387,9 +387,9 @@ def test_cross_check_runs_the_engine(monkeypatch, capsys, family, flags):
 @pytest.mark.parametrize("family, flags, error, code", [
     ("brieskorn", ["--a", "5", "--b", "4"], "InternalConsistencyError", 2),
     ("swh", ["--a", "5", "--b", "4", "--c", "1", "--d", "1"], "InternalConsistencyError", 2),
-    # the CLI builds the instance anew, and the build rejects the tuple (exit 1)
+    # the CLI builds the instance anew, and the build's own engine check fails
     ("three-monomial", ["--a", "2", "--b", "4", "--c", "7", "--d", "6"],
-     "InternalConsistencyError", 1),
+     "InternalConsistencyError", 2),
     # the Puiseux subset is assumed from the engine's own tau: nothing to compare
     ("puiseux", ["--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"], None, 0),
 ])
@@ -408,27 +408,44 @@ def test_cross_check_tau_mismatch(monkeypatch, capsys, family, flags, error, cod
     assert ("tau = " in capsys.readouterr().err) == (error is not None)
 
 
-# the lattice counts tau = 41, the engine and colength_oracle 40
-CONTRADICTED = ["three-monomial", "--a", "3", "--b", "4", "--c", "4", "--d", "17"]
+# c < 2a - 1 puts a point on the wall over the diagonal; the lattice counts
+# tau = 40, as the engine and colength_oracle do
+MIRRORED_WALL = ["three-monomial", "--a", "3", "--b", "4", "--c", "4", "--d", "17"]
+MIRRORED_WALL_LINES = {
+    "check": ["mu = 47  tau = 40", "delta = -1008419/66585600 (-) ~ -0.0151447009564"],
+    "spectrum": ["mu = 47", "tau = 40"],
+}
 
 
 @pytest.mark.parametrize("flags", [[], ["--cross-check"]])
 @pytest.mark.parametrize("command", ["check", "spectrum"])
-def test_three_monomial_tau_the_engine_contradicts_exits_1(capsys, command, flags):
+def test_three_monomial_3_4_4_17_prints_tau_40(capsys, command, flags):
     from tjspectra import cli
-    assert cli.main([command] + CONTRADICTED + flags) == 1
-    assert capsys.readouterr() == (
-        "", "error: tau = 41 but the engine computes 40 for y^17 + x^3*y^4 + x^4\n")
+    assert cli.main([command] + MIRRORED_WALL + flags) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1:3] == MIRRORED_WALL_LINES[command]
 
 
-def test_sweep_skips_a_three_monomial_tau_the_engine_contradicts(capsys):
+def test_sweep_lists_three_monomial_tuples_on_the_mirrored_wall(capsys):
     from tjspectra import cli
     assert cli.main(["sweep", "three-monomial", "--a", "3", "--b", "4",
                      "--c", "4:8", "--d", "17:18"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert [row.split("\t")[1] for row in out.splitlines()[1:]] == [
-        f"3,4,{c},{d}" for c in range(5, 9) for d in (17, 18)]
+        f"3,4,{c},{d}" for c in range(4, 9) for d in (17, 18)]
+
+
+def test_sweep_exits_2_when_the_engine_contradicts_a_three_monomial_tau(monkeypatch, capsys):
+    from tjspectra import cli, localg
+    real = localg.tjurina
+    monkeypatch.setattr(localg, "tjurina", lambda f: real(f) + 1)
+    assert cli.main(["sweep", "three-monomial", "--a", "2", "--b", "4",
+                     "--c", "7", "--d", "6:7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: tau = 24 but the engine computes 25 for x^7 + x^2*y^4 + y^6\n"
 
 
 FRONTIER = ["swh", "--a", "48", "--b", "48", "--c", "1", "--d", "1"]  # thm31 fires from m = 48

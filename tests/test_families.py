@@ -1,7 +1,7 @@
 import json
-import re
 from fractions import Fraction as F
 from itertools import groupby, product
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -55,6 +55,31 @@ def test_family_table_names_each_parameter():
         "three-monomial": ["a", "b", "c", "d"],
         "puiseux": ["a", "b", "d", "q", "r"],
     }
+
+
+# small grids that hold valid tuples and tuples that break each condition
+VALIDITY_GRIDS = {
+    "brieskorn": (range(-1, 5), range(-1, 5)),
+    "swh": (range(0, 8), range(0, 8), range(-1, 4), range(-1, 4)),
+    "three-monomial": (range(0, 5), range(0, 5), range(-1, 18), range(-1, 18)),
+    "puiseux": (range(0, 5), range(0, 4), range(0, 3), range(-3, 3), range(0, 3)),
+}
+
+
+def refusal(call):
+    """The message of the InvalidFamilyParameters that call raises, or None."""
+    try:
+        call()
+    except InvalidFamilyParameters as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family", VALIDITY_GRIDS)
+def test_instance_refuses_exactly_what_validate_refuses(family):
+    grid = [FAMILIES[family](*t) for t in product(*VALIDITY_GRIDS[family])]
+    refusals = [(refusal(p.instance), refusal(p.validate)) for p in grid]
+    assert all(built == validated for built, validated in refusals)
+    assert {validated is None for _, validated in refusals} == {False, True}
 
 
 @pytest.mark.parametrize("params, swh, assumed", [
@@ -170,45 +195,93 @@ def test_three_monomial_invalid():
 
 @pytest.mark.parametrize("tpl", THREE_MONOMIAL_TUPLES)
 def test_three_monomial_cross_checks(tpl):
+    a, b, c, d = tpl
     inst = three_monomial_instance(ThreeMonomialParams(*tpl))
     inst.cross_check()
-    assert inst.mu - inst.tau == (tpl[0] - 1) * (tpl[1] - 1) + max(2 * tpl[1] - tpl[3] - 1, 0)
+    assert inst.mu - inst.tau == (a - 1) * (b - 1) + max(2 * b - d - 1, 0) + max(2 * a - c - 1, 0)
 
 
-def test_three_monomial_tau_is_the_engines_on_a_grid():
-    """Every instance that builds has the engine's tau; a tuple whose
-    lattice count the engine contradicts raises InvalidFamilyParameters."""
-    valid, rejected = 0, []
-    for t in product(range(2, 6), range(3, 8), range(1, 21), range(1, 21)):
+def valid_three_monomial(*ranges):
+    """Every valid ThreeMonomialParams in the product of the ranges."""
+    for t in product(*ranges):
         p = ThreeMonomialParams(*t)
         try:
             p.validate()
         except InvalidFamilyParameters:
             continue
-        valid += 1
+        yield p
+
+
+# a <= 5, b <= 7 and c, d <= 20: 2728 valid tuples
+SMALL_THREE_MONOMIAL = (range(2, 6), range(3, 8), range(1, 21), range(1, 21))
+
+
+def test_three_monomial_tau_is_the_engines_on_a_grid():
+    """Every valid tuple builds, with the engine's tau."""
+    grid = list(valid_three_monomial(*SMALL_THREE_MONOMIAL))
+    assert len(grid) == 2728
+    for p in grid:
         f = Poly({(p.a, p.b): 1, (p.c, 0): 1, (0, p.d): 1}, 2)
-        tau = localg.tjurina(f)
-        lattice_tau = sum(tj for _, tj in _three_monomial_lattice(p))
-        if lattice_tau == tau:
-            assert three_monomial_instance(p).tau == tau, t
-        else:
-            with pytest.raises(InvalidFamilyParameters, match=re.escape(
-                    f"tau = {lattice_tau} but the engine computes {tau} for {f}") + "$"):
-                three_monomial_instance(p)
-            rejected.append(t)
-    assert (valid, len(rejected)) == (2728, 17)
-    assert all(c < 2 * a for a, _, c, _ in rejected)
+        assert three_monomial_instance(p).tau == localg.tjurina(f), p
 
 
 def test_three_monomial_3_4_4_17_has_tau_40():
-    # the lattice counts 41; the oracle is the slow route, capped at mu = 47 >= tau
+    # 2a - c - 1 = 1 point lies on Lambda_2's wall; the oracle is the slow
+    # route, capped at mu = 47 >= tau
     p = ThreeMonomialParams(3, 4, 4, 17)
-    assert sum(tj for _, tj in _three_monomial_lattice(p)) == 41
+    assert sum(tj for _, tj in _three_monomial_lattice(p)) == 40
     f = parse_poly("x^3*y^4+x^4+y^17")
     assert (localg.milnor(f), colength_oracle(jacobian(f) + [f], 47)) == (47, 40)
-    with pytest.raises(InvalidFamilyParameters,
-                       match=r"^tau = 41 but the engine computes 40 for y\^17 \+ x\^3\*y\^4 \+ x\^4$"):
-        three_monomial_instance(p)
+    inst = three_monomial_instance(p)
+    assert (inst.mu, inst.tau) == (47, 40)
+
+
+def newton_order(p, i, j):
+    """nu(x^i y^j) for f = x^a y^b + x^c + y^d: the lesser of the two edge
+    functionals, each 1 on its edge of the Newton polygon."""
+    a, b, c, d = p
+    return min(F(i, c) + F(j * (c - a), b * c), F(j, d) + F(i * (d - b), a * d))
+
+
+def newton_ideal(p, alpha):
+    """The minimal generators of N_alpha, the monomials x^i y^j with
+    nu(x^(i+1) y^(j+1)) >= alpha: the least such j of each column i, while
+    it falls.  Both edge functionals must reach alpha, and each bounds j
+    from below."""
+    a, b, c, d = p
+    gens, i, j = [], 0, None
+    while j != 0:
+        least = max(0, ceil((alpha * b * c - (i + 1) * b) / (c - a)) - 1,
+                    ceil(alpha * d - F((i + 1) * (d - b), a)) - 1)
+        assert newton_order(p, i + 1, least + 1) >= alpha
+        assert least == 0 or newton_order(p, i + 1, least) < alpha
+        if j is None or least < j:
+            j = least
+            gens.append(Poly.monomial((i, j)))
+        i += 1
+    return gens
+
+
+def assert_tjurina_levels(p):
+    """#{Tjurina values < alpha} = colength(J_f + (f) + N_alpha) at each
+    spectral value alpha (M. Saito, Math. Ann. 281, 1988): the per-level
+    route, independent of the lattice rule."""
+    inst = three_monomial_instance(p)
+    values = inst.spectrum.values
+    tjurina = [values[i - 1] for i in inst.tjurina_indices]
+    f = inst.defining_poly
+    for alpha in sorted(set(values)):
+        colength = localg.local_std_basis(jacobian(f) + [f] + newton_ideal(p, alpha)).colength
+        assert colength == sum(v < alpha for v in tjurina), (p, alpha)
+
+
+def test_three_monomial_tjurina_values_match_the_per_level_colengths():
+    """The tuples with 2a > c + 1, where Lambda_2's wall is not empty, and
+    THREE_MONOMIAL_TUPLES."""
+    walled = [p for p in valid_three_monomial(*SMALL_THREE_MONOMIAL) if 2 * p.a > p.c + 1]
+    assert len(walled) == 17
+    for p in walled + [ThreeMonomialParams(*t) for t in THREE_MONOMIAL_TUPLES]:
+        assert_tjurina_levels(p)
 
 
 def test_puiseux_c1_spectrum():
@@ -347,18 +420,13 @@ def three_monomial_grid():
     """THREE_MONOMIAL_TUPLES, then every valid tuple with a in 2..4, b in
     3..6 and c, d in 5..14."""
     yield from map(ThreeMonomialParams._make, THREE_MONOMIAL_TUPLES)
-    for t in product(range(2, 5), range(3, 7), range(5, 15), range(5, 15)):
-        p = ThreeMonomialParams(*t)
-        try:
-            p.validate()
-        except InvalidFamilyParameters:
-            continue
-        yield p
+    yield from valid_three_monomial(range(2, 5), range(3, 7), range(5, 15), range(5, 15))
 
 
 def test_three_monomial_matches_the_keyed_sort_reference():
     grid = list(dict.fromkeys(three_monomial_grid()))
-    assert len(grid) == 600  # the grid holds every tuple of THREE_MONOMIAL_TUPLES
+    # the product holds every tuple of THREE_MONOMIAL_TUPLES but (3, 4, 4, 17)
+    assert len(grid) == 601
     for p in grid:
         assert_matches_reference(three_monomial_instance(p), list(_three_monomial_lattice(p)))
 
