@@ -77,8 +77,8 @@ Coefficient arithmetic is exact and integer throughout: the engine works
 on integer term maps, with the content divided out after every reduction
 to bound coefficient growth, and the oracle row-reduces fraction-free,
 storing each pivot row content-free.  The oracle (:func:`colength_oracle`)
-stays on exponent tuples and :func:`_lead_key`, apart from the packing, so
-that a packing fault cannot agree with itself.
+keys its rows by :func:`_lead_key` rank on exponent tuples, apart from the
+packing, so that a packing fault cannot agree with itself.
 
 The oracle reads its two caps N and N+1 from one elimination, at N+1.
 Truncating the cap-(N+1) span to degree <= N gives the cap-N span, because
@@ -94,7 +94,7 @@ from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import TjspectraError
-from .poly import MAX_VARS, Exponent, IntPoly, Poly, add_terms
+from .poly import MAX_VARS, Exponent, IntPoly, Poly
 
 INFINITE = "infinite"
 FIELD_BITS = 16                           # W: the width of each packed field
@@ -116,10 +116,6 @@ def _lead_key(e: Exponent):
     The one encoding of the order on exponent tuples; the packed ints of
     the engine compare the same way."""
     return sum(e), e[::-1]
-
-
-def _lead(p: IntPoly) -> Exponent:
-    return min(p, key=_lead_key)
 
 
 def _too_large(degree: int) -> TjspectraError:
@@ -431,33 +427,39 @@ def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, IntPoly]:
     """Row-reduce all monomial multiples of gens, truncated at total degree cap.
 
     Returns the pivot rows keyed by their lead monomial (local degree order).
+    Rows are keyed by :func:`_lead_key` rank, so a lead is ``min(row)``.
     Elimination is fraction-free: a row whose lead has a pivot becomes
     a*row - b*pivot, with a and b the two lead coefficients divided by their
     gcd, and a new pivot row is stored with its content divided out.
     """
-    pivots: dict[Exponent, IntPoly] = {}
-    nvars = gens[0].nvars
+    grid = [(m, sum(m)) for m in _monomials_up_to(gens[0].nvars, cap)]  # in product order
+    columns = sorted((m for m, _ in grid), key=_lead_key)
+    rank = {e: r for r, e in enumerate(columns)}
+    pivots: dict[int, dict[int, int]] = {}
     for g in gens:
-        if g.is_zero():
-            continue
-        min_deg = min(sum(e) for e in g.terms)
-        for m in _monomials_up_to(nvars, cap - min_deg):
-            row = {}
-            for e, c in g.terms.items():
-                ee = tuple(map(add, e, m))
-                if sum(ee) <= cap:
-                    row[ee] = c
+        terms = [(e, cap - sum(e), c) for e, c in g.terms.items()]  # room: cap - degree
+        room = max((r for _, r, _ in terms), default=-1)
+        for m, dm in grid:
+            if dm > room:
+                continue
+            row = {rank[tuple(map(add, e, m))]: c for e, r, c in terms if dm <= r}
             while row:
-                lead = _lead(row)
+                lead = min(row)
                 piv = pivots.get(lead)
                 if piv is None:
                     pivots[lead] = _strip_content(row)
                     break
                 d = gcd(row[lead], piv[lead])
                 a, b = piv[lead] // d, row[lead] // d
-                row = add_terms({e: a * c for e, c in row.items()},
-                                {e: -b * c for e, c in piv.items()})
-    return pivots
+                row = {k: a * c for k, c in row.items()}
+                for k, c in piv.items():
+                    s = row.get(k, 0) - b * c
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+    return {columns[lead]: {columns[k]: c for k, c in piv.items()}
+            for lead, piv in pivots.items()}
 
 
 def colength_oracle(gens: Sequence[Poly], degree_cap: int) -> Optional[int]:
@@ -478,8 +480,6 @@ def colength_oracle(gens: Sequence[Poly], degree_cap: int) -> Optional[int]:
     dim_n1 = comb(degree_cap + 1 + nvars, nvars) - len(pivots)
     if dim_n != dim_n1:
         return None
-    for v in range(nvars):
-        if not any(e[v] > 0 and all(e[w] == 0 for w in range(nvars) if w != v)
-                   for e in leads):
-            return None
-    return dim_n
+    # the variables with a pure power among the leads
+    axes = {e.index(max(e)) for e in leads if sum(e) == max(e) > 0}
+    return dim_n if len(axes) == nvars else None

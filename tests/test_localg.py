@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from tjspectra import cli, localg
 from tjspectra.errors import TjspectraError
 from tjspectra.families import swh_instance
-from tjspectra.localg import (INFINITE, MAX_DEGREE, StdBasisResult, _colength_of_leads, _lead,
+from tjspectra.localg import (INFINITE, MAX_DEGREE, StdBasisResult, _colength_of_leads,
                               _lead_key, _monomials_up_to, _Packing, _span_pivots,
                               colength_oracle, local_std_basis, milnor, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
-from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, swh_grid
+from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, ORACLE_CORPUS_3, swh_grid
 
 
 def gens_of(*texts):
@@ -34,7 +34,8 @@ def test_order_prefers_low_degree():
     # the last pair ties on degree: x > y under revlex with x > y
     for big, small in [((1, 0), (2, 0)), ((1, 0), (0, 2)), ((1, 0), (0, 1))]:
         assert ref_order_key(big) > ref_order_key(small)
-        assert _lead({small: 1, big: 1}) == _lead({big: 1, small: 1}) == big
+        for p in ({small: 1, big: 1}, {big: 1, small: 1}):
+            assert min(p, key=_lead_key) == big
 
 
 def test_std_basis_monomial_ideal():
@@ -309,15 +310,26 @@ def _fraction_span_pivots(gens, cap):
     return pivots
 
 
+def assert_integer_pivots_are_multiples_of_fraction_pivots(gens, cap):
+    got = _span_pivots(gens, cap)
+    want = _fraction_span_pivots(gens, cap)
+    assert list(got) == list(want)  # the same leads, made in the same order
+    for lead, row in got.items():
+        assert row == {e: row[lead] * c for e, c in want[lead].items()}
+
+
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
 def test_integer_pivots_are_multiples_of_fraction_pivots(text):
     f = parse_poly(text)
     gens = [g for g in jacobian(f) if not g.is_zero()] + [f]
-    got = _span_pivots(gens, ORACLE_CAP)
-    want = _fraction_span_pivots(gens, ORACLE_CAP)
-    assert got.keys() == want.keys()
-    for lead, row in got.items():
-        assert row == {e: row[lead] * c for e, c in want[lead].items()}
+    assert_integer_pivots_are_multiples_of_fraction_pivots(gens, ORACLE_CAP)
+
+
+@pytest.mark.parametrize("text, cap", ORACLE_CORPUS_3)
+def test_integer_pivots_are_multiples_of_fraction_pivots_in_3_variables(text, cap):
+    f = parse_poly(text, nvars=3)
+    gens = [g for g in jacobian(f) if not g.is_zero()] + [f]
+    assert_integer_pivots_are_multiples_of_fraction_pivots(gens, cap)
 
 
 def _oracle_dim(gens, cap):
@@ -366,6 +378,32 @@ def oracle_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_oracle_matches_two_eliminations_on_random_ideals(case):
     assert_oracle_matches_two_eliminations(*case)
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_integer_pivots_are_multiples_of_fraction_pivots_on_random_ideals(case):
+    assert_integer_pivots_are_multiples_of_fraction_pivots(*case)
+
+
+def test_oracle_reads_no_packing(monkeypatch):
+    """The oracle checks the engine, so it must not share the engine's
+    packing: with _Packing broken it still counts every colength."""
+    cases = []
+    for text in ORACLE_CORPUS:
+        f = parse_poly(text)
+        jac = [g for g in jacobian(f) if not g.is_zero()]
+        cases += [(jac, milnor(f)), (jac + [f], tjurina(f))]
+
+    def broken(*args):
+        raise AssertionError("the oracle read the packing")
+
+    monkeypatch.setattr(_Packing, "pack", broken)
+    monkeypatch.setattr(_Packing, "unpack", broken)
+    with pytest.raises(AssertionError, match="packing"):
+        local_std_basis(cases[0][0])
+    for gens, colength in cases:
+        assert colength_oracle(gens, ORACLE_CAP) == colength
 
 
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
