@@ -37,6 +37,7 @@ class TjurinaInstance(NamedTuple):
     family_tag: str
     swh: bool             # semi-weighted-homogeneous: Theorem 3.1 applies
     subset_assumed: bool  # tjurina_indices is assumed, not computed
+    tau_checked: bool = False  # the engine computed or confirmed tau at build
 
     @property
     def mu(self) -> int:
@@ -47,14 +48,15 @@ class TjurinaInstance(NamedTuple):
         return len(self.tjurina_indices)
 
     def cross_check(self):
-        """Recompute mu, and tau unless the subset is assumed, with the
-        local-algebra engine; any mismatch is an internal error."""
+        """Recompute mu, and tau unless the engine computed or confirmed it
+        at build, with the local-algebra engine; any mismatch is an
+        internal error."""
         f = self.defining_poly
         mu_engine = localg.milnor(f)
         if mu_engine != self.mu:
             raise InternalConsistencyError(
                 f"mu = {self.mu} but the engine computes {mu_engine} for {f}")
-        if not self.subset_assumed:
+        if not self.tau_checked:
             tau_engine = localg.tjurina(f)
             if tau_engine != self.tau:
                 raise InternalConsistencyError(
@@ -262,7 +264,7 @@ def three_monomial_instance(params: ThreeMonomialParams) -> TjurinaInstance:
     if tau_engine != inst.tau:
         raise InternalConsistencyError(
             f"tau = {inst.tau} but the engine computes {tau_engine} for {f}")
-    return inst
+    return inst._replace(tau_checked=True)
 
 
 def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
@@ -306,4 +308,5 @@ def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:
         raise InternalConsistencyError(
             f"the engine computes tau = {tau} outside [1, mu = {spectrum.mu}] for {f}")
     return TjurinaInstance(spectrum, frozenset(range(1, tau + 1)), f,
-                           f"puiseux({a},{b},{d},q={q},r={r})", swh=False, subset_assumed=True)
+                           f"puiseux({a},{b},{d},q={q},r={r})", swh=False, subset_assumed=True,
+                           tau_checked=True)

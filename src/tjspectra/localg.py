@@ -5,14 +5,19 @@ The monomial order is the local degree order: smaller total degree is
 bases are computed with Mora's tangent-cone algorithm (ecart-controlled
 weak normal form), which terminates for polynomial input.  Each basis
 element's lead and ecart are computed once, when it enters the basis, and
-every normal form starts its reducer pool from those stored triples.
-Pending S-pairs wait on one heap ordered by the degree of their lead lcm,
-ties going to the pair made last.  Colengths are counted from the leads
-by slicing: the first variable's axis is cut at the leads' own exponents
-below its pure power, and each slice is its width times the count, in the
-other variables, under the leads whose first exponent is at most the cut.
-Time and memory grow with the number of leads, not with the product of
-the pure-power exponents.
+every normal form uses those stored triples as its reducer pool, copied
+only when a remainder must join it.  Pending S-pairs wait on one heap
+ordered by the degree of their lead lcm, ties going to the pair made last.
+Beside the heap, each basis index keeps the set of its partners: k is in
+the set of i exactly while the pair {i, k} is on the heap.  A popped pair
+leaves both sets before the chain criterion (below) scans the flat list of
+packed leads for a lead that vouches for a skip, so a skipped pair is done
+and may vouch in turn.  Colengths are counted from the leads by slicing:
+the first variable's axis is cut at the leads' own exponents below its
+pure power, and each slice is its width times the count, in the other
+variables, under the leads whose first exponent is at most the cut.  Time
+and memory grow with the number of leads, not with the product of the
+pure-power exponents.
 
 Inside the engine a monomial is one int.  Its top field holds the total
 degree, and e[n-1], ..., e[0] sit below it in fields of W bits each
@@ -71,7 +76,9 @@ leads of (i, j) is then a sum of monomial multiples of those of (i, k) and
 one for the S-polynomial of (i, j).  That is a statement about syzygies of
 lead monomials, which uses no property of a global order, so it holds for
 the local degree order too.  Only pairs already off the heap may vouch for
-a skip, so two skipped pairs never rest on each other.
+a skip, so two skipped pairs never rest on each other.  The scan reads
+"neither is pending" as k in neither the partner set of i nor that of j:
+two set lookups for each lead k that divides the lcm.
 
 Coefficient arithmetic is exact and integer throughout: the engine works
 on integer term maps, with the content divided out after every reduction
@@ -192,14 +199,16 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
 
     Each generator's lead and ecart are computed once, when it enters the
     basis.  Pending S-pairs sit on one heap keyed by (lcm degree, -seq): the
-    least lcm degree first, and among ties the pair made last.  `pending`
-    holds the (i, j) of the pairs on the heap, for the chain criterion.
+    least lcm degree first, and among ties the pair made last.  For the
+    chain criterion, `partners[i]` holds the k whose pair with i is on the
+    heap, and `lms` the packed leads in basis order.
     """
     nvars, shift, guard = packing.nvars, packing.shift, packing.guard
     basis: list[tuple[PackedPoly, int, int]] = []
+    lms: list[int] = []
     exps: list[Exponent] = []
     pairs: list[tuple[int, int, int, int]] = []
-    pending: set[tuple[int, int]] = set()
+    partners: list[set[int]] = []
     seq = count()
     pure: list[Optional[int]] = [None] * nvars  # least pure-power exponent per variable
     monomials: list[int] = []  # the packed monomials of the one-term basis elements
@@ -208,18 +217,15 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
     # raises instead: dropping it would change the ideal.
     top, exact = MAX_DEGREE + 1, True
 
-    def check(degree: int) -> None:
-        if exact and degree >= top:
-            raise _too_large(degree)
-
     def mora_nf(h: PackedPoly, cut: int) -> PackedPoly:
         """Mora's weak normal form of h with respect to the basis.
 
         Reducers are chosen with minimal ecart, earliest-generated first;
         intermediate remainders with larger ecart join the reducer pool,
-        which is what makes the loop terminate for local orders.
+        which is what makes the loop terminate for local orders.  The pool
+        is the basis itself until the first remainder joins it.
         """
-        pool = list(basis)
+        pool = basis
         while h:
             lm_h = min(h)
             best = None
@@ -233,9 +239,12 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
             g, lm_g, ec_g = best
             if ec_g:
                 deg_h = lm_h >> shift
-                check(deg_h + ec_g)
+                if exact and deg_h + ec_g >= top:
+                    raise _too_large(deg_h + ec_g)
                 ec_h = (max(h) >> shift) - deg_h
                 if ec_g > ec_h:
+                    if pool is basis:
+                        pool = basis.copy()
                     pool.append((h, lm_h, ec_h))
             cf, cg = h[lm_h], g[lm_g]
             d = gcd(cf, cg)
@@ -251,13 +260,17 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
         j = len(basis)
         lm_j = min(g)
         e = packing.unpack(lm_j)
+        partners_j = set()
         for i, e_i in enumerate(exps):
             # product criterion: coprime lead monomials reduce to zero
             if any(map(mul, e_i, e)):
                 heappush(pairs, (sum(map(max, e_i, e)), -next(seq), i, j))
-                pending.add((i, j))
+                partners[i].add(j)
+                partners_j.add(i)
+        partners.append(partners_j)
         degree = lm_j >> shift
         basis.append((g, lm_j, (max(g) >> shift) - degree))
+        lms.append(lm_j)
         exps.append(e)
         if len(g) == 1:
             monomials.append(lm_j)
@@ -274,26 +287,29 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
             enter(g)
     while pairs:
         degree, _, i, j = heappop(pairs)
-        pending.remove((i, j))
+        partners_i, partners_j = partners[i], partners[j]
+        partners_i.remove(j)
+        partners_j.remove(i)
         if degree >= top and not exact:
             break  # every term of this S-polynomial, and of all later ones, is cut
         (f, lm_f, ec_f), (g, lm_g, ec_g) = basis[i], basis[j]
-        check(degree + max(ec_f, ec_g))
+        if exact and degree + max(ec_f, ec_g) >= top:
+            raise _too_large(degree + max(ec_f, ec_g))
         lcm = packing.pack(tuple(map(max, exps[i], exps[j])))
         # chain criterion: a lead k dividing the lcm whose pairs with i and j
         # are both done makes this S-polynomial redundant (module docstring)
-        if any(not (lcm - lm_k) & guard and k != i and k != j
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
-               for k, (_, lm_k, _) in enumerate(basis)):
-            continue
-        cf, cg = f[lm_f], g[lm_g]
-        d = gcd(cf, cg)
-        cut = top << shift
-        h = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut,
-                             monomials, guard), cut)
-        if h:
-            enter(h)
+        for k, lm_k in enumerate(lms):
+            if (not (lcm - lm_k) & guard and k != i and k != j
+                    and k not in partners_i and k not in partners_j):
+                break
+        else:
+            cf, cg = f[lm_f], g[lm_g]
+            d = gcd(cf, cg)
+            cut = top << shift
+            h = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut,
+                                 monomials, guard), cut)
+            if h:
+                enter(h)
     return basis, exps, pure
 
 

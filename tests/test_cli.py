@@ -387,7 +387,9 @@ def test_cross_check_runs_the_engine(monkeypatch, capsys, family, flags):
 @pytest.mark.parametrize("family, flags, error, code", [
     ("brieskorn", ["--a", "5", "--b", "4"], "InternalConsistencyError", 2),
     ("swh", ["--a", "5", "--b", "4", "--c", "1", "--d", "1"], "InternalConsistencyError", 2),
-    # the CLI builds the instance anew, and the build's own engine check fails
+    # the engine confirmed tau when the instance was built, so cross_check
+    # has nothing to compare; the CLI builds the instance anew, and the
+    # build's own engine check fails
     ("three-monomial", ["--a", "2", "--b", "4", "--c", "7", "--d", "6"],
      "InternalConsistencyError", 2),
     # the Puiseux subset is assumed from the engine's own tau: nothing to compare
@@ -399,7 +401,7 @@ def test_cross_check_tau_mismatch(monkeypatch, capsys, family, flags, error, cod
     inst = FAMILIES[family](**{k[2:]: int(v) for k, v in zip(flags[::2], flags[1::2])}).instance()
     real = localg.tjurina
     monkeypatch.setattr(localg, "tjurina", lambda f: real(f) + 1)
-    if error is None:
+    if inst.tau_checked:
         inst.cross_check()
     else:
         with pytest.raises(getattr(errors, error), match=f"tau = {inst.tau} but the engine"):
@@ -419,12 +421,21 @@ MIRRORED_WALL_LINES = {
 
 @pytest.mark.parametrize("flags", [[], ["--cross-check"]])
 @pytest.mark.parametrize("command", ["check", "spectrum"])
-def test_three_monomial_3_4_4_17_prints_tau_40(capsys, command, flags):
-    from tjspectra import cli
+def test_three_monomial_3_4_4_17_prints_tau_40(monkeypatch, capsys, command, flags):
+    from tjspectra import cli, localg
+    real, calls = localg.tjurina, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(localg, "tjurina", counted)
     assert cli.main([command] + MIRRORED_WALL + flags) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert out.splitlines()[1:3] == MIRRORED_WALL_LINES[command]
+    # the check at build; --cross-check recomputes mu only
+    assert len(calls) == 1
 
 
 def test_sweep_lists_three_monomial_tuples_on_the_mirrored_wall(capsys):

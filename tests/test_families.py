@@ -92,6 +92,8 @@ def test_instance_says_whether_swh_and_whether_subset_assumed(params, swh, assum
     inst = params.instance()
     assert (inst.swh, inst.subset_assumed) == (swh, assumed)
     assert inst.tau == len(inst.tjurina_indices)
+    # both build with the engine's tau, so cross_check does not compute it again
+    assert inst.tau_checked == isinstance(params, (ThreeMonomialParams, PuiseuxParams))
 
 
 def test_puiseux_subset_is_the_assumed_bottom_tau_indices():
@@ -428,7 +430,10 @@ def test_three_monomial_matches_the_keyed_sort_reference():
     # the product holds every tuple of THREE_MONOMIAL_TUPLES but (3, 4, 4, 17)
     assert len(grid) == 601
     for p in grid:
-        assert_matches_reference(three_monomial_instance(p), list(_three_monomial_lattice(p)))
+        inst = three_monomial_instance(p)
+        assert inst.tau_checked  # by the engine, at build
+        assert_matches_reference(inst._replace(tau_checked=False),
+                                 list(_three_monomial_lattice(p)))
 
 
 @st.composite

@@ -574,12 +574,21 @@ def assert_matches_reference(gens):
     assert got.colength == brute_force_colength([_ref_lead(g) for g in untruncated], nvars)
 
 
-@pytest.mark.parametrize("text", ORACLE_CORPUS)
-def test_std_basis_matches_reference_loop(text):
-    f = parse_poly(text)
+# the slowest engine-corpus items: a Puiseux ideal and a 3-variable one
+TAIL_CORPUS = ["(y^6-x^7)^3-x^26*y^4", "x^4+y^5+z^3+x^2*y*z"]
+
+
+def jacobian_and_tjurina_ideals(text):
+    f = parse_poly(text, nvars=3 if "z" in text else 2)
     jac = [g for g in jacobian(f) if not g.is_zero()]
-    assert_matches_reference(jac)
-    assert_matches_reference(jac + [f])
+    return jac, jac + [f]
+
+
+@pytest.mark.parametrize("text", ORACLE_CORPUS + TAIL_CORPUS)
+def test_std_basis_matches_reference_loop(text):
+    for gens in jacobian_and_tjurina_ideals(text):
+        assert_matches_reference(gens)
+        assert formed_s_pairs(gens)[1] == reference_s_pairs(gens)
 
 
 @pytest.mark.parametrize("texts", [("x*y^2", "x^2*y"), ("y", "x^3+x^4"),
@@ -592,33 +601,49 @@ def test_std_basis_matches_reference_loop_on_fixed_ideals(texts):
 
 
 CHAIN_CRITERION_CASES = [  # (ideal, polynomial, nvars, colength, oracle cap)
-    ("jacobian", "x^2+y^4+z^3+x*y*z+x^2*y^3*z^2", 3, 6, 8),
-    ("tjurina", "(y^2-x^3)^2-x^6*y", 2, 16, 14),
+    pytest.param("jacobian", "x^2+y^4+z^3+x*y*z+x^2*y^3*z^2", 3, 6, 8, id="jacobian"),
+    pytest.param("tjurina", "(y^2-x^3)^2-x^6*y", 2, 16, 14, id="tjurina"),
+    # a pair skipped by the criterion vouches for a later skip: 4 S-polynomials
+    # formed, 5 if only formed pairs vouched, 7 without the criterion
+    pytest.param("tjurina", "(y^2-x^5)^2-x^11*y", 2, 30, 17, id="skip-vouches"),
 ]
 
 
-@pytest.mark.parametrize("ideal, text, nvars, colength, cap", CHAIN_CRITERION_CASES,
-                         ids=[case[0] for case in CHAIN_CRITERION_CASES])
-def test_chain_criterion_skips_s_polynomials(monkeypatch, ideal, text, nvars, colength, cap):
-    f = parse_poly(text, nvars=nvars)
-    gens = [g for g in jacobian(f) if not g.is_zero()] + ([f] if ideal == "tjurina" else [])
+def formed_s_pairs(gens):
+    """local_std_basis(gens) and the S-polynomials its pair loop forms, in
+    order, each as the exponents of its two leads and their lcm."""
+    packing = localg._PACKINGS[gens[0].nvars]
     combine, std_code = localg._combine, localg._std_int.__code__
     formed = []
 
-    def counting(*args):
+    def counting(f, df, a, g, *rest):
         # made by the pair loop itself: an S-polynomial, not a reduction step
         if sys._getframe(1).f_code is std_code:
-            formed.append(args)
-        return combine(*args)
+            formed.append(tuple(map(packing.unpack, (min(f), min(g), min(f) + df))))
+        return combine(f, df, a, g, *rest)
 
-    monkeypatch.setattr(localg, "_combine", counting)
-    got = local_std_basis(gens).colength
-    ints = [_int_poly(g) for g in gens]
-    with_chain, without_chain = [], []
-    _ref_std(ints, formed=with_chain)
-    _ref_std(ints, chain=False, formed=without_chain)
-    assert len(formed) == len(with_chain) < len(without_chain)
-    assert got == colength == colength_oracle(gens, cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localg, "_combine", counting)
+        result = local_std_basis(gens)
+    return result, formed
+
+
+def reference_s_pairs(gens, chain=True):
+    """The S-polynomials that _ref_std forms, in the form of formed_s_pairs."""
+    formed = []
+    leads = [_ref_lead(g) for g in _ref_std([_int_poly(g) for g in gens], chain=chain,
+                                            formed=formed)]
+    return [(leads[i], leads[j], tuple(map(max, leads[i], leads[j]))) for i, j in formed]
+
+
+@pytest.mark.parametrize("ideal, text, nvars, colength, cap", CHAIN_CRITERION_CASES)
+def test_chain_criterion_skips_s_polynomials(ideal, text, nvars, colength, cap):
+    f = parse_poly(text, nvars=nvars)
+    gens = [g for g in jacobian(f) if not g.is_zero()] + ([f] if ideal == "tjurina" else [])
+    got, formed = formed_s_pairs(gens)
+    assert formed == reference_s_pairs(gens)
+    assert len(formed) < len(reference_s_pairs(gens, chain=False))
+    assert got.colength == colength == colength_oracle(gens, cap)
 
 
 @st.composite
@@ -640,6 +665,12 @@ def small_ideals(draw):
 @settings(max_examples=100, deadline=None)
 def test_std_basis_matches_reference_loop_on_random_ideals(gens):
     assert_matches_reference(gens)
+
+
+@given(small_ideals())
+@settings(max_examples=100, deadline=None)
+def test_engine_forms_the_reference_s_pairs_on_random_ideals(gens):
+    assert formed_s_pairs(gens)[1] == reference_s_pairs(gens)
 
 
 def pure_power_bounds(leads, nvars):

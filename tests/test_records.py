@@ -31,7 +31,7 @@ RECORDS = [
     (SubsetStats, ["tau", "L", "s1", "s2", "k_min", "k_max"],
      lambda: stats_of_values([F(1, 3), F(1, 2), F(5, 4)])),
     (TjurinaInstance, ["spectrum", "tjurina_indices", "defining_poly", "family_tag", "swh",
-                       "subset_assumed"], lambda: SwhParams(7, 7, 1, 1).instance()),
+                       "subset_assumed", "tau_checked"], lambda: SwhParams(7, 7, 1, 1).instance()),
     (BrieskornParams, ["a", "b"], lambda: BrieskornParams(5, 4)),
     (SwhParams, ["a", "b", "c", "d"], lambda: SwhParams(7, 7, 1, 1)),
     (ThreeMonomialParams, ["a", "b", "c", "d"], lambda: ThreeMonomialParams(2, 4, 7, 6)),
