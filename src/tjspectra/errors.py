@@ -9,8 +9,10 @@ class TjspectraError(Exception):
     built-in ValueError, or TypeError for a wrong type: ``Poly``,
     ``pow_terms``, ``colength_oracle``, ``local_std_basis``,
     ``mple_failure_bound``, ``prop41_step``, ``remark32_compare``,
-    ``enumerate_candidates``, ``closed_form_tau_delta_322``, the
-    statistics and ``make_spectrum`` and ``spectrum_of_numerators`` do so.
+    ``enumerate_candidates``, ``closed_form_tau_delta_322``, and
+    ``make_spectrum``, ``spectrum_of_numerators`` and ``stats_of_values``
+    (with ``subset_stats``), whose L and value-type checks all live in
+    ``spectra._numerators``, do so.
     The one exception is an nvars outside [1, 3]: ``Poly`` and
     ``parse_poly`` raise TjspectraError("nvars must be in [1, 3]") for it,
     which ``--nvars 4`` reaches (exit 1).

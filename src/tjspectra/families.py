@@ -27,7 +27,7 @@ from typing import NamedTuple
 from . import localg
 from .errors import InternalConsistencyError, InvalidFamilyParameters
 from .poly import Poly
-from .spectra import Spectrum, _over_common_denominator, spectrum_of_numerators
+from .spectra import Spectrum, _numerators, spectrum_of_numerators
 
 
 class TjurinaInstance(NamedTuple):
@@ -52,15 +52,18 @@ class TjurinaInstance(NamedTuple):
         at build, with the local-algebra engine; any mismatch is an
         internal error."""
         f = self.defining_poly
-        mu_engine = localg.milnor(f)
-        if mu_engine != self.mu:
-            raise InternalConsistencyError(
-                f"mu = {self.mu} but the engine computes {mu_engine} for {f}")
+        self._engine_agrees("mu", localg.milnor(f))
         if not self.tau_checked:
-            tau_engine = localg.tjurina(f)
-            if tau_engine != self.tau:
-                raise InternalConsistencyError(
-                    f"tau = {self.tau} but the engine computes {tau_engine} for {f}")
+            self._engine_agrees("tau", localg.tjurina(f))
+
+    def _engine_agrees(self, name: str, number: int):
+        """The one comparison with the engine: raise InternalConsistencyError
+        unless ``number``, what the engine computes for the defining
+        polynomial, equals this instance's ``name`` ("mu" or "tau")."""
+        claimed = getattr(self, name)
+        if number != claimed:
+            raise InternalConsistencyError(
+                f"{name} = {claimed} but the engine computes {number} for {self.defining_poly}")
 
 
 class BrieskornParams(NamedTuple):
@@ -178,7 +181,7 @@ def _lattice_instance(pairs, f: Poly, family_tag: str, swh: bool) -> TjurinaInst
     denominator L once, and the sort runs on the int pairs (k, not is_tjurina),
     so that no comparison goes through ``Fraction``."""
     pairs = list(pairs)
-    nums, L = _over_common_denominator([v for v, _ in pairs])
+    nums, L = _numerators([v for v, _ in pairs], 1)
     ordered = sorted(zip(nums, [not tj for _, tj in pairs]))
     spectrum = _spectrum([k for k, _ in ordered], L)
     indices = frozenset(i for i, (_, later) in enumerate(ordered, 1) if not later)
@@ -239,9 +242,13 @@ def _three_monomial_lattice(params: ThreeMonomialParams):
     Lambda_0 on the diagonal i/a = j/b, Tjurina up to value 1, Lambda_1 under
     it and Lambda_2, its mirror with (a, b, c, d) and (i, j) swapped, over it.
     The walls {i = c, j > d - b} and {j = d, i > c - a} are empty unless
-    2b > d + 1 and 2a > c + 1 respectively.  The rule is not derived from the
-    paper's condition 8.1: ``localg.tjurina`` checks its count at build, and
-    the tests check each level against colength(J_f + (f) + N_alpha)."""
+    2b > d + 1 and 2a > c + 1 respectively.  The rule is checked, not derived
+    from the paper's condition 8.1.  :func:`three_monomial_instance` compares
+    its tau with ``localg.tjurina`` at every build, one
+    ``TjurinaInstance._engine_agrees`` call; that gate is what refused the
+    292 tuples of a <= 8, b <= 11, c, d <= 30 that the rule miscounted
+    before it had the wall over the diagonal, so it stays.  The tests check
+    each level against colength(J_f + (f) + N_alpha)."""
     a, b, c, d = params
     g = gcd(a, b)
     for k in range(1, 2 * g):
@@ -260,10 +267,7 @@ def three_monomial_instance(params: ThreeMonomialParams) -> TjurinaInstance:
                              f"three_monomial({a},{b},{c},{d})", swh=False)
     if inst.mu - inst.tau != (a - 1) * (b - 1) + max(2 * b - d - 1, 0) + max(2 * a - c - 1, 0):
         raise InternalConsistencyError("lattice exclusion count disagrees with the closed form")
-    tau_engine = localg.tjurina(f)
-    if tau_engine != inst.tau:
-        raise InternalConsistencyError(
-            f"tau = {inst.tau} but the engine computes {tau_engine} for {f}")
+    inst._engine_agrees("tau", localg.tjurina(f))
     return inst._replace(tau_checked=True)
 
 

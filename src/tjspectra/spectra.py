@@ -6,17 +6,20 @@ All statistics here are exact; the defect
 ``delta = Var - width/12`` is the quantity whose sign the (generalized)
 Hertling conjecture constrains.
 
-Arithmetic runs on integers.  A spectrum is built from int numerators k
-over one denominator L (:func:`spectrum_of_numerators`), which runs the
-range and symmetry checks on the numerators, reduces them and L to lowest
-terms, and builds each distinct value's ``Fraction`` once;
-:func:`make_spectrum` takes rational values and maps them to numerators
-over their least common denominator first.  A :class:`Spectrum` keeps its
-numerators and L beside its values, and every statistic of a spectrum is
-an integer power sum over those numerators (``stats_of_values(s.nums,
-s.L)``).  A :class:`SubsetStats` record holds only ints, over its caller's
-L; its rational statistics are built as ``Fraction``s when they are read,
-and the sign of its defect is the sign of the int ``scaled_delta``.
+Arithmetic runs on integers.  A spectrum is built from numerators k over
+one denominator L (:func:`spectrum_of_numerators`), which runs the range
+and symmetry checks on the numerators, reduces them and L to lowest terms,
+and builds each distinct value's ``Fraction`` once; :func:`make_spectrum`
+is the same constructor over L = 1.  Spectral input is checked in one
+place, the private ``_numerators``: L must be a positive int, and every
+value an int or a ``Fraction``; Fractions are mapped to int numerators
+over their least common denominator, and ints pass unchanged.  A
+:class:`Spectrum` keeps its numerators and L beside its values, and every
+statistic of a spectrum is an integer power sum over those numerators
+(``stats_of_values(s.nums, s.L)``).  A :class:`SubsetStats` record holds
+only ints, over its caller's L; its rational statistics are built as
+``Fraction``s when they are read, and the sign of its defect is the sign
+of the int ``scaled_delta``.
 """
 
 from fractions import Fraction
@@ -90,40 +93,49 @@ class SubsetStats(NamedTuple):
         return self.s1 * other.tau * other.L <= other.s1 * self.tau * self.L
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of exact rationals over their least common denominator.
+def _numerators(values: Sequence[Fraction], L: int) -> tuple[Sequence[int], int]:
+    """Int numerators of the values v / L over one denominator: the one
+    check of spectral input.
 
-    Returns ``(nums, L)`` with ``values[i] == nums[i] / L``.  Ints count as
-    ``n/1``; bools, floats and every other type raise TypeError, so that no
-    inexact number or truth value enters the arithmetic.
+    Returns ``(nums, L')`` with ``values[i] / L == nums[i] / L'``.  Int
+    values are already numerators and pass unchanged, with L; Fractions
+    are mapped over their least common denominator D, and L' = L * D.
+    An L that is not an int (a bool included) raises TypeError, and an L
+    below 1 ValueError; a bool, a float or any other value that is not an
+    int or a Fraction raises TypeError, so that no inexact number or truth
+    value enters the arithmetic.
     """
-    for t in set(map(type, values)):
+    if type(L) is not int:
+        raise TypeError(f"L must be an int, not {type(L).__name__}")
+    if L < 1:
+        raise ValueError(f"L must be positive, got {L}")
+    types = set(map(type, values))
+    if types <= {int}:
+        return values, L
+    for t in types:
         if issubclass(t, bool) or not issubclass(t, (int, Fraction)):
             raise TypeError(f"spectral values must be int or Fraction, not {t.__name__}")
     pairs = [v.as_integer_ratio() for v in values]
     dens = {d for _, d in pairs}
-    L = lcm(*dens)
-    scale = {d: L // d for d in dens}
-    return [k * scale[d] for k, d in pairs], L
+    D = lcm(*dens)
+    scale = {d: D // d for d in dens}
+    return [k * scale[d] for k, d in pairs], L * D
 
 
 def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
-    """Spectrum of the values k/L for the int numerators k, in any order.
-    The values must lie in (0, n), that is 0 < k < nL, and satisfy
-    k_i + k_{mu+1-i} = nL; no values, values that fail either check, or
-    an L below 1 raise ValueError, and a numerator, L or n that is not an
-    int (a bool included) TypeError.  The spectrum keeps the numerators
-    and L divided by gcd(L, *nums), so equal values give equal spectra
-    whatever L the caller chose; each distinct value's ``Fraction`` is
-    built once."""
-    for name, x in (("L", L), ("n", n)):
-        if type(x) is not int:
-            raise TypeError(f"{name} must be an int, not {type(x).__name__}")
-    if L < 1:
-        raise ValueError(f"L must be positive, got {L}")
-    nums = sorted(nums)
-    for t in set(map(type, nums)) - {int}:
-        raise TypeError(f"numerators must be ints, not {t.__name__}")
+    """Spectrum of the values k/L for the numerators k, in any order.
+    The numerators are ints, or Fractions that :func:`_numerators` maps to
+    ints over a larger L first.  The values must lie in (0, n), that is
+    0 < k < nL, and satisfy k_i + k_{mu+1-i} = nL; no values, values that
+    fail either check, or an L below 1 raise ValueError, and a numerator
+    that is not an int or a Fraction, or an L or n that is not an int (a
+    bool included), TypeError.  The spectrum keeps the numerators and L
+    divided by gcd(L, *nums), so equal values give equal spectra whatever
+    L the caller chose; each distinct value's ``Fraction`` is built once."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, not {type(n).__name__}")
+    nums, L = _numerators(list(nums), L)
+    nums.sort()
     if not nums:
         raise ValueError("a spectrum must contain at least one value")
     top = n * L
@@ -143,10 +155,9 @@ def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
 
 
 def make_spectrum(values: Iterable[Fraction], n: int) -> Spectrum:
-    """Spectrum of int or Fraction values, in any order: their numerators
-    over the least common denominator, through :func:`spectrum_of_numerators`."""
-    nums, L = _over_common_denominator(list(values))
-    return spectrum_of_numerators(nums, L, n)
+    """Spectrum of int or Fraction values, in any order: the values over
+    L = 1, through :func:`spectrum_of_numerators`."""
+    return spectrum_of_numerators(values, 1, n)
 
 
 def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
@@ -154,26 +165,18 @@ def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
 
     When every value is an int, the values are the numerators k_i over L,
     as ``stats_of_values(s.nums, s.L)`` passes them, and no value is
-    converted; otherwise they are first mapped to numerators over their
-    least common denominator, which multiplies L.  The record keeps the
-    power sums S1 = sum k_i and S2 = sum k_i^2 and the extreme numerators,
-    and builds no ``Fraction``; the property tests compare each derived
-    statistic with a Fraction-sum reference.
+    converted; otherwise :func:`_numerators` first maps them to numerators
+    over their least common denominator, which multiplies L.  The record
+    keeps the power sums S1 = sum k_i and S2 = sum k_i^2 and the extreme
+    numerators, and builds no ``Fraction``; the property tests compare
+    each derived statistic with a Fraction-sum reference.
     An empty multiset or an L below 1 raises ValueError, and a bool or a
     float among the values, or an L that is not an int, TypeError.
     """
-    if type(L) is not int:
-        raise TypeError(f"L must be an int, not {type(L).__name__}")
-    if L < 1:
-        raise ValueError(f"L must be positive, got {L}")
-    tau = len(values)
+    nums, L = _numerators(values, L)
+    tau = len(nums)
     if tau == 0:
         raise ValueError("statistics of an empty subset are undefined")
-    if set(map(type, values)) == {int}:
-        nums = values
-    else:
-        nums, scale = _over_common_denominator(values)
-        L *= scale
     return SubsetStats(tau, L, sum(nums), sum(map(mul, nums, nums)), min(nums), max(nums))
 
 

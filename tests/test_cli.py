@@ -86,12 +86,13 @@ def test_check_makes_one_tjurina_statistics_pass(monkeypatch, capsys):
 ], ids=["sweep-puiseux", "check-swh"])
 def test_statistics_convert_no_fractions(monkeypatch, capsys, argv, calls):
     from tjspectra import cli, families, spectra
-    real = spectra._over_common_denominator
+    real = spectra._numerators
     lengths = []
 
-    def counted(values):
-        lengths.append(len(values))
-        return real(values)
+    def counted(values, L):  # counts only calls that convert: ints pass unchanged
+        if set(map(type, values)) - {int}:
+            lengths.append(len(values))
+        return real(values, L)
 
     holders = [mod for name, mod in sorted(sys.modules.items())
                if name.split(".")[0] == "tjspectra" and vars(mod).get(real.__name__) is real]

@@ -188,9 +188,9 @@ def test_make_spectrum_accepts_ints_and_rejects_floats():
 
 
 @pytest.mark.parametrize("nums, L, n, error, message", [
-    ([True, True], 1, 2, TypeError, "numerators must be ints, not bool"),
-    ([1, 3.0], 2, 2, TypeError, "numerators must be ints, not float"),
-    ([F(1), F(3)], 2, 2, TypeError, "numerators must be ints, not Fraction"),
+    ([True, True], 1, 2, TypeError, "spectral values must be int or Fraction, not bool"),
+    ([1, 3.0], 2, 2, TypeError, "spectral values must be int or Fraction, not float"),
+    (["1", "3"], 2, 2, TypeError, "spectral values must be int or Fraction, not str"),
     ([1, 3], True, 2, TypeError, "L must be an int, not bool"),
     ([1, 3], 2.0, 2, TypeError, "L must be an int, not float"),
     ([1, 3], 2, True, TypeError, "n must be an int, not bool"),
@@ -201,6 +201,37 @@ def test_make_spectrum_accepts_ints_and_rejects_floats():
 def test_spectrum_of_numerators_rejects_bad_types_and_L(nums, L, n, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         spectrum_of_numerators(nums, L, n)
+
+
+def test_spectrum_of_numerators_takes_fractions():
+    assert spectrum_of_numerators([F(1), F(3)], 2, 2) == make_spectrum([F(1, 2), F(3, 2)], 2)
+
+
+# Each constructor and the statistics, called on values and, where it takes
+# one, on an L; make_spectrum takes no L.
+INPUT_RULE = {
+    "make_spectrum": (lambda values: make_spectrum(values, 2), None),
+    "spectrum_of_numerators": (lambda values: spectrum_of_numerators(values, 1, 2),
+                               lambda L: spectrum_of_numerators([1, 3], L, 2)),
+    "stats_of_values": (stats_of_values, lambda L: stats_of_values([1, 3], L)),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_RULE))
+def test_one_rule_checks_spectral_input(name):
+    of_values, of_L = INPUT_RULE[name]
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError, match="^spectral values must be int or Fraction, "
+                                            f"not {type(bad).__name__}$"):
+            of_values([bad, F(3, 2)])
+    if of_L is None:
+        return
+    for L, error, message in ((True, TypeError, "L must be an int, not bool"),
+                              (2.0, TypeError, "L must be an int, not float"),
+                              (0, ValueError, "L must be positive, got 0"),
+                              (-2, ValueError, "L must be positive, got -2")):
+        with pytest.raises(error, match=f"^{message}$"):
+            of_L(L)
 
 
 def outcome(build, *args):
