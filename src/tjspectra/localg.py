@@ -32,8 +32,22 @@ borrows and sets its guard bit.  A degree of
 :class:`~tjspectra.errors.TjspectraError`: in the input, and in a term the
 engine forms before it knows a highest corner N <= 2^(W-1) (below), after
 which such terms are dropped.  So no kept term reaches a guard bit, and no
-field carries into the next.  There is one packing per number of
-variables, built at import.  Generators are packed once on entry.
+field carries into the next.  The pair loop reads two more values off the
+fields.  The support mask ``((m | guard) - ones) & guard``, with ones
+holding 1 in each exponent field, keeps the guard bit of each variable
+with a nonzero exponent: two leads are coprime (the product criterion)
+when their masks share no bit, and a lead is a pure power of x_v when its
+mask is v's guard bit alone, or 1 when its mask is 0.  The lcm takes the
+larger exponent field by field: ``((a | guard) - b) & guard`` marks the
+fields where a's exponent is at least b's, and the mark, spread over its
+field, picks a's field or b's.  The lcm's degree, the sum of its fields,
+is their product by ones shifted up one field, read in the degree field;
+every partial sum in that product is at most 2*MAX_DEGREE < 2^W, so no
+field carries there either.  Each basis element keeps its packed lead and
+its mask, each heap entry carries its pair's packed lcm, and the engine
+unpacks the leads into exponent tuples once, when it returns.  There is
+one packing per number of variables, built at import.  Generators are
+packed once on entry.
 ``milnor`` and ``tjurina`` build neither a ``Poly`` nor a result: they
 pack f's terms once and form each partial derivative on the packed ints,
 where dividing a monomial by x_v is subtracting packed x_v, then count the
@@ -51,7 +65,9 @@ step that combines two polynomials does as it builds them, and their
 S-pairs reduce to zero.  The leads then span the lead ideal of I below
 degree N, and the pure powers span it from N on, so the colength is
 unchanged.  N only falls, as smaller pure powers enter, and the S-pairs
-whose lead lcm has degree N or more are dropped unformed.
+whose lead lcm has degree N or more are dropped unformed: once N is known
+such a pair is never made, and one made before N fell ends the loop when
+it is popped, as every pair after it is past N too.
 
 One-term cut.  A basis element with one term, c*m, puts the monomial m in
 the ideal, and with it every multiple of m.  So the engine drops from each
@@ -63,7 +79,9 @@ polynomial it is dropped from, so every weak normal form keeps its
 standard representation, as under the highest-corner cut.  Without it, a
 remainder that keeps a term such as y^k, which the one-term element
 y^(k-1) divides, can climb for about 0.7*k reduction steps towards the
-highest corner while its coefficients grow.
+highest corner while its coefficients grow.  Every polynomial that the
+pair loop enters comes out of the combining step, so only the input
+generators are filtered as they enter.
 
 Chain criterion (Buchberger's second criterion: B. Buchberger, EUROSAM
 1979; R. Gebauer and H. M. Moller, *J. Symb. Comp.* 6, 1988).  Besides the
@@ -78,7 +96,10 @@ lead monomials, which uses no property of a global order, so it holds for
 the local degree order too.  Only pairs already off the heap may vouch for
 a skip, so two skipped pairs never rest on each other.  The scan reads
 "neither is pending" as k in neither the partner set of i nor that of j:
-two set lookups for each lead k that divides the lcm.
+two set lookups for each lead k that divides the lcm.  A pair never made
+because it lies past the highest corner counts as done.  That changes no
+skip: a pair that it could vouch for has an lcm divisible by its own, so
+that pair lies past the corner too, and the loop ends before its scan.
 
 Coefficient arithmetic is exact and integer throughout: the engine works
 on integer term maps, with the content divided out after every reduction
@@ -97,7 +118,7 @@ pivot leads of degree <= N.
 from heapq import heappop, heappush
 from itertools import count, product
 from math import comb, gcd
-from operator import add, mul
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import TjspectraError
@@ -144,8 +165,32 @@ class _Packing:
         self.shift = nvars * FIELD_BITS   # the degree field starts here
         self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(nvars))
         self.offsets = range(0, self.shift, FIELD_BITS)
+        self.ones = sum(1 << k for k in self.offsets)  # 1 in each exponent field
         # x_v packed: one in field v and one in the degree field
         self.variables = tuple((1 << self.shift) + (1 << k) for k in self.offsets)
+        # the support mask of a pure power, or of 1, -> the variables it is a
+        # pure power of: x_v^k has v alone, 1 has every variable
+        self.axes = {0: range(nvars),
+                     **{1 << (FIELD_BITS - 1 + k): (v,) for v, k in enumerate(self.offsets)}}
+        # the lcm keeps the exponent fields, and their product by `ones << W`
+        # holds their sum in the degree field
+        self._exponents = (1 << self.shift) - 1
+        self._sum_up = self.ones << FIELD_BITS
+        self._degree_field = _FIELD_MASK << self.shift
+
+    def support(self, m: int) -> int:
+        """The guard bits of the variables with a nonzero exponent in the
+        packed monomial m: a field with e > 0 keeps its guard bit when 1
+        is subtracted, one with e = 0 borrows it."""
+        return ((m | self.guard) - self.ones) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of two packed monomials of degree at most
+        MAX_DEGREE: the larger exponent in each field, and their sum, at
+        most 2*MAX_DEGREE < 2^W, in the degree field."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bits where a's exponent >= b's
+        x = (b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))) & self._exponents
+        return x | ((x * self._sum_up) & self._degree_field)
 
     def pack(self, e: Exponent) -> int:
         degree = sum(e)
@@ -197,17 +242,22 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
     generator loses every term that the monomial of a one-term basis
     element divides, and one that loses all its terms does not enter.
 
-    Each generator's lead and ecart are computed once, when it enters the
-    basis.  Pending S-pairs sit on one heap keyed by (lcm degree, -seq): the
-    least lcm degree first, and among ties the pair made last.  For the
-    chain criterion, `partners[i]` holds the k whose pair with i is on the
-    heap, and `lms` the packed leads in basis order.
+    Each generator's lead, ecart and support mask are computed once, when
+    it enters the basis; the pair bookkeeping runs on the packed ints, and
+    the lead tuples are unpacked once, at the return.  Pending S-pairs sit
+    on one heap as (lcm degree, -seq, packed lcm, i, j): the least lcm
+    degree first, and among ties the pair made last; seq is unique, so the
+    lcm is never compared.  Once the highest corner is known, a pair whose
+    lcm degree reaches it is never pushed.  For the chain criterion,
+    `partners[i]` holds the k whose pair with i is on the heap, and `lms`
+    the packed leads in basis order.
     """
-    nvars, shift, guard = packing.nvars, packing.shift, packing.guard
+    nvars, shift, guard, axes = packing.nvars, packing.shift, packing.guard, packing.axes
+    support, lcm_of = packing.support, packing.lcm
     basis: list[tuple[PackedPoly, int, int]] = []
     lms: list[int] = []
-    exps: list[Exponent] = []
-    pairs: list[tuple[int, int, int, int]] = []
+    supports: list[int] = []
+    pairs: list[tuple[int, int, int, int, int]] = []
     partners: list[set[int]] = []
     seq = count()
     pure: list[Optional[int]] = [None] * nvars  # least pure-power exponent per variable
@@ -253,40 +303,42 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
 
     def enter(g: PackedPoly) -> None:
         nonlocal top, exact
-        if monomials:
-            g = _strip_content(_drop_multiples(g, monomials, guard))
-            if not g:
-                return
         j = len(basis)
         lm_j = min(g)
-        e = packing.unpack(lm_j)
+        s_j = support(lm_j)
         partners_j = set()
-        for i, e_i in enumerate(exps):
+        for i, lm_i in enumerate(lms):
             # product criterion: coprime lead monomials reduce to zero
-            if any(map(mul, e_i, e)):
-                heappush(pairs, (sum(map(max, e_i, e)), -next(seq), i, j))
-                partners[i].add(j)
-                partners_j.add(i)
+            if supports[i] & s_j:
+                lcm = lcm_of(lm_i, lm_j)
+                degree = lcm >> shift
+                if exact or degree < top:  # else every term is cut: never made
+                    heappush(pairs, (degree, -next(seq), lcm, i, j))
+                    partners[i].add(j)
+                    partners_j.add(i)
         partners.append(partners_j)
         degree = lm_j >> shift
         basis.append((g, lm_j, (max(g) >> shift) - degree))
         lms.append(lm_j)
-        exps.append(e)
+        supports.append(s_j)
         if len(g) == 1:
             monomials.append(lm_j)
-        for v, k in enumerate(e):
-            if k == degree and (pure[v] is None or k < pure[v]):
-                pure[v] = k
+        for v in axes.get(s_j, ()):  # a pure power of x_v, or 1
+            if pure[v] is None or degree < pure[v]:
+                pure[v] = degree
                 if None not in pure:
                     corner = sum(pure) - nvars + 1
                     if corner <= top:
                         top, exact = corner, False
 
     for g in gens:
+        # the loop's own polynomials come from _combine, which drops these terms
+        if monomials:
+            g = _strip_content(_drop_multiples(g, monomials, guard))
         if g:
             enter(g)
     while pairs:
-        degree, _, i, j = heappop(pairs)
+        degree, _, lcm, i, j = heappop(pairs)
         partners_i, partners_j = partners[i], partners[j]
         partners_i.remove(j)
         partners_j.remove(i)
@@ -295,7 +347,6 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
         (f, lm_f, ec_f), (g, lm_g, ec_g) = basis[i], basis[j]
         if exact and degree + max(ec_f, ec_g) >= top:
             raise _too_large(degree + max(ec_f, ec_g))
-        lcm = packing.pack(tuple(map(max, exps[i], exps[j])))
         # chain criterion: a lead k dividing the lcm whose pairs with i and j
         # are both done makes this S-polynomial redundant (module docstring)
         for k, lm_k in enumerate(lms):
@@ -310,7 +361,7 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
                                  monomials, guard), cut)
             if h:
                 enter(h)
-    return basis, exps, pure
+    return basis, [packing.unpack(m) for m in lms], pure
 
 
 def _colength_of_leads(leads: Sequence[Exponent],
@@ -467,7 +518,8 @@ def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, IntPoly]:
                     break
                 d = gcd(row[lead], piv[lead])
                 a, b = piv[lead] // d, row[lead] // d
-                row = {k: a * c for k, c in row.items()}
+                if a != 1:  # else the fresh row is updated in place
+                    row = {k: a * c for k, c in row.items()}
                 for k, c in piv.items():
                     s = row.get(k, 0) - b * c
                     if s:

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from tjspectra import cli, localg
 from tjspectra.errors import TjspectraError
 from tjspectra.families import swh_instance
-from tjspectra.localg import (INFINITE, MAX_DEGREE, StdBasisResult, _colength_of_leads,
+from tjspectra.localg import (FIELD_BITS, INFINITE, MAX_DEGREE, StdBasisResult,
+                              _colength_of_leads,
                               _lead_key, _monomials_up_to, _Packing, _span_pivots,
                               colength_oracle, local_std_basis, milnor, tjurina)
 from tjspectra.poly import Poly, jacobian, parse_poly
@@ -758,6 +760,73 @@ def test_packed_monomials_keep_order_product_and_divisibility(case):
     assert (not (pb - pa) & packing.guard) == _ref_divides(a, b)
     if sum(a) + sum(b) <= MAX_DEGREE:
         assert pa + pb == packing.pack(tuple(x + y for x, y in zip(a, b)))
+
+
+@st.composite
+def heavy_pairs(draw):
+    """Two packable exponent tuples in 1-3 variables, each of degree near
+    MAX_DEGREE and nearly all of it in one field: when the two heavy fields
+    differ, the lcm degree is near 2*MAX_DEGREE."""
+    nvars = draw(st.integers(1, 3))
+
+    def heavy():
+        e = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+        v = draw(st.integers(0, nvars - 1))
+        e[v] = 0
+        e[v] = MAX_DEGREE - sum(e) - draw(st.integers(0, 3))
+        return tuple(e)
+
+    return nvars, heavy(), heavy()
+
+
+@given(st.one_of(exponent_pairs(), heavy_pairs()))
+@example((2, (MAX_DEGREE, 0), (0, MAX_DEGREE)))  # the largest lcm degree
+@example((3, (0, 0, 0), (1, 0, 0)))
+@settings(max_examples=300)
+def test_packed_support_and_lcm_match_the_exponent_tuples(case):
+    nvars, a, b = case
+    packing = _Packing(nvars)
+    pa, pb = packing.pack(a), packing.pack(b)
+    sa, sb = packing.support(pa), packing.support(pb)
+    nonzero = [v for v, k in enumerate(a) if k]
+    assert sa == sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in nonzero)
+    if len(nonzero) <= 1:  # a pure power, or 1
+        assert list(packing.axes[sa]) == (nonzero or list(range(nvars)))
+    else:
+        assert sa not in packing.axes
+    # the product criterion
+    assert (not sa & sb) == (not any(map(mul, a, b)))
+    lcm, want = packing.lcm(pa, pb), tuple(map(max, a, b))
+    assert lcm >> packing.shift == sum(want) <= 2 * MAX_DEGREE
+    assert packing.unpack(lcm) == want
+    if sum(want) <= MAX_DEGREE:
+        assert lcm == packing.pack(want)
+
+
+def test_the_pair_loop_builds_no_exponent_tuple(monkeypatch):
+    cases = []
+    for text in TAIL_CORPUS:
+        for gens in jacobian_and_tjurina_ideals(text):
+            packing = localg._PACKINGS[gens[0].nvars]
+            packed = [{packing.pack(e): c for e, c in g.terms.items()} for g in gens]
+            cases.append((packed, packing, localg._std_int(packed, packing)))
+
+    def refuse(self, e):
+        raise AssertionError("the engine packed an exponent tuple")
+
+    unpacked, unpack = [], _Packing.unpack
+
+    def counting(self, m):
+        unpacked.append(m)
+        return unpack(self, m)
+
+    monkeypatch.setattr(_Packing, "pack", refuse)
+    monkeypatch.setattr(_Packing, "unpack", counting)
+    for packed, packing, want in cases:
+        unpacked.clear()
+        got = localg._std_int(packed, packing)
+        assert got == want
+        assert unpacked == [lm for _, lm, _ in got[0]]  # each lead once, at the return
 
 
 def test_degree_limit_is_an_input_error(capsys):
