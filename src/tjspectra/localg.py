@@ -12,12 +12,13 @@ Beside the heap, each basis index keeps the set of its partners: k is in
 the set of i exactly while the pair {i, k} is on the heap.  A popped pair
 leaves both sets before the chain criterion (below) scans the flat list of
 packed leads for a lead that vouches for a skip, so a skipped pair is done
-and may vouch in turn.  Colengths are counted from the leads by slicing:
-the first variable's axis is cut at the leads' own exponents below its
-pure power, and each slice is its width times the count, in the other
-variables, under the leads whose first exponent is at most the cut.  Time
-and memory grow with the number of leads, not with the product of the
-pure-power exponents.
+and may vouch in turn.  Colengths are counted from the packed leads by
+slicing: the last variable's axis is cut at the leads' own exponents below
+its pure power, and each slice is its width times the count, in the other
+variables, under the leads whose last exponent is at most the cut.  That
+exponent is the top field once the degree field is masked off, so sorting
+the ints sorts by it.  Time and memory grow with the number of leads, not
+with the product of the pure-power exponents.
 
 Inside the engine a monomial is one int.  Its top field holds the total
 degree, and e[n-1], ..., e[0] sit below it in fields of W bits each
@@ -32,7 +33,9 @@ borrows and sets its guard bit.  A degree of
 :class:`~tjspectra.errors.TjspectraError`: in the input, and in a term the
 engine forms before it knows a highest corner N <= 2^(W-1) (below), after
 which such terms are dropped.  So no kept term reaches a guard bit, and no
-field carries into the next.  The pair loop reads two more values off the
+field carries into the next.  The limit and its message are defined in
+:mod:`~tjspectra.poly`, whose parser refuses a group power beyond the
+limit before it expands it.  The pair loop reads two more values off the
 fields.  The support mask ``((m | guard) - ones) & guard``, with ones
 holding 1 in each exponent field, keeps the guard bit of each variable
 with a nonzero exponent: two leads are coprime (the product criterion)
@@ -44,14 +47,14 @@ field, picks a's field or b's.  The lcm's degree, the sum of its fields,
 is their product by ones shifted up one field, read in the degree field;
 every partial sum in that product is at most 2*MAX_DEGREE < 2^W, so no
 field carries there either.  Each basis element keeps its packed lead and
-its mask, each heap entry carries its pair's packed lcm, and the engine
-unpacks the leads into exponent tuples once, when it returns.  There is
-one packing per number of variables, built at import.  Generators are
-packed once on entry.
+its mask, each heap entry carries its pair's packed lcm, and the colength
+is counted on the packed leads too; only :func:`local_std_basis` unpacks
+them, for its result.  There is one packing per number of variables,
+built at import.  Generators are packed once on entry.
 ``milnor`` and ``tjurina`` build neither a ``Poly`` nor a result: they
 pack f's terms once and form each partial derivative on the packed ints,
 where dividing a monomial by x_v is subtracting packed x_v, then count the
-colength from the engine's lead tuples.
+colength from the engine's packed leads.
 
 Highest-corner cut (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 1.7; Singular's ``noether``).  Once the leads hold a
@@ -122,12 +125,11 @@ from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import TjspectraError
-from .poly import MAX_VARS, Exponent, IntPoly, Poly
+from .poly import MAX_DEGREE, MAX_VARS, Exponent, IntPoly, Poly, _too_large
 
 INFINITE = "infinite"
-FIELD_BITS = 16                           # W: the width of each packed field
+FIELD_BITS = MAX_DEGREE.bit_length() + 1  # W: the width of each packed field, guard bit on top
 _FIELD_MASK = (1 << FIELD_BITS) - 1
-MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest total degree the engine packs
 
 
 # --- integer-coefficient plumbing ---
@@ -144,11 +146,6 @@ def _lead_key(e: Exponent):
     The one encoding of the order on exponent tuples; the packed ints of
     the engine compare the same way."""
     return sum(e), e[::-1]
-
-
-def _too_large(degree: int) -> TjspectraError:
-    return TjspectraError(f"a term of degree {degree} is beyond the engine's "
-                          f"limit of {MAX_DEGREE}")
 
 
 # --- packed monomials ---
@@ -209,8 +206,16 @@ _PACKINGS = {nvars: _Packing(nvars) for nvars in range(1, MAX_VARS + 1)}
 
 
 def _drop_multiples(p: PackedPoly, monomials: Sequence[int], guard: int) -> PackedPoly:
-    """p without the terms that one of the packed monomials divides."""
-    return {m: c for m, c in p.items() if all((m - u) & guard for u in monomials)}
+    """p without the terms that one of the packed monomials divides.  A
+    plain loop: a generator per term costs twice as much."""
+    out = {}
+    for m, c in p.items():
+        for u in monomials:
+            if not (m - u) & guard:
+                break
+        else:
+            out[m] = c
+    return out
 
 
 def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
@@ -233,18 +238,17 @@ def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
 
 
 def _std_int(gens: Iterable[PackedPoly], packing: _Packing
-             ) -> tuple[list, list[Exponent], list[Optional[int]]]:
+             ) -> tuple[list, list[int], list[Optional[int]]]:
     """Standard basis of the ideal generated by the packed gens (Buchberger
     + Mora NF, with the highest-corner cut): the (generator, lead, ecart)
-    triples in the order they were produced, the lead exponent tuples, and
-    the least pure-power exponent among the leads of each variable (None
-    where no lead is a pure power of it; all 0 after the lead 1).  A
-    generator loses every term that the monomial of a one-term basis
-    element divides, and one that loses all its terms does not enter.
+    triples in the order they were produced, the packed leads in that
+    order, and the least pure-power exponent among the leads of each
+    variable (None where no lead is a pure power of it; all 0 after the
+    lead 1).  A generator loses every term that the monomial of a one-term
+    basis element divides, and one that loses all its terms does not enter.
 
     Each generator's lead, ecart and support mask are computed once, when
-    it enters the basis; the pair bookkeeping runs on the packed ints, and
-    the lead tuples are unpacked once, at the return.  Pending S-pairs sit
+    it enters the basis, and nothing is unpacked.  Pending S-pairs sit
     on one heap as (lcm degree, -seq, packed lcm, i, j): the least lcm
     degree first, and among ties the pair made last; seq is unique, so the
     lcm is never compared.  Once the highest corner is known, a pair whose
@@ -267,8 +271,9 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
     # raises instead: dropping it would change the ideal.
     top, exact = MAX_DEGREE + 1, True
 
-    def mora_nf(h: PackedPoly, cut: int) -> PackedPoly:
-        """Mora's weak normal form of h with respect to the basis.
+    def mora_nf(h: PackedPoly, cut: int) -> Optional[tuple[PackedPoly, int]]:
+        """Mora's weak normal form of h with respect to the basis, with its
+        lead, or None when it is 0.
 
         Reducers are chosen with minimal ecart, earliest-generated first;
         intermediate remainders with larger ecart join the reducer pool,
@@ -285,7 +290,7 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
                     if not r[2]:
                         break
             if best is None:
-                return h
+                return h, lm_h
             g, lm_g, ec_g = best
             if ec_g:
                 deg_h = lm_h >> shift
@@ -299,12 +304,11 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
             cf, cg = h[lm_h], g[lm_g]
             d = gcd(cf, cg)
             h = _combine(h, 0, cg // d, g, lm_h - lm_g, cf // d, cut, monomials, guard)
-        return h
+        return None
 
-    def enter(g: PackedPoly) -> None:
+    def enter(g: PackedPoly, lm_j: int) -> None:
         nonlocal top, exact
         j = len(basis)
-        lm_j = min(g)
         s_j = support(lm_j)
         partners_j = set()
         for i, lm_i in enumerate(lms):
@@ -336,7 +340,7 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
         if monomials:
             g = _strip_content(_drop_multiples(g, monomials, guard))
         if g:
-            enter(g)
+            enter(g, min(g))
     while pairs:
         degree, _, lcm, i, j = heappop(pairs)
         partners_i, partners_j = partners[i], partners[j]
@@ -357,49 +361,44 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
             cf, cg = f[lm_f], g[lm_g]
             d = gcd(cf, cg)
             cut = top << shift
-            h = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut,
-                                 monomials, guard), cut)
-            if h:
-                enter(h)
-    return basis, [packing.unpack(m) for m in lms], pure
+            nf = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut,
+                                  monomials, guard), cut)
+            if nf:
+                enter(*nf)
+    return basis, lms, pure
 
 
-def _colength_of_leads(leads: Sequence[Exponent],
+def _colength_of_leads(lms: Sequence[int],
                        bounds: Sequence[Optional[int]]) -> Union[int, str]:
-    """Number of standard monomials, or INFINITE without a pure power of
-    every variable; bounds are the least pure-power exponents among the
-    leads, as _std_int returns them."""
+    """Number of monomials that no packed lead divides, or INFINITE without
+    a pure power of every variable; bounds are the least pure-power
+    exponents among the leads, as _std_int returns them (0 after the lead 1).
+
+    Counted by slicing on the last variable (module docstring).  Between
+    two cuts the leads that can divide a monomial stay the same, so each
+    slice is its width times the count, in the fields below, under them.
+    The pure powers of the other variables have last exponent 0, so every
+    slice has a lead of each of them.
+    """
     if None in bounds:
         return INFINITE
     if 0 in bounds:
-        return 0  # the lead 1: the unit ideal
-    return _standard_count(leads, bounds)
-
-
-def _standard_count(leads: Sequence[Exponent], bounds: Sequence[int]) -> int:
-    """Monomials below the positive pure-power bounds that no lead divides,
-    counted by slicing.
-
-    The first variable's axis is cut at the leads' own first exponents
-    below its bound.  Between two cuts the leads that can divide a
-    monomial stay the same, those whose first exponent is at most the
-    lower cut, so each slice counts its width times the standard monomials
-    of the other variables under those leads.  In one variable that is the
-    least exponent.  The pure powers of the other variables have first
-    exponent 0, so every slice has a lead of each of them.
-    """
-    first, *rest = bounds
-    if not rest:
-        return min(e[0] for e in leads)
+        return 0
+    *rest, last = bounds
+    if not rest:  # the least exponent: in one variable the degree field, if
+        return min(lms) & _FIELD_MASK  # any is left, repeats the exponent
+    shift = len(rest) * FIELD_BITS  # the last variable's field
+    exponents, lower = (1 << shift + FIELD_BITS) - 1, (1 << shift) - 1
     total, lo, below = 0, 0, []
-    for e in sorted(leads):
-        if e[0] >= first:
+    for m in sorted([m & exponents for m in lms]):
+        e = m >> shift
+        if e >= last:
             break
-        if e[0] > lo:
-            total += (e[0] - lo) * _standard_count(below, rest)
-            lo = e[0]
-        below.append(e[1:])
-    return total + (first - lo) * _standard_count(below, rest)
+        if e > lo:
+            total += (e - lo) * _colength_of_leads(below, rest)
+            lo = e
+        below.append(m & lower)
+    return total + (last - lo) * _colength_of_leads(below, rest)
 
 
 # --- public surface ---
@@ -433,10 +432,11 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     nvars = _shared_nvars(gens)
     packing = _PACKINGS[nvars]
     packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
-    basis, leads, pure = _std_int(packed, packing)
+    basis, lms, pure = _std_int(packed, packing)
     generators = tuple(Poly({packing.unpack(m): c for m, c in g.items()}, nvars)
                        for g, _, _ in basis)
-    return StdBasisResult(generators, tuple(leads), _colength_of_leads(leads, pure))
+    return StdBasisResult(generators, tuple(map(packing.unpack, lms)),
+                          _colength_of_leads(lms, pure))
 
 
 def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
@@ -455,18 +455,16 @@ def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
         packed = [packing.pack(e) for e in f.terms]
     except TjspectraError:
         raise _too_large(max(map(sum, f.terms))) from None  # the message names f's degree
-    partials: list[PackedPoly] = [{} for _ in packing.variables]
-    for m, (e, c) in zip(packed, f.terms.items()):
-        for partial, x_v, k in zip(partials, packing.variables, e):
-            if k:
-                partial[m - x_v] = c * k
+    terms = list(zip(packed, f.terms.items()))
+    partials = [{m - x_v: c * e[v] for m, (e, c) in terms if e[v]}
+                for v, x_v in enumerate(packing.variables)]
     if with_f:
         partials.append(dict(zip(packed, f.terms.values())))
     gens = [_strip_content(g) for g in partials if g]
     if not gens:
         raise TjspectraError(if_zero)
-    _, leads, pure = _std_int(gens, packing)
-    colength = _colength_of_leads(leads, pure)
+    _, lms, pure = _std_int(gens, packing)
+    colength = _colength_of_leads(lms, pure)
     if colength == INFINITE:
         raise TjspectraError(f"{ideal} of {f} has infinite colength")
     return colength

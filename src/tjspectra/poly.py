@@ -20,9 +20,16 @@ one non-space character, and the grammar runs over that list.  Whitespace
 may separate any two tokens but never splits a number: "1 2" is two numbers,
 which is a syntax error.  Inside a term, number and variable factors are
 multiplied straight into one coefficient and one exponent list; only a
-parenthesised group becomes a term map and goes through ``pow_terms`` and
-``mul_terms``.  A syntax error names the character position of the token
-where the grammar failed, or the length of the text at its end.
+parenthesised group becomes a term map.  A group's power goes through
+``pow_terms``, which starts from the group itself, and a product of groups
+through ``mul_terms``; a term with no variable factor scales its group by
+the number and sign, with no product.  A group power whose degree, the
+group's times the exponent, is beyond :data:`MAX_DEGREE`, the largest
+total degree the engine (:mod:`~tjspectra.localg`) takes, raises
+TjspectraError with the engine's message before it is expanded, as its
+expansion could run for minutes; a power of a variable is never expanded,
+so ``x^32768`` parses.  A syntax error names the character position of the
+token where the grammar failed, or the length of the text at its end.
 """
 
 import re
@@ -32,6 +39,7 @@ from .errors import PolySyntaxError, TjspectraError
 
 VAR_NAMES = ("x", "y", "z")
 MAX_VARS = 3
+MAX_DEGREE = (1 << 15) - 1  # the largest total degree of a term the engine (localg) takes
 
 Exponent = tuple[int, ...]
 IntPoly = dict[Exponent, int]
@@ -40,6 +48,11 @@ IntPoly = dict[Exponent, int]
 def _check_nvars(nvars: int) -> None:
     if not 1 <= nvars <= MAX_VARS:
         raise TjspectraError(f"nvars must be in [1, {MAX_VARS}]")
+
+
+def _too_large(degree: int) -> TjspectraError:
+    return TjspectraError(f"a term of degree {degree} is beyond the engine's "
+                          f"limit of {MAX_DEGREE}")
 
 
 def add_terms(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -73,18 +86,21 @@ def mul_terms(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def pow_terms(p: IntPoly, k: int, nvars: int) -> IntPoly:
-    """The term map of p ** k by repeated squaring (p ** 0 is 1, also for
-    p = 0); ValueError for k < 0."""
+    """A new term map of p ** k by repeated squaring, starting from the
+    first factor (p ** 0 is 1, also for p = 0, and p ** 1 a copy of p);
+    ValueError for k < 0."""
     if k < 0:
         raise ValueError("negative power")
-    result: IntPoly = {(0,) * nvars: 1}
-    while k:
+    if k < 2:
+        return dict(p) if k else {(0,) * nvars: 1}
+    result = None  # k > 1, so the factor p itself is never returned
+    while True:
         if k & 1:
-            result = mul_terms(result, p)
+            result = p if result is None else mul_terms(result, p)
         k >>= 1
-        if k:
-            p = mul_terms(p, p)
-    return result
+        if not k:
+            return result
+        p = mul_terms(p, p)
 
 
 def _read_only(self, name, *value):  # __setattr__ and __delattr__ of an immutable record
@@ -266,17 +282,25 @@ def _parse_term(tokens: list[str], i: int, variables: dict[str, int], out: IntPo
         if v is not None:
             exps[v] += k
         elif token == "(":
-            base = pow_terms(base, k, nvars)
+            if k != 1:  # a group alone is already expanded
+                degree = k * max(map(sum, base), default=0)
+                if degree > MAX_DEGREE:  # refused before the power is expanded
+                    raise _too_large(degree)
+                base = pow_terms(base, k, nvars)
             group = base if group is None else mul_terms(group, base)
         else:
             coeff *= int(token) ** k
         if tokens[i + 1] != "*":
             break
         i += 2
-    if group is None:
-        terms = ((tuple(exps), coeff),) if coeff else ()
-    else:
-        terms = mul_terms(group, {tuple(exps): coeff} if coeff else {}).items()
+    if not coeff:
+        terms = ()
+    elif group is None:
+        terms = ((tuple(exps), coeff),)
+    elif any(exps):
+        terms = mul_terms(group, {tuple(exps): coeff}).items()
+    else:  # a bare number or sign scales the group
+        terms = ((e, coeff * c) for e, c in group.items())
     for e, c in terms:
         s = out.get(e, 0) + c
         if s:
@@ -288,7 +312,8 @@ def _parse_term(tokens: list[str], i: int, variables: dict[str, int], out: IntPo
 
 def parse_poly(text: str, nvars: int = 2) -> Poly:
     """Parse and fully expand a polynomial expression; PolySyntaxError at
-    the character position of the token where the grammar fails."""
+    the character position of the token where the grammar fails, and
+    TjspectraError for a group power beyond MAX_DEGREE."""
     _check_nvars(nvars)
     tokens = _TOKEN.findall(text)
     tokens.append("")

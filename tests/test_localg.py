@@ -701,11 +701,16 @@ def lead_sets(draw):
     return nvars, leads
 
 
+def packed_colength(leads, nvars):
+    """_colength_of_leads on the leads packed as the engine packs them."""
+    packing = localg._PACKINGS[nvars]
+    return _colength_of_leads([packing.pack(e) for e in leads], pure_power_bounds(leads, nvars))
+
+
 def test_staircase_colength_reads_duplicate_and_non_minimal_leads():
     # x^2, x^3, x*y, x^2*y^2, y^3, y^3: standard monomials 1, y, y^2, x
     leads = [(2, 0), (3, 0), (1, 1), (2, 2), (0, 3), (0, 3)]
-    bounds = pure_power_bounds(leads, 2)
-    assert _colength_of_leads(leads, bounds) == brute_force_colength(leads, 2) == 4
+    assert packed_colength(leads, 2) == brute_force_colength(leads, 2) == 4
 
 
 @given(lead_sets())
@@ -714,14 +719,13 @@ def test_staircase_colength_reads_duplicate_and_non_minimal_leads():
 @settings(max_examples=200)
 def test_staircase_colength_matches_box_count(case):
     nvars, leads = case
-    bounds = pure_power_bounds(leads, nvars)
-    assert _colength_of_leads(leads, bounds) == brute_force_colength(leads, nvars)
+    assert packed_colength(leads, nvars) == brute_force_colength(leads, nvars)
 
 
 def test_staircase_colength_of_pure_powers_is_their_product():
     # the box under these pure powers holds 268M monomials, too many to count
     leads = [(16382, 0, 0), (0, 16383, 0), (0, 0, 1)]
-    assert _colength_of_leads(leads, pure_power_bounds(leads, 3)) == 16382 * 16383 == 268386306
+    assert packed_colength(leads, 3) == 16382 * 16383 == 268386306
 
 
 @given(small_ideals())
@@ -732,8 +736,8 @@ def test_std_int_pure_powers_are_the_lead_bounds(gens):
     nvars = gens[0].nvars
     packing = localg._PACKINGS[nvars]
     packed = [{packing.pack(e): c for e, c in g.terms.items()} for g in gens]
-    _, leads, pure = localg._std_int(packed, packing)
-    assert pure == pure_power_bounds(leads, nvars)
+    _, lms, pure = localg._std_int(packed, packing)
+    assert pure == pure_power_bounds([packing.unpack(m) for m in lms], nvars)
 
 
 # --- packed monomials, the degree limit and the highest-corner cut ---
@@ -826,7 +830,7 @@ def test_the_pair_loop_builds_no_exponent_tuple(monkeypatch):
         unpacked.clear()
         got = localg._std_int(packed, packing)
         assert got == want
-        assert unpacked == [lm for _, lm, _ in got[0]]  # each lead once, at the return
+        assert unpacked == []
 
 
 def test_degree_limit_is_an_input_error(capsys):

@@ -2,11 +2,11 @@ from fractions import Fraction as F
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tjspectra.errors import PolySyntaxError, TjspectraError
-from tjspectra.poly import VAR_NAMES, Poly, jacobian, parse_poly
+from tjspectra.poly import VAR_NAMES, Poly, jacobian, parse_poly, pow_terms
 
 
 def test_parse_three_terms():
@@ -81,6 +81,15 @@ def test_pow_zero_and_one():
     f = parse_poly("x+1")
     assert (f ** 0).terms == {(0, 0): F(1)}
     assert f ** 1 == f
+
+
+def test_pow_one_is_a_new_map():
+    p = {(1, 0): 2, (0, 1): -1}
+    assert pow_terms(p, 1, 2) == p
+    assert pow_terms(p, 1, 2) is not p
+    f = parse_poly("x+1")
+    assert (f ** 1).terms == f.terms
+    assert (f ** 1).terms is not f.terms
 
 
 @pytest.mark.parametrize("text", ["x^0", "(x+y)^0", "(-2*y)^0", "0^0", "(x-x)^0"])
@@ -234,6 +243,12 @@ def expressions(draw):
 
 
 @given(expressions())
+# a group scaled by a bare number or sign, before or after it, by 0, and a group to the 0
+@example(("2*(x+y)^3", 2))
+@example(("-(x-y)^2", 2))
+@example(("(x+y)^2*3", 2))
+@example(("0*(x+y)^2", 2))
+@example(("(x+y)^0", 2))
 @settings(max_examples=300, deadline=None)
 def test_parser_matches_reference(case):
     text, nvars = case
