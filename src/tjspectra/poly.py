@@ -23,13 +23,15 @@ multiplied straight into one coefficient and one exponent list; only a
 parenthesised group becomes a term map.  A group's power goes through
 ``pow_terms``, which starts from the group itself, and a product of groups
 through ``mul_terms``; a term with no variable factor scales its group by
-the number and sign, with no product.  A group power whose degree, the
-group's times the exponent, is beyond :data:`MAX_DEGREE`, the largest
-total degree the engine (:mod:`~tjspectra.localg`) takes, raises
-TjspectraError with the engine's message before it is expanded, as its
-expansion could run for minutes; a power of a variable is never expanded,
-so ``x^32768`` parses.  A syntax error names the character position of the
-token where the grammar failed, or the length of the text at its end.
+the number and sign, with no product.  A term's group powers are expanded
+at its end.  As each is read, the sum of their degrees, each the group's
+times the exponent, is checked against :data:`MAX_DEGREE`, the largest
+total degree the engine (:mod:`~tjspectra.localg`) takes: past it, the
+term raises TjspectraError with the engine's message before any power is
+expanded, as their expansion could run for minutes.  A power of a
+variable is never expanded and does not count, so ``x^32768`` parses.  A
+syntax error names the character position of the token where the grammar
+failed, or the length of the text at its end.
 """
 
 import re
@@ -257,11 +259,13 @@ def _parse_term(tokens: list[str], i: int, variables: dict[str, int], out: IntPo
     index of the token after it.
 
     Number and variable factors go into one coefficient and one exponent
-    list; only a group is a term map.  In the loop, i is the index of a
-    factor's base, then of the factor's last token.
+    list; only a group is a term map.  The group powers are expanded at the
+    end of the term, once the sum of their degrees is known to be at most
+    MAX_DEGREE.  In the loop, i is the index of a factor's base, then of the
+    factor's last token.
     """
     nvars = len(variables)
-    coeff, exps, group = sign, [0] * nvars, None
+    coeff, exps, powers = sign, [0] * nvars, None
     while True:
         token = tokens[i]
         v = variables.get(token)
@@ -282,17 +286,23 @@ def _parse_term(tokens: list[str], i: int, variables: dict[str, int], out: IntPo
         if v is not None:
             exps[v] += k
         elif token == "(":
-            if k != 1:  # a group alone is already expanded
-                degree = k * max(map(sum, base), default=0)
-                if degree > MAX_DEGREE:  # refused before the power is expanded
-                    raise _too_large(degree)
-                base = pow_terms(base, k, nvars)
-            group = base if group is None else mul_terms(group, base)
+            if powers is None:
+                powers, degree = [], 0
+            degree += k * max(map(sum, base), default=0)
+            if degree > MAX_DEGREE:  # refused before any power is expanded
+                raise _too_large(degree)
+            powers.append((base, k))
         else:
             coeff *= int(token) ** k
         if tokens[i + 1] != "*":
             break
         i += 2
+    group = None
+    if powers is not None:
+        for base, k in powers:
+            if k != 1:  # a group alone is already expanded
+                base = pow_terms(base, k, nvars)
+            group = base if group is None else mul_terms(group, base)
     if not coeff:
         terms = ()
     elif group is None:
@@ -313,7 +323,8 @@ def _parse_term(tokens: list[str], i: int, variables: dict[str, int], out: IntPo
 def parse_poly(text: str, nvars: int = 2) -> Poly:
     """Parse and fully expand a polynomial expression; PolySyntaxError at
     the character position of the token where the grammar fails, and
-    TjspectraError for a group power beyond MAX_DEGREE."""
+    TjspectraError for a term whose group powers' degrees sum beyond
+    MAX_DEGREE."""
     _check_nvars(nvars)
     tokens = _TOKEN.findall(text)
     tokens.append("")

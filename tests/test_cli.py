@@ -577,6 +577,7 @@ def test_sweep_drop_max_skips_single_value_spectrum(capsys):
     ["tjurina", "--poly", "1+x^2+y^3"],         # f(0) != 0
     ["milnor", "--poly", "x^40000+y^2"],        # a degree beyond MAX_DEGREE
     ["milnor", "--poly", "(x^2+y^3)^100000"],   # refused before the power is expanded
+    ["milnor", "--poly", "(x^2+y^3)^10000*(x^2+y^3)^10000"],  # the powers' degrees sum past it
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     from tjspectra import cli

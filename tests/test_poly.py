@@ -52,6 +52,19 @@ def test_parse_rejects_trailing_garbage():
         parse_poly("x^2)")
 
 
+def test_group_powers_of_a_term_are_refused_by_their_degree_sum():
+    # each power has degree 30000, their product 60000; nothing is expanded
+    with pytest.raises(TjspectraError, match="^a term of degree 60000 is beyond the engine's "
+                                             "limit of 32767$"):
+        parse_poly("(x^2+y^3)^10000*(x^2+y^3)^10000")
+    # one power past the limit is refused as it is read, before the rest of the term
+    with pytest.raises(TjspectraError, match="^a term of degree 40000 "):
+        parse_poly("(x^2+y)^20000*(")
+    # variable powers do not count
+    assert parse_poly("x^32768").terms == {(32768, 0): 1}
+    assert parse_poly("x^40000*(x+y)^2*(x-y)") == parse_poly("x^40000*(x^3+x^2*y-x*y^2-y^3)")
+
+
 def test_jacobian_simple():
     f = parse_poly("x^3+y^3")
     fx, fy = jacobian(f)
