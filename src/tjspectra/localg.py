@@ -53,8 +53,8 @@ them, for its result.  There is one packing per number of variables,
 built at import.  Generators are packed once on entry.
 ``milnor`` and ``tjurina`` build neither a ``Poly`` nor a result: they
 pack f's terms once and form each partial derivative on the packed ints,
-where dividing a monomial by x_v is subtracting packed x_v, then count the
-colength from the engine's packed leads.
+reading e_v from its field and dividing by x_v by subtracting packed x_v,
+then count the colength from the engine's packed leads.
 
 Highest-corner cut (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 1.7; Singular's ``noether``).  Once the leads hold a
@@ -108,12 +108,13 @@ Coefficient arithmetic is exact and integer throughout: the engine works
 on integer term maps, with the content divided out after every reduction
 to bound coefficient growth, and the oracle row-reduces fraction-free,
 storing each pivot row content-free.  The oracle (:func:`colength_oracle`)
-sorts the monomials of degree at most its cap once with :func:`_lead_key`
-on exponent tuples and keys its rows by a monomial's rank there.  It looks
-a rank up through the monomial's base-(cap + 1) code, the sum of
-e_v * (cap + 1)^v, so the code of a product is the sum of the codes.  All
-of this is apart from the packing, so that a packing fault cannot agree
-with itself.
+keys its rows by a monomial's rank among the monomials of degree at most
+its cap, sorted with :func:`_lead_key` on exponent tuples, and looks a
+rank up through the monomial's base-(cap + 1) code, the sum of
+e_v * (cap + 1)^v, so the code of a product is the sum of the codes.  This
+column table depends on (nvars, cap) alone: it is built once, as tuples,
+and kept for the last 16 pairs called (:func:`_columns`).  All of it is
+apart from the packing, so that a packing fault cannot agree with itself.
 
 Rows that earlier generators span (the criterion of F5: J.-C. Faugere,
 ISSAC 2002).  The oracle takes the generators in the caller's order.
@@ -141,8 +142,9 @@ lowest-degree term, so truncation keeps it: the cap-N leads are exactly the
 pivot leads of degree <= N.
 """
 
+from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import count, product
+from itertools import product
 from math import comb, gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -260,6 +262,43 @@ def _combine(f: PackedPoly, df: int, a: int, g: PackedPoly, dg: int, b: int,
     return _strip_content(out)
 
 
+def _mora_nf(h: PackedPoly, cut: int, exact: bool, basis: list, monomials: list[int],
+             guard: int, shift: int) -> Optional[tuple[PackedPoly, int]]:
+    """Mora's weak normal form of h with respect to the basis, with its
+    lead, or None when it is 0; cut and exact are _std_int's.
+
+    Reducers are chosen with minimal ecart, earliest-generated first;
+    intermediate remainders with larger ecart join the reducer pool, which
+    is what makes the loop terminate for local orders.  The pool is the
+    basis itself until the first remainder joins it.
+    """
+    pool = basis
+    while h:
+        lm_h = min(h)
+        best = None
+        for r in pool:
+            if (best is None or r[2] < best[2]) and not (lm_h - r[1]) & guard:
+                best = r
+                if not r[2]:
+                    break
+        if best is None:
+            return h, lm_h
+        g, lm_g, ec_g = best
+        if ec_g:
+            deg_h = lm_h >> shift
+            if exact and deg_h + ec_g >= cut >> shift:
+                raise _too_large(deg_h + ec_g)
+            ec_h = (max(h) >> shift) - deg_h
+            if ec_g > ec_h:
+                if pool is basis:
+                    pool = basis.copy()
+                pool.append((h, lm_h, ec_h))
+        cf, cg = h[lm_h], g[lm_g]
+        d = gcd(cf, cg)
+        h = _combine(h, 0, cg // d, g, lm_h - lm_g, cf // d, cut, monomials, guard)
+    return None
+
+
 def _std_int(gens: Iterable[PackedPoly], packing: _Packing
              ) -> tuple[list, list[int], list[Optional[int]]]:
     """Standard basis of the ideal generated by the packed gens (Buchberger
@@ -272,12 +311,13 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
 
     Each generator's lead, ecart and support mask are computed once, when
     it enters the basis, and nothing is unpacked.  Pending S-pairs sit
-    on one heap as (lcm degree, -seq, packed lcm, i, j): the least lcm
-    degree first, and among ties the pair made last; seq is unique, so the
-    lcm is never compared.  Once the highest corner is known, a pair whose
-    lcm degree reaches it is never pushed.  For the chain criterion,
-    `partners[i]` holds the k whose pair with i is on the heap, and `lms`
-    the packed leads in basis order.
+    on one heap as (lcm degree, seq, packed lcm, i, j): the least lcm
+    degree first, and among ties the pair made last; seq falls by one per
+    pair, so the lcm is never compared.  Once the highest corner is known,
+    a pair whose lcm degree reaches it is never pushed.  For the chain
+    criterion, `partners[i]` holds the k whose pair with i is on the heap,
+    and `lms` the packed leads in basis order.  One loop enters the input
+    generators, then the normal forms of the pairs, with no closure.
     """
     nvars, shift, guard, axes = packing.nvars, packing.shift, packing.guard, packing.axes
     support, lcm_of = packing.support, packing.lcm
@@ -286,51 +326,53 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
     supports: list[int] = []
     pairs: list[tuple[int, int, int, int, int]] = []
     partners: list[set[int]] = []
-    seq = count()
+    seq = 0
     pure: list[Optional[int]] = [None] * nvars  # least pure-power exponent per variable
     monomials: list[int] = []  # the packed monomials of the one-term basis elements
     # Terms of degree `top` or more are dropped.  Until the highest corner
     # is at most MAX_DEGREE + 1, `exact` holds and forming such a term
     # raises instead: dropping it would change the ideal.
     top, exact = MAX_DEGREE + 1, True
-
-    def mora_nf(h: PackedPoly, cut: int) -> Optional[tuple[PackedPoly, int]]:
-        """Mora's weak normal form of h with respect to the basis, with its
-        lead, or None when it is 0.
-
-        Reducers are chosen with minimal ecart, earliest-generated first;
-        intermediate remainders with larger ecart join the reducer pool,
-        which is what makes the loop terminate for local orders.  The pool
-        is the basis itself until the first remainder joins it.
-        """
-        pool = basis
-        while h:
-            lm_h = min(h)
-            best = None
-            for r in pool:
-                if (best is None or r[2] < best[2]) and not (lm_h - r[1]) & guard:
-                    best = r
-                    if not r[2]:
-                        break
-            if best is None:
-                return h, lm_h
-            g, lm_g, ec_g = best
-            if ec_g:
-                deg_h = lm_h >> shift
-                if exact and deg_h + ec_g >= top:
-                    raise _too_large(deg_h + ec_g)
-                ec_h = (max(h) >> shift) - deg_h
-                if ec_g > ec_h:
-                    if pool is basis:
-                        pool = basis.copy()
-                    pool.append((h, lm_h, ec_h))
-            cf, cg = h[lm_h], g[lm_g]
-            d = gcd(cf, cg)
-            h = _combine(h, 0, cg // d, g, lm_h - lm_g, cf // d, cut, monomials, guard)
-        return None
-
-    def enter(g: PackedPoly, lm_j: int) -> None:
-        nonlocal top, exact
+    gens = iter(gens)
+    while True:
+        g = next(gens, None)
+        if g is not None:
+            # the loop's own polynomials come from _combine, which drops these terms
+            if monomials:
+                g = _strip_content(_drop_multiples(g, monomials, guard))
+            if not g:
+                continue
+            lm_j = min(g)
+        elif pairs:
+            degree, _, lcm, i, j = heappop(pairs)
+            partners_i, partners_j = partners[i], partners[j]
+            partners_i.remove(j)
+            partners_j.remove(i)
+            if degree >= top and not exact:
+                break  # every term of this S-polynomial, and of all later ones, is cut
+            (f, lm_f, ec_f), (g, lm_g, ec_g) = basis[i], basis[j]
+            if exact and degree + max(ec_f, ec_g) >= top:
+                raise _too_large(degree + max(ec_f, ec_g))
+            # chain criterion: a lead k dividing the lcm whose pairs with i and j
+            # are both done makes this S-polynomial redundant (module docstring)
+            nf = None
+            for k, lm_k in enumerate(lms):
+                if (not (lcm - lm_k) & guard and k != i and k != j
+                        and k not in partners_i and k not in partners_j):
+                    break
+            else:
+                cf, cg = f[lm_f], g[lm_g]
+                d = gcd(cf, cg)
+                cut = top << shift
+                nf = _mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut,
+                                       monomials, guard), cut, exact, basis, monomials,
+                              guard, shift)
+            if nf is None:
+                continue
+            g, lm_j = nf
+        else:
+            break
+        # g enters the basis as element j, with lead lm_j
         j = len(basis)
         s_j = support(lm_j)
         partners_j = set()
@@ -340,7 +382,8 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
                 lcm = lcm_of(lm_i, lm_j)
                 degree = lcm >> shift
                 if exact or degree < top:  # else every term is cut: never made
-                    heappush(pairs, (degree, -next(seq), lcm, i, j))
+                    seq -= 1
+                    heappush(pairs, (degree, seq, lcm, i, j))
                     partners[i].add(j)
                     partners_j.add(i)
         partners.append(partners_j)
@@ -357,37 +400,6 @@ def _std_int(gens: Iterable[PackedPoly], packing: _Packing
                     corner = sum(pure) - nvars + 1
                     if corner <= top:
                         top, exact = corner, False
-
-    for g in gens:
-        # the loop's own polynomials come from _combine, which drops these terms
-        if monomials:
-            g = _strip_content(_drop_multiples(g, monomials, guard))
-        if g:
-            enter(g, min(g))
-    while pairs:
-        degree, _, lcm, i, j = heappop(pairs)
-        partners_i, partners_j = partners[i], partners[j]
-        partners_i.remove(j)
-        partners_j.remove(i)
-        if degree >= top and not exact:
-            break  # every term of this S-polynomial, and of all later ones, is cut
-        (f, lm_f, ec_f), (g, lm_g, ec_g) = basis[i], basis[j]
-        if exact and degree + max(ec_f, ec_g) >= top:
-            raise _too_large(degree + max(ec_f, ec_g))
-        # chain criterion: a lead k dividing the lcm whose pairs with i and j
-        # are both done makes this S-polynomial redundant (module docstring)
-        for k, lm_k in enumerate(lms):
-            if (not (lcm - lm_k) & guard and k != i and k != j
-                    and k not in partners_i and k not in partners_j):
-                break
-        else:
-            cf, cg = f[lm_f], g[lm_g]
-            d = gcd(cf, cg)
-            cut = top << shift
-            nf = mora_nf(_combine(f, lcm - lm_f, cg // d, g, lcm - lm_g, cf // d, cut,
-                                  monomials, guard), cut)
-            if nf:
-                enter(*nf)
     return basis, lms, pure
 
 
@@ -412,16 +424,17 @@ def _colength_of_leads(lms: Sequence[int],
         return min(lms) & _FIELD_MASK  # any is left, repeats the exponent
     shift = len(rest) * FIELD_BITS  # the last variable's field
     exponents, lower = (1 << shift + FIELD_BITS) - 1, (1 << shift) - 1
+    one = shift == FIELD_BITS  # one variable below: the count is its least exponent
     total, lo, below = 0, 0, []
     for m in sorted([m & exponents for m in lms]):
         e = m >> shift
         if e >= last:
             break
         if e > lo:
-            total += (e - lo) * _colength_of_leads(below, rest)
+            total += (e - lo) * (min(below) if one else _colength_of_leads(below, rest))
             lo = e
         below.append(m & lower)
-    return total + (last - lo) * _colength_of_leads(below, rest)
+    return total + (last - lo) * (min(below) if one else _colength_of_leads(below, rest))
 
 
 # --- public surface ---
@@ -469,21 +482,23 @@ def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
     term beyond MAX_DEGREE.
 
     f's terms are packed once, and the partial derivatives are formed on
-    the packed ints: a term c*m with exponent k > 0 in x_v gives the term
+    the packed ints: a term c*m whose field v holds k > 0 gives the term
     c*k * m/x_v of the v-th partial, and m/x_v is m minus packed x_v.
     Distinct terms give distinct quotients, so nothing cancels.
     """
     packing = _PACKINGS[f.nvars]
+    pack = packing.pack
     try:
-        packed = [packing.pack(e) for e in f.terms]
+        packed = {pack(e): c for e, c in f.terms.items()}
     except TjspectraError:
         raise _too_large(max(map(sum, f.terms))) from None  # the message names f's degree
-    terms = list(zip(packed, f.terms.items()))
-    partials = [{m - x_v: c * e[v] for m, (e, c) in terms if e[v]}
-                for v, x_v in enumerate(packing.variables)]
-    if with_f:
-        partials.append(dict(zip(packed, f.terms.values())))
-    gens = [_strip_content(g) for g in partials if g]
+    gens = []
+    for k, x_v in zip(packing.offsets, packing.variables):  # field v starts at bit k
+        partial = {m - x_v: c * e for m, c in packed.items() if (e := (m >> k) & _FIELD_MASK)}
+        if partial:
+            gens.append(_strip_content(partial))
+    if with_f and packed:
+        gens.append(_strip_content(packed))
     if not gens:
         raise TjspectraError(if_zero)
     _, lms, pure = _std_int(gens, packing)
@@ -511,25 +526,36 @@ def _monomials_up_to(nvars: int, cap: int) -> list[Exponent]:
     return [e for e in product(range(cap + 1), repeat=nvars) if sum(e) <= cap]
 
 
-def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[list[Exponent], dict[int, IntPoly]]:
+@lru_cache(maxsize=16)
+def _columns(nvars: int, cap: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The oracle's columns for (nvars, cap), kept for the last 16 pairs
+    called: the monomials of degree <= cap sorted by :func:`_lead_key`,
+    their base-(cap + 1) codes and degrees, the place values (cap + 1)^v,
+    and the rank of each code's monomial among the columns, None past cap."""
+    monomials = tuple(sorted(_monomials_up_to(nvars, cap), key=_lead_key))
+    powers = tuple((cap + 1) ** v for v in range(nvars))
+    codes = tuple(sum(map(mul, e, powers)) for e in monomials)
+    rank: list[Optional[int]] = [None] * (cap + 1) ** nvars
+    for r, code in enumerate(codes):
+        rank[code] = r
+    return monomials, codes, tuple(map(sum, monomials)), powers, tuple(rank)
+
+
+def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[tuple, dict[int, IntPoly]]:
     """Row-reduce the monomial multiples of gens, truncated at total degree cap.
 
-    Returns the monomials of degree <= cap sorted by :func:`_lead_key`, the
-    columns, and the pivot rows, keyed like their terms by column rank, so
-    a row's lead is ``min(row)``.  A monomial's rank is read off its
-    base-(cap + 1) code, the sum of e_v * (cap + 1)^v, so the code of a
-    product is the sum of the codes.  Before the rows of a generator, the
-    multipliers that are leads of pivots made so far are skipped (module
-    docstring).  Elimination is fraction-free: a row whose lead has a pivot
-    becomes a*row - b*pivot, with a and b the two lead coefficients divided
-    by their gcd, and a new pivot row is stored with its content divided out.
+    Returns the columns of :func:`_columns`, and the pivot rows, keyed like
+    their terms by column rank, so a row's lead is ``min(row)``.  A
+    monomial's rank is read off its base-(cap + 1) code, the sum of
+    e_v * (cap + 1)^v, so the code of a product is the sum of the codes.
+    Before the rows of a generator, the multipliers that are leads of
+    pivots made so far are skipped (module docstring).  Elimination is
+    fraction-free: a row whose lead has a pivot becomes a*row - b*pivot,
+    with a and b the two lead coefficients divided by their gcd, and a new
+    pivot row is stored with its content divided out.
     """
-    nvars, base = gens[0].nvars, cap + 1
-    columns = sorted(_monomials_up_to(nvars, cap), key=_lead_key)
-    powers = [base ** v for v in range(nvars)]
-    codes = [sum(map(mul, e, powers)) for e in columns]
-    rank = dict(zip(codes, count()))
-    degrees = list(map(sum, columns))
+    nvars = gens[0].nvars
+    columns, codes, degrees, powers, rank = _columns(nvars, cap)
     pivots: dict[int, IntPoly] = {}
     for g in gens:
         terms = [(sum(map(mul, e, powers)), cap - d, c)
@@ -558,14 +584,6 @@ def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[list[Exponent], dict[in
                     else:
                         del row[k]
     return columns, pivots
-
-
-def _span_pivots(gens: Sequence[Poly], cap: int) -> dict[Exponent, IntPoly]:
-    """The pivot rows of :func:`_pivot_rows`, keyed by their lead monomial
-    and with their terms on exponent tuples."""
-    columns, pivots = _pivot_rows(gens, cap)
-    return {columns[lead]: {columns[k]: c for k, c in piv.items()}
-            for lead, piv in pivots.items()}
 
 
 def colength_oracle(gens: Sequence[Poly], degree_cap: int) -> Optional[int]:

@@ -16,7 +16,8 @@ package:
 A natural is a run of the ASCII digits 0-9; any other digit character,
 such as a superscript, is a syntax error.  Variables are x, y, z (the first
 ``nvars`` of them).  The text is split once into tokens, each a natural or
-one non-space character, and the grammar runs over that list.  Whitespace
+one non-space character (in ASCII text, by ``str.split`` once each other
+character is spaced out), and the grammar runs over that list.  Whitespace
 may separate any two tokens but never splits a number: "1 2" is two numbers,
 which is a syntax error.  Inside a term, number and variable factors are
 multiplied straight into one coefficient and one exponent list; only a
@@ -229,6 +230,7 @@ def jacobian(f: Poly) -> list[Poly]:
 
 
 _TOKEN = re.compile(r"[0-9]+|\S")  # a run of ASCII digits, or one non-space character
+_SPACED = {c: f" {chr(c)} " for c in range(128) if not (chr(c).isdigit() or chr(c).isspace())}
 _VARIABLES = [{name: v for v, name in enumerate(VAR_NAMES[:n])} for n in range(MAX_VARS + 1)]
 
 
@@ -240,84 +242,78 @@ def _parse_sum(tokens: list[str], i: int, variables: dict[str, int]) -> tuple[In
     """The poly that starts at token i, and the index of the token after it.
 
     ``tokens`` ends with "", and ``variables`` maps each available variable
-    name to its index.  A syntax error raises _TokenError.
+    name to its index.  A syntax error raises _TokenError.  Each pass of
+    the outer loop reads one term and adds it to the result.  Number and
+    variable factors go into one coefficient and one exponent list; only a
+    group is a term map.  The group powers are expanded at the end of the
+    term, once the sum of their degrees is known to be at most MAX_DEGREE.
+    In the factor loop, i is the index of a factor's base, then of the
+    factor's last token.  A token is a natural exactly when "0" <= token <
+    ":", as a token that starts with an ASCII digit is a run of them.
     """
+    nvars = len(variables)
     out: IntPoly = {}
     op = tokens[i]  # a sign before the first term is optional
     while True:
         if op == "+" or op == "-":
             i += 1
-        i = _parse_term(tokens, i, variables, out, -1 if op == "-" else 1)
-        op = tokens[i]
-        if op != "+" and op != "-":
-            return out, i
-
-
-def _parse_term(tokens: list[str], i: int, variables: dict[str, int], out: IntPoly,
-                sign: int) -> int:
-    """Add sign times the term that starts at token i to out, and return the
-    index of the token after it.
-
-    Number and variable factors go into one coefficient and one exponent
-    list; only a group is a term map.  The group powers are expanded at the
-    end of the term, once the sum of their degrees is known to be at most
-    MAX_DEGREE.  In the loop, i is the index of a factor's base, then of the
-    factor's last token.
-    """
-    nvars = len(variables)
-    coeff, exps, powers = sign, [0] * nvars, None
-    while True:
-        token = tokens[i]
-        v = variables.get(token)
-        if token == "(":
-            base, i = _parse_sum(tokens, i + 1, variables)
-            if tokens[i] != ")":
-                raise _TokenError("expected ')'", i)
-        elif v is None and not (token.isascii() and token.isdigit()):
-            if token in VAR_NAMES:
-                raise _TokenError(f"variable {token!r} not available with nvars={nvars}", i)
-            raise _TokenError("expected a number, variable, or '('", i)
-        k = 1
-        if tokens[i + 1] == "^":
+        coeff, exps, powers = -1 if op == "-" else 1, [0] * nvars, None
+        while True:
+            token = tokens[i]
+            v = variables.get(token)
+            if v is None:
+                if token == "(":
+                    base, i = _parse_sum(tokens, i + 1, variables)
+                    if tokens[i] != ")":
+                        raise _TokenError("expected ')'", i)
+                elif not "0" <= token < ":":
+                    if token in VAR_NAMES:
+                        raise _TokenError(f"variable {token!r} not available with nvars={nvars}", i)
+                    raise _TokenError("expected a number, variable, or '('", i)
+            k = 1
+            if tokens[i + 1] == "^":
+                i += 2
+                if not "0" <= tokens[i] < ":":
+                    raise _TokenError("expected a natural number", i)
+                k = int(tokens[i])
+            if v is not None:
+                exps[v] += k
+            elif token == "(":
+                if powers is None:
+                    powers, degree = [], 0
+                degree += k * max(map(sum, base), default=0)
+                if degree > MAX_DEGREE:  # refused before any power is expanded
+                    raise _too_large(degree)
+                powers.append((base, k))
+            else:
+                coeff *= int(token) ** k
+            if tokens[i + 1] != "*":
+                break
             i += 2
-            if not (tokens[i].isascii() and tokens[i].isdigit()):
-                raise _TokenError("expected a natural number", i)
-            k = int(tokens[i])
-        if v is not None:
-            exps[v] += k
-        elif token == "(":
-            if powers is None:
-                powers, degree = [], 0
-            degree += k * max(map(sum, base), default=0)
-            if degree > MAX_DEGREE:  # refused before any power is expanded
-                raise _too_large(degree)
-            powers.append((base, k))
+        if not coeff:
+            terms = ()
+        elif powers is None:
+            terms = ((tuple(exps), coeff),)
         else:
-            coeff *= int(token) ** k
-        if tokens[i + 1] != "*":
-            break
-        i += 2
-    group = None
-    if powers is not None:
-        for base, k in powers:
-            if k != 1:  # a group alone is already expanded
-                base = pow_terms(base, k, nvars)
-            group = base if group is None else mul_terms(group, base)
-    if not coeff:
-        terms = ()
-    elif group is None:
-        terms = ((tuple(exps), coeff),)
-    elif any(exps):
-        terms = mul_terms(group, {tuple(exps): coeff}).items()
-    else:  # a bare number or sign scales the group
-        terms = ((e, coeff * c) for e, c in group.items())
-    for e, c in terms:
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return i + 1
+            group = None
+            for base, k in powers:
+                if k != 1:  # a group alone is already expanded
+                    base = pow_terms(base, k, nvars)
+                group = base if group is None else mul_terms(group, base)
+            if any(exps):
+                terms = mul_terms(group, {tuple(exps): coeff}).items()
+            else:  # a bare number or sign scales the group
+                terms = ((e, coeff * c) for e, c in group.items())
+        for e, c in terms:
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        op = tokens[i + 1]
+        if op != "+" and op != "-":
+            return out, i + 1
+        i += 1
 
 
 def parse_poly(text: str, nvars: int = 2) -> Poly:
@@ -326,7 +322,7 @@ def parse_poly(text: str, nvars: int = 2) -> Poly:
     TjspectraError for a term whose group powers' degrees sum beyond
     MAX_DEGREE."""
     _check_nvars(nvars)
-    tokens = _TOKEN.findall(text)
+    tokens = text.translate(_SPACED).split() if text.isascii() else _TOKEN.findall(text)
     tokens.append("")
     try:
         p, i = _parse_sum(tokens, 0, _VARIABLES[nvars])

@@ -15,9 +15,9 @@ from tjspectra.errors import TjspectraError
 from tjspectra.families import swh_instance
 from tjspectra.localg import (FIELD_BITS, INFINITE, MAX_DEGREE, StdBasisResult,
                               _colength_of_leads,
-                              _lead_key, _monomials_up_to, _Packing, _span_pivots,
+                              _lead_key, _monomials_up_to, _Packing,
                               colength_oracle, local_std_basis, milnor, tjurina)
-from tjspectra.poly import Poly, jacobian, parse_poly
+from tjspectra.poly import MAX_VARS, Poly, jacobian, parse_poly
 from tjspectra.verify import ORACLE_CAP, ORACLE_CORPUS, ORACLE_CORPUS_3, swh_grid
 
 
@@ -173,6 +173,45 @@ def test_milnor_and_tjurina_match_the_std_basis_of_the_poly_jacobian(f):
         assert outcome(number, f) == outcome(reference_number, f, ideal)
 
 
+@given(engine_polys())
+@example(parse_poly(f"6*x^{MAX_DEGREE}-4*y^2"))
+@example(parse_poly(f"x^{MAX_DEGREE + 1}+y^2"))
+@settings(max_examples=200, deadline=None)
+def test_the_packed_front_end_hands_the_engine_the_content_free_jacobian(f):
+    """milnor and tjurina form the partials on f's packed terms: the
+    generators they pass to _std_int are the nonzero Poly partials (and f
+    for tjurina), content-free and packed, in that order, and nothing is
+    unpacked on the way.  Past the degree limit, or for tjurina with a
+    constant term, the engine is not called."""
+    packing = localg._PACKINGS[f.nvars]
+    passed, unpacked = [], []
+    std_int, unpack = localg._std_int, _Packing.unpack
+
+    def spy(gens, packing):
+        passed.append(list(gens))
+        return std_int(passed[-1], packing)
+
+    def counting(self, m):
+        unpacked.append(m)
+        return unpack(self, m)
+
+    packs = max(map(sum, f.terms), default=0) <= MAX_DEGREE
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localg, "_std_int", spy)
+        patch.setattr(_Packing, "unpack", counting)
+        for number, with_f in ((milnor, False), (tjurina, True)):
+            passed.clear()
+            outcome(number, f)
+            gens = [g for g in jacobian(f) + [f] * with_f if not g.is_zero()]
+            if packs and gens and not (with_f and f.constant_term()):
+                want = [{packing.pack(e): c for e, c in localg._strip_content(g.terms).items()}
+                        for g in gens]
+                assert [list(g.items()) for g in passed[0]] == [list(g.items()) for g in want]
+            else:
+                assert passed == []
+    assert unpacked == []
+
+
 def _public(r):
     return r.generators, r.lead_exponents, r.colength
 
@@ -282,6 +321,14 @@ def test_swh_family_cross_checks():
 
 
 # --- pins of the fast paths against their earlier, direct forms ---
+
+def _span_pivots(gens, cap):
+    """The pivot rows of localg._pivot_rows, keyed by their lead monomial
+    and with their terms on exponent tuples."""
+    columns, pivots = localg._pivot_rows(gens, cap)
+    return {columns[lead]: {columns[k]: c for k, c in piv.items()}
+            for lead, piv in pivots.items()}
+
 
 def _fraction_reduce(row, pivots):
     """Reduce row by Fraction pivot rows, each with lead coefficient 1,
@@ -435,6 +482,52 @@ def test_oracle_reads_no_packing(monkeypatch):
         local_std_basis(cases[0][0])
     for gens, colength in cases:
         assert colength_oracle(gens, ORACLE_CAP) == colength
+
+
+def fresh_columns(nvars, cap):
+    """The oracle's column table built anew, apart from _columns."""
+    monomials = sorted((e for e in product(range(cap + 1), repeat=nvars) if sum(e) <= cap),
+                       key=_lead_key)
+    powers = [(cap + 1) ** v for v in range(nvars)]
+    codes = [sum(map(mul, e, powers)) for e in monomials]
+    rank = [None] * (cap + 1) ** nvars
+    for r, code in enumerate(codes):
+        rank[code] = r
+    return monomials, codes, [sum(e) for e in monomials], powers, rank
+
+
+def test_the_column_table_is_a_fresh_sort_that_no_elimination_changes():
+    for nvars in range(1, MAX_VARS + 1):
+        for cap in range(16):
+            table = localg._columns(nvars, cap)
+            assert [list(part) for part in table] == list(fresh_columns(nvars, cap))
+            assert all(type(part) is tuple for part in table)
+    f = parse_poly("x^3+y^3+2*x^2*y^2")
+    gens = [g for g in jacobian(f) if not g.is_zero()] + [f]
+    table = localg._columns(2, 7)
+    localg._pivot_rows(gens, 7)
+    assert localg._columns(2, 7) is table
+    assert [list(part) for part in table] == list(fresh_columns(2, 7))
+
+
+def test_oracle_answers_do_not_depend_on_the_caps_called_between():
+    cases = []
+    for text, nvars in [(t, 2) for t in ORACLE_CORPUS[:6]] + [(t, 3) for t, _ in ORACLE_CORPUS_3]:
+        f = parse_poly(text, nvars=nvars)
+        cases.append([g for g in jacobian(f) if not g.is_zero()] + [f])
+    caps = [0, 3, 5, 8, 11]
+    localg._columns.cache_clear()
+    want = {(i, cap): colength_oracle(gens, cap) for cap in caps for i, gens in enumerate(cases)}
+    # other caps and numbers of variables, and more pairs than the cache
+    # keeps, come in between
+    for cap in reversed(range(20)):
+        colength_oracle(gens_of("x^2", "y^2"), cap)
+        localg._columns(3, cap % 13)
+        localg._columns(1, cap)
+        for i, gens in enumerate(cases):
+            if cap in caps:
+                assert colength_oracle(gens, cap) == want[i, cap]
+    assert localg._columns.cache_info().currsize <= 16
 
 
 @pytest.mark.parametrize("text", ORACLE_CORPUS)
