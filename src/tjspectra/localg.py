@@ -111,7 +111,9 @@ storing each pivot row content-free.  The oracle (:func:`colength_oracle`)
 keys its rows by a monomial's rank among the monomials of degree at most
 its cap, sorted with :func:`_lead_key` on exponent tuples, and looks a
 rank up through the monomial's base-(cap + 1) code, the sum of
-e_v * (cap + 1)^v, so the code of a product is the sum of the codes.  This
+e_v * (cap + 1)^v, so the code of a product is the sum of the codes.  The
+table also gives each rank's axis, v for a pure power x_v^k and None
+otherwise, so the oracle finds its pure-power leads from their ranks.  This
 column table depends on (nvars, cap) alone: it is built once, as tuples,
 and kept for the last 16 pairs called (:func:`_columns`).  All of it is
 apart from the packing, so that a packing fault cannot agree with itself.
@@ -150,7 +152,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import TjspectraError
-from .poly import MAX_DEGREE, MAX_VARS, Exponent, IntPoly, Poly, _too_large
+from .poly import MAX_DEGREE, MAX_VARS, Exponent, IntPoly, Poly, _too_large, _unchecked
 
 INFINITE = "infinite"
 FIELD_BITS = MAX_DEGREE.bit_length() + 1  # W: the width of each packed field, guard bit on top
@@ -469,7 +471,7 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     packing = _PACKINGS[nvars]
     packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
     basis, lms, pure = _std_int(packed, packing)
-    generators = tuple(Poly({packing.unpack(m): c for m, c in g.items()}, nvars)
+    generators = tuple(_unchecked({packing.unpack(m): c for m, c in g.items()}, nvars)
                        for g, _, _ in basis)
     return StdBasisResult(generators, tuple(map(packing.unpack, lms)),
                           _colength_of_leads(lms, pure))
@@ -527,18 +529,23 @@ def _monomials_up_to(nvars: int, cap: int) -> list[Exponent]:
 
 
 @lru_cache(maxsize=16)
-def _columns(nvars: int, cap: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+def _columns(nvars: int, cap: int) -> tuple[tuple, tuple, tuple, tuple, tuple, tuple]:
     """The oracle's columns for (nvars, cap), kept for the last 16 pairs
     called: the monomials of degree <= cap sorted by :func:`_lead_key`,
     their base-(cap + 1) codes and degrees, the place values (cap + 1)^v,
-    and the rank of each code's monomial among the columns, None past cap."""
+    the rank of each code's monomial among the columns, None past cap, and
+    the axis of each rank: v for a pure power x_v^k with k > 0, else None."""
     monomials = tuple(sorted(_monomials_up_to(nvars, cap), key=_lead_key))
     powers = tuple((cap + 1) ** v for v in range(nvars))
     codes = tuple(sum(map(mul, e, powers)) for e in monomials)
     rank: list[Optional[int]] = [None] * (cap + 1) ** nvars
     for r, code in enumerate(codes):
         rank[code] = r
-    return monomials, codes, tuple(map(sum, monomials)), powers, tuple(rank)
+    axis: list[Optional[int]] = [None] * len(monomials)
+    for v, place in enumerate(powers):
+        for k in range(1, cap + 1):
+            axis[rank[k * place]] = v
+    return monomials, codes, tuple(map(sum, monomials)), powers, tuple(rank), tuple(axis)
 
 
 def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[tuple, dict[int, IntPoly]]:
@@ -555,7 +562,7 @@ def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[tuple, dict[int, IntPol
     pivot row is stored with its content divided out.
     """
     nvars = gens[0].nvars
-    columns, codes, degrees, powers, rank = _columns(nvars, cap)
+    columns, codes, degrees, powers, rank, _ = _columns(nvars, cap)
     pivots: dict[int, IntPoly] = {}
     for g in gens:
         terms = [(sum(map(mul, e, powers)), cap - d, c)
@@ -601,11 +608,12 @@ def colength_oracle(gens: Sequence[Poly], degree_cap: int) -> Optional[int]:
         raise ValueError(f"degree_cap must be at least 0, got {degree_cap}")
     columns, pivots = _pivot_rows(gens, degree_cap + 1)
     low = comb(degree_cap + nvars, nvars)
-    leads = [columns[r] for r in pivots if r < low]
+    leads = [r for r in pivots if r < low]
     dim_n = low - len(leads)
     dim_n1 = len(columns) - len(pivots)
     if dim_n != dim_n1:
         return None
     # the variables with a pure power among the leads
-    axes = {e.index(max(e)) for e in leads if sum(e) == max(e) > 0}
+    axis = _columns(nvars, degree_cap + 1)[5]
+    axes = {axis[r] for r in leads} - {None}
     return dim_n if len(axes) == nvars else None

@@ -1,10 +1,17 @@
 """Sparse multivariate polynomials with integer coefficients (at most 3 variables).
 
 Terms are stored as a map from exponent tuples to nonzero int
-coefficients; the constructor rejects any other coefficient type, so no
-inexact number enters the engine.  The arithmetic itself works on those
-term maps (:func:`add_terms`, :func:`mul_terms`, :func:`pow_terms`), so
-only the ``Poly`` a caller gets back is validated.  The text grammar
+coefficients.  They are checked once, where a caller hands them over: the
+constructor, and with it ``Poly.monomial``, ``Poly.constant`` and
+``Poly.zero``, rejects any other coefficient type, so no inexact number
+enters the engine.  The results the package builds itself need no second
+check, so :func:`_unchecked` builds them: the arithmetic, ``derivative``
+and the parser work on term maps (:func:`add_terms`, :func:`mul_terms`,
+:func:`pow_terms`) whose coefficients are ints of checked ``Poly``s or
+``int(token)``, and whose exponents are sums and differences of checked
+ones; ints stay ints under sums and products, and a sum that reaches zero
+is dropped.  The standard bases of :mod:`~tjspectra.localg` come from
+checked generators the same way.  The text grammar
 accepted by :func:`parse_poly` covers the input syntax used throughout this
 package:
 
@@ -49,6 +56,8 @@ IntPoly = dict[Exponent, int]
 
 
 def _check_nvars(nvars: int) -> None:
+    if type(nvars) is not int:
+        raise TypeError(f"nvars must be an int, not {type(nvars).__name__}")
     if not 1 <= nvars <= MAX_VARS:
         raise TjspectraError(f"nvars must be in [1, {MAX_VARS}]")
 
@@ -111,10 +120,13 @@ def _read_only(self, name, *value):  # __setattr__ and __delattr__ of an immutab
 
 
 class Poly:
-    """A polynomial in nvars variables.  Construction raises TypeError for
-    a coefficient that is not an int (a Fraction, float or bool), ValueError
-    for a zero coefficient or an exponent that is not a tuple of nvars
-    non-negative ints, and TjspectraError for nvars outside [1, MAX_VARS]."""
+    """A polynomial in nvars variables.  Construction checks the terms a
+    caller hands over: it raises TypeError for a coefficient or an nvars
+    that is not an int (a Fraction, float or bool), ValueError for a zero
+    coefficient or an exponent that is not a tuple of nvars non-negative
+    ints, and TjspectraError for nvars outside [1, MAX_VARS].  It keeps a
+    copy of the caller's map.  The results of the arithmetic and the parser
+    are built unchecked (module docstring)."""
 
     __slots__ = ("terms", "nvars")
     __setattr__ = __delattr__ = _read_only  # immutable; __eq__ with no __hash__: unhashable
@@ -134,8 +146,8 @@ class Poly:
                 else:
                     continue
             raise ValueError(f"exponent {e!r} is not a tuple of {nvars} non-negative ints")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "nvars", nvars)
+        _set_terms(self, dict(terms))  # a copy: a later edit of the caller's map skips no check
+        _set_nvars(self, nvars)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -154,6 +166,7 @@ class Poly:
 
     @staticmethod
     def constant(c: int, nvars: int) -> "Poly":
+        _check_nvars(nvars)  # before nvars repeats a tuple
         if c == 0:
             return Poly.zero(nvars)
         return Poly({(0,) * nvars: c}, nvars)
@@ -176,20 +189,21 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._same_nvars(other)
-        return Poly(add_terms(self.terms, other.terms), self.nvars)
+        return _unchecked(add_terms(self.terms, other.terms), self.nvars)
 
     def __neg__(self) -> "Poly":
-        return Poly(neg_terms(self.terms), self.nvars)
+        return _unchecked(neg_terms(self.terms), self.nvars)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._same_nvars(other)
+        return _unchecked(add_terms(self.terms, neg_terms(other.terms)), self.nvars)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_nvars(other)
-        return Poly(mul_terms(self.terms, other.terms), self.nvars)
+        return _unchecked(mul_terms(self.terms, other.terms), self.nvars)
 
     def __pow__(self, k: int) -> "Poly":
-        return Poly(pow_terms(self.terms, k, self.nvars), self.nvars)
+        return _unchecked(pow_terms(self.terms, k, self.nvars), self.nvars)
 
     def derivative(self, var: int) -> "Poly":
         out: IntPoly = {}
@@ -199,7 +213,7 @@ class Poly:
             de = list(e)
             de[var] -= 1
             out[tuple(de)] = c * e[var]
-        return Poly(out, self.nvars)
+        return _unchecked(out, self.nvars)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -222,6 +236,20 @@ class Poly:
         head = parts[0]
         head = "-" + head[2:] if head.startswith("- ") else head[2:]
         return " ".join([head] + parts[1:])
+
+
+_set_terms, _set_nvars = Poly.terms.__set__, Poly.nvars.__set__  # the slots' own setters
+
+
+def _unchecked(terms: IntPoly, nvars: int) -> Poly:
+    """A Poly of terms the package built itself from a checked Poly or from
+    ints it parsed, so they need no check: nonzero int coefficients, as each
+    sum that reaches zero is dropped, and exponents of nvars non-negative
+    ints.  ``terms`` must be a map no caller holds."""
+    p = object.__new__(Poly)
+    _set_terms(p, terms)
+    _set_nvars(p, nvars)
+    return p
 
 
 def jacobian(f: Poly) -> list[Poly]:
@@ -332,4 +360,4 @@ def parse_poly(text: str, nvars: int = 2) -> Poly:
         message, index = exc.args
         starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
         raise PolySyntaxError(message, starts[index]) from None
-    return Poly(p, nvars)
+    return _unchecked(p, nvars)

@@ -87,6 +87,7 @@ def test_milnor_and_tjurina_build_no_generator(monkeypatch):
         raise AssertionError("the engine built a generator")
 
     monkeypatch.setattr(localg, "Poly", refuse)
+    monkeypatch.setattr(localg, "_unchecked", refuse)  # the builder local_std_basis uses
     monkeypatch.setattr(localg, "StdBasisResult", refuse)
     # every Poly Jacobian, poly.jacobian's included, is built by Poly.derivative
     monkeypatch.setattr(Poly, "derivative", refuse)
@@ -493,7 +494,8 @@ def fresh_columns(nvars, cap):
     rank = [None] * (cap + 1) ** nvars
     for r, code in enumerate(codes):
         rank[code] = r
-    return monomials, codes, [sum(e) for e in monomials], powers, rank
+    axis = [e.index(max(e)) if sum(e) == max(e) > 0 else None for e in monomials]
+    return monomials, codes, [sum(e) for e in monomials], powers, rank, axis
 
 
 def test_the_column_table_is_a_fresh_sort_that_no_elimination_changes():

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tjspectra.errors import PolySyntaxError, TjspectraError
+from tjspectra.localg import local_std_basis
 from tjspectra.poly import _SPACED, _TOKEN, VAR_NAMES, Poly, jacobian, parse_poly, pow_terms
 
 
@@ -301,8 +302,10 @@ def test_ascii_text_splits_into_the_tokens_of_the_regex(text):
     assert text.translate(_SPACED).split() == _TOKEN.findall(text)
 
 
-@given(st.text(st.sampled_from("0123456789xyz+-*^() \t\x0b\x1c.w"), max_size=16),
-       st.integers(1, 3))
+ASCII_TEXTS = st.text(st.sampled_from("0123456789xyz+-*^() \t\x0b\x1c.w"), max_size=16)
+
+
+@given(ASCII_TEXTS, st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
 def test_parser_matches_reference_on_any_ascii_text(text, nvars):
     assume(not re.search(r"[0-9]{2}", text))  # powers below 10 stay small
@@ -393,3 +396,77 @@ def test_invalid_terms_name_the_first_bad_term(terms, error, message):
 def test_nvars_out_of_range_raises(nvars):
     with pytest.raises(TjspectraError, match=r"nvars must be in \[1, 3\]"):
         Poly({}, nvars)
+
+
+def test_the_constructor_keeps_a_copy_of_the_terms():
+    # the map is checked once, so a later edit of the caller's map must not reach the Poly
+    terms = {(2, 0): 1, (0, 3): 1}
+    p = Poly(terms, 2)
+    terms[(1, 1)] = 0.5
+    assert p.terms == {(2, 0): 1, (0, 3): 1}
+    assert (p + Poly.zero(2)).terms == {(2, 0): 1, (0, 3): 1}
+
+
+@pytest.mark.parametrize("nvars, name", [(2.0, "float"), (True, "bool"), (False, "bool"),
+                                         ("2", "str"), (None, "NoneType"), (F(2), "Fraction")])
+def test_nvars_of_another_type_raises(nvars, name):
+    message = f"^nvars must be an int, not {name}$"
+    with pytest.raises(TypeError, match=message):
+        Poly({(2, 0): 1, (0, 3): 1}, nvars)
+    with pytest.raises(TypeError, match=message):
+        parse_poly("x^3", nvars=nvars)
+    with pytest.raises(TypeError, match=message):
+        Poly.zero(nvars)
+    with pytest.raises(TypeError, match=message):
+        Poly.constant(1, nvars)
+
+
+# --- every Poly the package builds unchecked passes the public constructor ---
+
+def assert_checked(r):
+    """r is a Poly that the constructor accepts unchanged: int nvars,
+    nonzero int coefficients and exponents of nvars non-negative ints."""
+    assert type(r) is Poly
+    assert Poly(dict(r.terms), r.nvars) == r
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polys in the same 1-3 variables, with coefficients of either
+    sign and now and then beyond a machine word, so that sums cancel."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 70, -(2 ** 70)])).filter(bool)
+    p, q = (Poly(draw(st.dictionaries(exps, coeffs, max_size=4)), nvars) for _ in range(2))
+    return p, draw(st.one_of(st.just(p), st.just(-p), st.just(q)))
+
+
+@given(poly_pairs(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_results_pass_the_constructor(pq, k):
+    p, q = pq
+    for r in (p + q, p - q, -p, p * q, p ** k, *jacobian(p)):  # jacobian: each p.derivative(v)
+        assert_checked(r)
+
+
+@given(poly_pairs(), st.lists(st.integers(1, 5), min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_standard_basis_generators_pass_the_constructor(pq, pure):
+    # pure powers of every variable keep the ideal zero-dimensional and the engine fast
+    p, q = pq
+    gens = [p, q] + [Poly.monomial(tuple(pure[v] * (w == v) for w in range(p.nvars)))
+                     for v in range(p.nvars)]
+    for r in local_std_basis(gens).generators:
+        assert_checked(r)
+
+
+@given(ASCII_TEXTS, st.integers(1, 3))
+@example("(x-x)*y+2-2", 2)
+@settings(max_examples=300, deadline=None)
+def test_parsed_polys_pass_the_constructor(text, nvars):
+    assume(not re.search(r"[0-9]{2}", text))  # powers below 10 stay small
+    try:
+        r = parse_poly(text, nvars)
+    except PolySyntaxError:
+        return
+    assert_checked(r)
