@@ -203,6 +203,8 @@ class Poly:
         return _unchecked(mul_terms(self.terms, other.terms), self.nvars)
 
     def __pow__(self, k: int) -> "Poly":
+        if type(k) is not int:  # a float or a bool would reach pow_terms' bit tests
+            raise TypeError(f"the power must be an int, not {type(k).__name__}")
         return _unchecked(pow_terms(self.terms, k, self.nvars), self.nvars)
 
     def derivative(self, var: int) -> "Poly":

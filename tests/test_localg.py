@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -174,16 +174,51 @@ def test_milnor_and_tjurina_match_the_std_basis_of_the_poly_jacobian(f):
         assert outcome(number, f) == outcome(reference_number, f, ideal)
 
 
+def euler_remainder(f):
+    """D*f - sum (D/p_v)*x_v*df/dx_v when f has exactly one pure power
+    x_v^(p_v) of each variable, D = lcm(p_v); None otherwise.  Poly
+    arithmetic throughout, apart from the engine's packed route."""
+    powers = {}
+    for e in f.terms:
+        support = [v for v, k in enumerate(e) if k]
+        if len(support) == 1:
+            powers.setdefault(support[0], []).append(e[support[0]])
+    if len(powers) < f.nvars or any(len(p) > 1 for p in powers.values()):
+        return None
+    d = lcm(*(p for p, in powers.values()))
+    g = Poly.constant(d, f.nvars) * f
+    for v, (p,) in powers.items():
+        x_v = tuple(int(w == v) for w in range(f.nvars))
+        g = g - Poly.monomial(x_v, d // p) * f.derivative(v)
+    return g
+
+
+def tjurina_tail(f):
+    """What tjurina hands the engine after the partials: the monomial of
+    f's Euler remainder when it has one term, nothing when it is 0, and f
+    itself otherwise."""
+    g = euler_remainder(f)
+    if g is not None and len(g.terms) < 2:
+        return [Poly.monomial(e) for e in g.terms]
+    return [f]
+
+
 @given(engine_polys())
 @example(parse_poly(f"6*x^{MAX_DEGREE}-4*y^2"))
+@example(parse_poly(f"x^{MAX_DEGREE}+y^{MAX_DEGREE - 1}+x^2*y^3"))
 @example(parse_poly(f"x^{MAX_DEGREE + 1}+y^2"))
+@example(parse_poly("x^2+y^3+z^4+x*y*z^2", nvars=3))
+@example(parse_poly("x^5+y^5+x^3*y^3+x^2*y^4"))  # a remainder of two terms
+@example(parse_poly("x^3+y^4+x^5"))               # two pure powers of x
 @settings(max_examples=200, deadline=None)
 def test_the_packed_front_end_hands_the_engine_the_content_free_jacobian(f):
     """milnor and tjurina form the partials on f's packed terms: the
-    generators they pass to _std_int are the nonzero Poly partials (and f
-    for tjurina), content-free and packed, in that order, and nothing is
-    unpacked on the way.  Past the degree limit, or for tjurina with a
-    constant term, the engine is not called."""
+    generators they pass to _std_int are the nonzero Poly partials,
+    content-free and packed, in that order, and nothing is unpacked on the
+    way.  tjurina then passes f's Euler remainder where it has at most one
+    term (its monomial, or nothing for a weighted homogeneous f) and f
+    otherwise.  Past the degree limit, or for tjurina with a constant
+    term, the engine is not called."""
     packing = localg._PACKINGS[f.nvars]
     passed, unpacked = [], []
     std_int, unpack = localg._std_int, _Packing.unpack
@@ -203,7 +238,9 @@ def test_the_packed_front_end_hands_the_engine_the_content_free_jacobian(f):
         for number, with_f in ((milnor, False), (tjurina, True)):
             passed.clear()
             outcome(number, f)
-            gens = [g for g in jacobian(f) + [f] * with_f if not g.is_zero()]
+            gens = [g for g in jacobian(f) if not g.is_zero()]
+            if with_f and not f.is_zero():
+                gens += tjurina_tail(f)
             if packs and gens and not (with_f and f.constant_term()):
                 want = [{packing.pack(e): c for e, c in localg._strip_content(g.terms).items()}
                         for g in gens]
@@ -211,6 +248,31 @@ def test_the_packed_front_end_hands_the_engine_the_content_free_jacobian(f):
             else:
                 assert passed == []
     assert unpacked == []
+
+
+@st.composite
+def one_term_remainders(draw):
+    """One pure power x_v^(2..9) of each of 1-3 variables, plus one term
+    with exponents 0..5 anywhere: below the Newton diagonal, on it, a
+    constant, or on a pure power, whose coefficient it changes or cancels."""
+    nvars = draw(st.integers(1, 3))
+    coefficient = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    terms = {tuple(draw(st.integers(2, 9)) if w == v else 0 for w in range(nvars)):
+             draw(coefficient) for v in range(nvars)}
+    e = draw(st.tuples(*[st.integers(0, 5)] * nvars))
+    terms[e] = terms.get(e, 0) + draw(coefficient)
+    return Poly({e: c for e, c in terms.items() if c}, nvars)
+
+
+@given(one_term_remainders())
+@example(parse_poly("x^7+y^7+x^5*y^5"))        # above the diagonal: tau 35
+@example(parse_poly("x^7+y^7+x^2*y^2"))        # below it
+@example(parse_poly("x^3+y^4+2*x^2*y^2"))      # on it: weighted homogeneous
+@example(parse_poly("x^3+y^4-x^3"))            # a cancelled pure power
+@example(parse_poly("x^5+2*x^3", nvars=1))     # two pure powers of x
+@settings(max_examples=300, deadline=None)
+def test_tjurina_with_a_one_term_euler_remainder_matches_the_std_basis(f):
+    assert outcome(tjurina, f) == outcome(reference_number, f, "tjurina")
 
 
 def _public(r):
@@ -1071,3 +1133,52 @@ def test_oracle_certifies_the_inputs_where_the_engine_stalls(text, mu, tau):
     f = parse_poly(text, nvars=3)
     jac = [g for g in jacobian(f) if not g.is_zero()]
     assert (colength_oracle(jac, 12), colength_oracle(jac + [f], 12)) == (mu, tau)
+
+
+class _Handed(Exception):
+    pass
+
+
+def handed_to_the_engine(f):
+    """The generators tjurina(f) passes to _std_int, unpacked; the engine
+    itself does not run."""
+    def stop(gens, packing):
+        raise _Handed([{packing.unpack(m): c for m, c in g.items()} for g in gens])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localg, "_std_int", stop)
+        with pytest.raises(_Handed) as handed:
+            tjurina(f)
+    return handed.value.args[0]
+
+
+# the inputs where a multi-term Euler remainder in place of f made tjurina
+# run past 40 s and take 3.7-4.0 s (the second has two pure powers of z);
+# (polynomial, nvars, tau)
+SLOW_WITH_A_MULTI_TERM_REMAINDER = [
+    ("-x^4*y^4*z^4 - 2*x^3*y^2*z^3 - 2*x^3*y*z^3 + 2*x^5 + 2*y^5 + 3*x*y^2 - z^2", 3, 6),
+    ("-2*x^4*y^3 + 3*y^5 + 3*x^4 + y*z^3 + 3*z^3 - 3*z^2", 3, 12),
+]
+F_GOES_IN = (  # (polynomial, nvars, tau or None)
+    [(text, 3, None) for text, _, _ in STALLING_ENGINE] + SLOW_WITH_A_MULTI_TERM_REMAINDER
+    + [("x^5+y^5+x^3*y^3+x^2*y^4", 2, 15),  # a remainder of two terms
+       ("x^3+y^4+x^5", 2, 6)])              # two pure powers of x
+
+
+@pytest.mark.parametrize("text, nvars, tau", F_GOES_IN, ids=[case[0] for case in F_GOES_IN])
+def test_f_itself_goes_to_the_engine_unless_its_euler_remainder_is_one_term(text, nvars, tau):
+    f = parse_poly(text, nvars=nvars)
+    g = euler_remainder(f)
+    assert g is None or len(g.terms) > 1
+    assert handed_to_the_engine(f)[-1] == f.terms
+    if tau is not None:  # None where tjurina stalls
+        assert tjurina(f) == tau
+
+
+def test_swh_hands_the_engine_its_corner_monomial():
+    # swh(a, b, c, d) = x^a + y^b + x^(a-1-c)*y^(b-1-d): the extra term
+    # alone lies off the weighted-degree-1 face
+    for p in swh_grid(9):
+        f = swh_instance(p).defining_poly
+        corner = (p.a - 1 - p.c, p.b - 1 - p.d)
+        assert handed_to_the_engine(f)[-1] == {corner: 1}

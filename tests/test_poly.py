@@ -134,6 +134,13 @@ def test_negative_power_raises(text):
         parse_poly(text) ** -1
 
 
+@pytest.mark.parametrize("k", [2.0, 1.0, 0.0, True, False, F(2), "2", None])
+def test_a_power_that_is_not_an_int_raises(k):
+    # refused before pow_terms, whose bit tests take 1.0 and True for 1
+    with pytest.raises(TypeError, match=f"^the power must be an int, not {type(k).__name__}$"):
+        parse_poly("x+1") ** k
+
+
 @pytest.mark.parametrize("op", [add, sub, mul])
 def test_mixed_nvars_raise(op):
     p, q = Poly({(1, 0): 1}, 2), Poly({(1, 0, 1): 1}, 3)
