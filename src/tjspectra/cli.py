@@ -26,6 +26,8 @@ from .spectra import stats_of_values, subset_stats
 FLAGS = sorted({name for params in FAMILIES.values() for name in params._fields})
 FLAG_OPTIONS = {f"--{name}" for name in FLAGS}
 
+POLY_HELP = "polynomial in x, y, z; it may start with '-', as in --poly -x^2-y^3"
+
 TSV_COLUMNS = ("family", "params", "mu", "tau", "delta_exact", "delta_decimal",
                "thm31", "av_obs")
 
@@ -225,7 +227,7 @@ def build_parser():
         p.set_defaults(func=fn)
 
     p = sub.add_parser("enumerate", help="candidate Tjurina spectra of a Brieskorn polynomial")
-    p.add_argument("--poly", required=True)
+    p.add_argument("--poly", required=True, help=POLY_HELP)
     p.add_argument("--slack", type=int, default=10,
                    help="how far below tau the candidate Tjurina numbers may go")
     p.set_defaults(func="cmd_enumerate")
@@ -241,7 +243,7 @@ def build_parser():
 
     for name in ("milnor", "tjurina"):
         p = sub.add_parser(name, help=f"{name} number via local standard basis")
-        p.add_argument("--poly", required=True)
+        p.add_argument("--poly", required=True, help=POLY_HELP)
         p.add_argument("--nvars", type=int, default=2)
         p.set_defaults(func="cmd_colength")
 
@@ -251,11 +253,13 @@ def build_parser():
 
 
 def _attach_negative_values(argv):
-    """Rewrite "--q -1:9" as "--q=-1:9": argparse takes a token that starts
-    with "-" and is not a plain number for an option, not a value."""
+    """Rewrite "--q -1:9" as "--q=-1:9", and "--poly -x" as "--poly=-x" for
+    any --poly value: argparse takes a token that starts with "-" and is
+    not a plain number for an option, not a value."""
     out = []
     for arg in argv:
-        if out and out[-1] in FLAG_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+        if out and arg[:1] == "-" and (out[-1] == "--poly" or (
+                out[-1] in FLAG_OPTIONS and arg[1:2].isdigit())):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -18,6 +18,12 @@ input's, into InternalConsistencyError.  Brieskorn and Puiseux
 produce them over their own denominator; the swh and three-monomial
 lattices yield ``(Fraction, is_tjurina)`` pairs, which
 :func:`_lattice_instance` maps to numerators once and sorts as int pairs.
+
+A Puiseux f is a branch (``PuiseuxParams.validate``), so its engine tau must
+have 4*tau > 3*mu, the answer to a question of Dimca and Greuel for branches
+(M. Alberich-Carramiñana, P. Almirón, G. Blanco and A. Melle-Hernández,
+Indiana Univ. Math. J. 70, 2021; Y. Genzmer and M. E. Hernandes, Trans.
+Amer. Math. Soc. 373, 2020).
 """
 
 from fractions import Fraction
@@ -302,7 +308,7 @@ def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:
     tau comes from the local-algebra engine (there is no closed form
     here).  The Tjurina subset is not computed: it is assumed to be
     [1..tau], i.e. the missing spectral numbers are the top mu - tau.
-    An engine tau outside [1, mu] is an internal error.
+    An engine tau outside [1, mu], or at most 3*mu/4, is an internal error.
     """
     spectrum = puiseux_spectrum(params)
     a, b, d, q, r = params
@@ -311,6 +317,8 @@ def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:
     if not 1 <= tau <= spectrum.mu:
         raise InternalConsistencyError(
             f"the engine computes tau = {tau} outside [1, mu = {spectrum.mu}] for {f}")
+    if 4 * tau <= 3 * spectrum.mu:  # a branch has 4*tau > 3*mu (module docstring)
+        raise InternalConsistencyError(f"the engine computes tau = {tau} <= 3*mu/4 for {f}")
     return TjurinaInstance(spectrum, frozenset(range(1, tau + 1)), f,
                            f"puiseux({a},{b},{d},q={q},r={r})", swh=False, subset_assumed=True,
                            tau_checked=True)

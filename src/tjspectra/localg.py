@@ -20,17 +20,18 @@ exponent is the top field once the degree field is masked off, so sorting
 the ints sorts by it.  Time and memory grow with the number of leads, not
 with the product of the pure-power exponents.
 
-Inside the engine a monomial is one int.  Its top field holds the total
-degree, and e[n-1], ..., e[0] sit below it in fields of W bits each
-(W = :data:`FIELD_BITS`).  Comparing two such ints compares
-(degree, reversed exponents), which is :func:`_lead_key`, so a lead is
-``min(p)``, a monomial product is ``+`` and the ecart is a difference of
-top fields.  Every exponent stays below 2^(W-1), the guard bit of its
-field, so ``a | b`` is one subtraction: ``(b - a) & guard`` is zero
-exactly when a divides b, because the lowest field where b is smaller
-borrows and sets its guard bit.  A degree of
+A monomial is one int, as a ``Poly`` stores it (:mod:`~tjspectra.poly`).
+Its top field holds the total degree, and e[n-1], ..., e[0] sit below it
+in fields of W bits each (W = :data:`FIELD_BITS`).  Comparing two such
+ints compares (degree, reversed exponents), which is :func:`_lead_key`,
+so a lead is ``min(p)``, a monomial product is ``+`` and the ecart is a
+difference of top fields.  In the engine every exponent stays below
+2^(W-1), the guard bit of its field, so ``a | b`` is one subtraction:
+``(b - a) & guard`` is zero exactly when a divides b, because the lowest
+field where b is smaller borrows and sets its guard bit.  A degree of
 :data:`MAX_DEGREE` + 1 = 2^(W-1) or more raises
-:class:`~tjspectra.errors.TjspectraError`: in the input, and in a term the
+:class:`~tjspectra.errors.TjspectraError`: in the input, read off its top
+field as it enters, and in a term the
 engine forms before it knows a highest corner N <= 2^(W-1) (below), after
 which such terms are dropped.  So no kept term reaches a guard bit, and no
 field carries into the next.  The limit and its message are defined in
@@ -49,13 +50,9 @@ every partial sum in that product is at most 2*MAX_DEGREE < 2^W, so no
 field carries there either.  Each basis element keeps its packed lead and
 its mask, each heap entry carries its pair's packed lcm, and the colength
 is counted on the packed leads too; only :func:`local_std_basis` unpacks
-them, for its result.  There is one packing per number of variables,
-built at import.  Generators are packed once on entry.
-``milnor`` and ``tjurina`` build neither a ``Poly`` nor a result: they
-pack f's terms in one pass, each as the sum of e_v times packed x_v with
-no call per term, and form each partial derivative on the packed ints,
-reading e_v from its field and dividing by x_v by subtracting packed x_v,
-then count the colength from the engine's packed leads.
+them, for its result's lead exponents.  Generators enter and leave as
+their ``Poly``'s packed maps, and ``milnor`` and ``tjurina`` build neither
+a ``Poly`` nor a result: they form each partial derivative on f's map.
 
 Highest-corner cut (Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 1.7; Singular's ``noether``).  Once the leads hold a
@@ -100,9 +97,9 @@ in place of f; where g is 0, f is quasi-homogeneous and the partials
 alone.  For a semi-weighted-homogeneous f, such as swh(a, b, c, d) =
 x^a + y^b + x^(a-1-c)*y^(b-1-d), the monomial is f's one term off the
 face, here the corner x^(a-1-c)*y^(b-1-d), and the one-term cut drops its
-multiples from every polynomial the pair loop forms.  The same pass that
-packs f's terms finds its pure powers, by their support masks, and keeps
-the other terms, the only ones whose weighted degree is read.  A
+multiples from every polynomial the pair loop forms.  One pass finds f's
+pure powers by their support masks, and the weighted degree of the other
+terms is read off their fields.  A
 remainder of two or more terms is left alone and f goes in: in place of
 f it made ``tjurina`` on one 3-variable input run past 40 s, where f
 takes under a millisecond, and took another from under a millisecond to
@@ -136,12 +133,13 @@ storing each pivot row content-free.  The oracle (:func:`colength_oracle`)
 keys its rows by a monomial's rank among the monomials of degree at most
 its cap, sorted with :func:`_lead_key` on exponent tuples, and looks a
 rank up through the monomial's base-(cap + 1) code, the sum of
-e_v * (cap + 1)^v, so the code of a product is the sum of the codes.  The
+e_v * (cap + 1)^v, read off a ``Poly``'s fields with shifts of its own,
+so the code of a product is the sum of the codes.  The
 table also gives each rank's axis, v for a pure power x_v^k and None
 otherwise, so the oracle finds its pure-power leads from their ranks.  This
 column table depends on (nvars, cap) alone: it is built once, as tuples,
-and kept for the last 16 pairs called (:func:`_columns`).  All of it is
-apart from the packing, so that a packing fault cannot agree with itself.
+and kept for the last 16 pairs called (:func:`_columns`).  It calls no
+method of the packing, so that a packing fault cannot agree with itself.
 
 Rows that earlier generators span (the criterion of F5: J.-C. Faugere,
 ISSAC 2002).  The oracle takes the generators in the caller's order.
@@ -177,16 +175,15 @@ from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import TjspectraError
-from .poly import MAX_DEGREE, MAX_VARS, Exponent, IntPoly, Poly, _too_large, _unchecked
+from .poly import (_FIELD_MASK, _PACKINGS, FIELD_BITS, MAX_DEGREE, Exponent, PackedPoly, Poly,
+                   _Packing, _too_large, _unchecked)
 
 INFINITE = "infinite"
-FIELD_BITS = MAX_DEGREE.bit_length() + 1  # W: the width of each packed field, guard bit on top
-_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 # --- integer-coefficient plumbing ---
 
-def _strip_content(p: IntPoly) -> IntPoly:
+def _strip_content(p: PackedPoly) -> PackedPoly:
     g = gcd(*p.values())
     if g > 1:
         p = {e: c // g for e, c in p.items()}
@@ -200,63 +197,7 @@ def _lead_key(e: Exponent):
     return sum(e), e[::-1]
 
 
-# --- packed monomials ---
-
-PackedPoly = dict[int, int]
-
-
-class _Packing:
-    """The int encoding of the monomials in nvars variables (see the module
-    docstring)."""
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.shift = nvars * FIELD_BITS   # the degree field starts here
-        self.guard = sum(1 << (FIELD_BITS - 1 + v * FIELD_BITS) for v in range(nvars))
-        self.offsets = range(0, self.shift, FIELD_BITS)
-        self.ones = sum(1 << k for k in self.offsets)  # 1 in each exponent field
-        # x_v packed: one in field v and one in the degree field
-        self.variables = tuple((1 << self.shift) + (1 << k) for k in self.offsets)
-        # the support mask of a pure power x_v^k, k > 0 -> v; and of a pure
-        # power, or of 1, -> the variables it is a pure power of: x_v^k has v
-        # alone, 1 has every variable
-        self.axis = {1 << (FIELD_BITS - 1 + k): v for v, k in enumerate(self.offsets)}
-        self.axes = {0: range(nvars), **{mask: (v,) for mask, v in self.axis.items()}}
-        # the lcm keeps the exponent fields, and their product by `ones << W`
-        # holds their sum in the degree field
-        self._exponents = (1 << self.shift) - 1
-        self._sum_up = self.ones << FIELD_BITS
-        self._degree_field = _FIELD_MASK << self.shift
-
-    def support(self, m: int) -> int:
-        """The guard bits of the variables with a nonzero exponent in the
-        packed monomial m: a field with e > 0 keeps its guard bit when 1
-        is subtracted, one with e = 0 borrows it."""
-        return ((m | self.guard) - self.ones) & self.guard
-
-    def lcm(self, a: int, b: int) -> int:
-        """The packed lcm of two packed monomials of degree at most
-        MAX_DEGREE: the larger exponent in each field, and their sum, at
-        most 2*MAX_DEGREE < 2^W, in the degree field."""
-        ge = ((a | self.guard) - b) & self.guard  # guard bits where a's exponent >= b's
-        x = (b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))) & self._exponents
-        return x | ((x * self._sum_up) & self._degree_field)
-
-    def pack(self, e: Exponent) -> int:
-        degree = sum(e)
-        if degree > MAX_DEGREE:
-            raise _too_large(degree)
-        m = degree
-        for k in reversed(e):
-            m = (m << FIELD_BITS) | k
-        return m
-
-    def unpack(self, m: int) -> Exponent:
-        return tuple((m >> k) & _FIELD_MASK for k in self.offsets)
-
-
-_PACKINGS = {nvars: _Packing(nvars) for nvars in range(1, MAX_VARS + 1)}
-
+# --- the pair loop, on packed monomials ---
 
 def _drop_multiples(p: PackedPoly, monomials: Sequence[int], guard: int) -> PackedPoly:
     """p without the terms that one of the packed monomials divides.  A
@@ -490,69 +431,59 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     made once the highest corner is known have no term at or above it, and
     none has a term that the monomial of an earlier one-term generator
     divides (module docstring); an input generator left with no term is
-    not returned.
-    TjspectraError for a term beyond MAX_DEGREE, in gens or on the way.
+    not returned.  TjspectraError for a term beyond MAX_DEGREE, in gens or on the way.
     """
     nvars = _shared_nvars(gens)
     packing = _PACKINGS[nvars]
-    packed = ({packing.pack(e): c for e, c in _strip_content(g.terms).items()} for g in gens)
-    basis, lms, pure = _std_int(packed, packing)
-    generators = tuple(_unchecked({packing.unpack(m): c for m, c in g.items()}, nvars)
-                       for g, _, _ in basis)
-    return StdBasisResult(generators, tuple(map(packing.unpack, lms)),
-                          _colength_of_leads(lms, pure))
+    for g in gens:
+        _check_degree(g.packed, packing.shift)
+    basis, lms, pure = _std_int((_strip_content(g.packed) for g in gens), packing)
+    return StdBasisResult(tuple(_unchecked(g, nvars) for g, _, _ in basis),
+                          tuple(map(packing.unpack, lms)), _colength_of_leads(lms, pure))
+
+
+def _check_degree(p: PackedPoly, shift: int) -> None:
+    """TjspectraError naming p's degree, max(p)'s top field, past MAX_DEGREE."""
+    top = max(p, default=0)
+    if top >= (MAX_DEGREE + 1) << shift:
+        raise _too_large(top >> shift)
 
 
 def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
     """Colength of the ideal of f's partial derivatives, with f itself when
     with_f is set (f's `ideal`); TjspectraError when no generator is
-    nonzero or the colength is infinite, and when f has a
-    term beyond MAX_DEGREE.
-
-    f's terms are packed in one pass, and the partial derivatives are
-    formed on the packed ints: a term c*m whose field v holds k > 0 gives
-    the term c*k * m/x_v of the v-th partial, and m/x_v is m minus packed
-    x_v.  Distinct terms give distinct quotients, so nothing cancels.  With
-    f, the same pass finds f's pure powers, and where f's Euler remainder
-    has at most one term, its monomial, if any, takes f's place (module
-    docstring).
+    nonzero or the colength is infinite, and when f has a term beyond
+    MAX_DEGREE.  The partials are formed on f's packed map.  With f, where
+    f's Euler remainder has at most one term, its monomial, if any, takes
+    f's place (module docstring).
     """
-    nvars = f.nvars
-    packing = _PACKINGS[nvars]
-    variables, guard, ones, axis, shift = (packing.variables, packing.guard, packing.ones,
-                                           packing.axis, packing.shift)
-    limit = (MAX_DEGREE + 1) << shift  # the least packed monomial past the limit
-    packed: PackedPoly = {}
-    powers: dict[int, int] = {}  # with f: v -> the exponent of a pure power of x_v in f
-    npure = 0                    # with f: the number of f's pure powers
-    others = []                  # with f: f's other terms, as (exponents, packed)
-    for e, c in f.terms.items():
-        # m is at least degree << shift; within the limit no exponent field
-        # carries, so m is past the limit exactly when the degree is
-        m = sum(map(mul, e, variables))
-        if m >= limit:
-            raise _too_large(max(map(sum, f.terms)))  # the message names f's degree
-        packed[m] = c
-        if with_f:
-            v = axis.get(((m | guard) - ones) & guard)
-            if v is None:
-                others.append((e, m))
-            else:
-                npure += 1
-                powers[v] = m >> shift
+    packing = _PACKINGS[f.nvars]
+    guard, ones, axis, shift = packing.guard, packing.ones, packing.axis, packing.shift
+    packed = f.packed
+    _check_degree(packed, shift)  # within the limit, no exponent reaches a guard bit
     gens = []
-    for k, x_v in zip(packing.offsets, variables):  # field v starts at bit k
+    for k, x_v in zip(packing.offsets, packing.variables):  # as in Poly.derivative
         partial = {m - x_v: c * e for m, c in packed.items() if (e := (m >> k) & _FIELD_MASK)}
         if partial:
             gens.append(_strip_content(partial))
     if with_f and packed:
+        powers: dict[int, int] = {}  # v -> the exponent of a pure power of x_v in f
+        npure, others = 0, []        # the number of f's pure powers, and its other terms
+        for m in packed:
+            v = axis.get(((m | guard) - ones) & guard)
+            if v is None:
+                others.append(m)
+            else:
+                npure += 1
+                powers[v] = m >> shift
         remainder = None
-        if npure == len(powers) == nvars:  # one pure power x_v^(p_v) of each variable
+        if npure == len(powers) == f.nvars:  # one pure power x_v^(p_v) of each variable
             # the monomials of D*f - sum (D/p_v)*x_v*df/dx_v: f's terms of
             # weighted degree sum e_v/p_v other than 1
             d = lcm(*powers.values())
-            weights = [d // powers[v] for v in range(nvars)]
-            remainder = [m for e, m in others if sum(map(mul, weights, e)) != d]
+            weights = [(d // powers[v], k) for v, k in enumerate(packing.offsets)]
+            remainder = [m for m in others
+                         if sum(w * ((m >> k) & _FIELD_MASK) for w, k in weights) != d]
         if remainder is not None and len(remainder) < 2:
             gens.extend({m: 1} for m in remainder)
         else:
@@ -604,7 +535,7 @@ def _columns(nvars: int, cap: int) -> tuple[tuple, tuple, tuple, tuple, tuple, t
     return monomials, codes, tuple(map(sum, monomials)), powers, tuple(rank), tuple(axis)
 
 
-def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[tuple, dict[int, IntPoly]]:
+def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[tuple, dict[int, dict[int, int]]]:
     """Row-reduce the monomial multiples of gens, truncated at total degree cap.
 
     Returns the columns of :func:`_columns`, and the pivot rows, keyed like
@@ -619,10 +550,12 @@ def _pivot_rows(gens: Sequence[Poly], cap: int) -> tuple[tuple, dict[int, IntPol
     """
     nvars = gens[0].nvars
     columns, codes, degrees, powers, rank, _ = _columns(nvars, cap)
-    pivots: dict[int, IntPoly] = {}
+    shift = nvars * FIELD_BITS  # a Poly's packed monomial: the degree above W-bit exponents
+    places = tuple(zip(range(0, shift, FIELD_BITS), powers))
+    pivots: dict[int, dict[int, int]] = {}
     for g in gens:
-        terms = [(sum(map(mul, e, powers)), cap - d, c)
-                 for e, c in g.terms.items() if (d := sum(e)) <= cap]  # room: cap - degree
+        terms = [(sum([((m >> k) & _FIELD_MASK) * place for k, place in places]), cap - d, c)
+                 for m, c in g.packed.items() if (d := m >> shift) <= cap]  # room: cap - degree
         room = max((r for _, r, _ in terms), default=-1)
         spanned = set(pivots)
         for m in range(comb(room + nvars, nvars)):  # the multipliers of degree <= room

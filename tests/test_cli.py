@@ -164,6 +164,20 @@ def test_milnor_tjurina_commands():
     assert run("tjurina", "--poly", "x^7+y^7+x^5*y^5").stdout.strip() == "35"
 
 
+@pytest.mark.parametrize("command", ["milnor", "tjurina"])
+def test_poly_may_start_with_a_minus(capsys, command):
+    # argparse would take "-x^2-y^3" for an option; main attaches it to --poly
+    from tjspectra import cli
+    for argv in (["--poly", "-x^2-y^3"], ["--poly=-x^2-y^3"],
+                 ["--poly", "-x^2-y^3", "--nvars", "2"], ["--nvars", "2", "--poly", "-x^2-y^3"]):
+        assert cli.main([command] + argv) == 0
+        assert capsys.readouterr() == ("2\n", "")
+    assert cli.main([command, "--poly", "-x^2-z^3", "--nvars", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "expected one argument" not in err  # the value reached the engine
+
+
 def test_milnor_non_isolated_exit_1():
     r = run("milnor", "--poly", "x^2*y^2")
     assert r.returncode == 1
@@ -321,6 +335,23 @@ def test_engine_tau_above_mu_exits_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"internal error: the engine computes tau = {mu + 1} outside [1, mu = {mu}]" in err
+
+
+def test_puiseux_tau_at_or_below_three_quarters_of_mu_exits_2(monkeypatch, capsys):
+    # 4*tau > 3*mu holds for every branch, so tau = 3*mu//4 is an engine fault
+    from tjspectra import cli, families
+    argv = ["check", "puiseux", "--a", "3", "--b", "2", "--d", "2", "--q", "1", "--r", "1"]
+    milnor = families.localg.milnor
+    monkeypatch.setattr(families.localg, "tjurina", lambda f: 3 * milnor(f) // 4 + 1)
+    assert cli.main(argv) == 0
+    mu = families.puiseux_spectrum(families.PuiseuxParams(3, 2, 2, 1, 1)).mu
+    assert f"mu = {mu}  tau = {3 * mu // 4 + 1}\n" in capsys.readouterr().out
+    monkeypatch.setattr(families.localg, "tjurina", lambda f: 3 * milnor(f) // 4)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"internal error: the engine computes tau = {3 * mu // 4} <= 3*mu/4 ")
+    assert len(err.splitlines()) == 1
 
 
 def test_family_spectrum_failing_its_check_exits_2(monkeypatch, capsys):
@@ -582,6 +613,7 @@ GROUP_POWERS_PAST_THE_LIMIT = [
     ["milnor", "--poly", "x^2*y^2"],            # not an isolated singularity
     ["tjurina", "--poly", "1+x^2+y^3"],         # f(0) != 0
     ["milnor", "--poly", "x^40000+y^2"],        # a degree beyond MAX_DEGREE
+    ["milnor", "--poly", "x^70000+y^2"],        # an exponent beyond a packed field
     *GROUP_POWERS_PAST_THE_LIMIT,
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv):

@@ -1032,6 +1032,22 @@ def test_degree_limit_is_an_input_error(capsys):
                    f"limit of {MAX_DEGREE}\n")
 
 
+def test_the_largest_exponent_of_a_field_is_kept_and_the_engine_refuses_it(capsys):
+    top = (1 << FIELD_BITS) - 1
+    message = f"a term of degree {top} is beyond the engine's limit of {MAX_DEGREE}"
+    f = parse_poly(f"x^{top}+y^2")
+    assert f.terms == {(top, 0): 1, (0, 2): 1}
+    for number in (milnor, tjurina, lambda f: local_std_basis([f])):
+        with pytest.raises(TjspectraError, match=f"^{message}$"):
+            number(f)
+    assert cli.main(["milnor", "--poly", f"x^{top}+y^2"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # one more is refused as the term is read, and the error names that term
+    assert cli.main(["tjurina", "--poly", f"x^{top + 1}*y+y^80000"]) == 1
+    assert capsys.readouterr() == ("", f"error: a term of degree {top + 2} is beyond the "
+                                       f"engine's limit of {MAX_DEGREE}\n")
+
+
 def test_degree_limit_holds_for_the_terms_the_engine_forms(monkeypatch):
     # the inputs have degree at most 4, but before the leads hold a power
     # of x an S-polynomial forms a term of degree 6: that raises, never cut
@@ -1182,3 +1198,100 @@ def test_swh_hands_the_engine_its_corner_monomial():
         f = swh_instance(p).defining_poly
         corner = (p.a - 1 - p.c, p.b - 1 - p.d)
         assert handed_to_the_engine(f)[-1] == {corner: 1}
+
+
+# --- transformations with known answers, built with Poly arithmetic alone ---
+
+def substitute(f, images):
+    """f(images[0], ..., images[n-1]), expanded with Poly * and ** alone."""
+    nvars = images[0].nvars
+    out = Poly.zero(nvars)
+    for e, c in f.terms.items():
+        term = Poly.constant(c, nvars)
+        for image, k in zip(images, e):
+            term = term * image ** k
+        out = out + term
+    return out
+
+
+def variable(v, nvars):
+    return Poly.monomial(tuple(int(w == v) for w in range(nvars)))
+
+
+def number_of(number, f):
+    """number(f), or the error it raises with f's printed form replaced by "f"."""
+    try:
+        return number(f)
+    except TjspectraError as exc:
+        return type(exc), str(exc).replace(str(f), "f")
+
+
+@st.composite
+def source_polys(draw, max_vars):
+    """f in 1..max_vars variables with f(0) = 0: a pure power x_v^(2..5) of
+    each variable, plus up to two terms with exponents 0..3 strictly above
+    the Newton diagonal that the powers span.  Now and then one variable
+    has no pure power and appears in no term, so that f is not isolated."""
+    nvars = draw(st.integers(1, max_vars))
+    coefficient = st.sampled_from([-2, -1, 1, 2, 3])
+    powers = [draw(st.integers(2, 5)) for _ in range(nvars)]
+    if nvars > 1 and draw(st.integers(0, 4)) == 0:
+        powers[draw(st.integers(0, nvars - 1))] = None
+    terms = {tuple(p if w == v else 0 for w in range(nvars)): draw(coefficient)
+             for v, p in enumerate(powers) if p}
+    for e in draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=2)):
+        if all(p or not k for p, k in zip(powers, e)) and sum(
+                Fraction(k, p) for p, k in zip(powers, e) if k) > 1:
+            terms[e] = draw(coefficient)
+    return Poly(terms, nvars)
+
+
+@given(source_polys(2), st.integers(2, 4))
+@example(parse_poly("x^7+y^7+x^5*y^5"), 4)
+@example(parse_poly("(y^4-x^5)^2-x^11*y"), 3)
+@settings(max_examples=150, deadline=None)
+def test_a_suspension_multiplies_mu_and_tau_by_k_minus_1(f, k):
+    """f(x, y) + z^k, or f(x) + y^k: the Milnor and Tjurina algebras are
+    those of f tensored with C[z]/(z^(k-1)) (Thom-Sebastiani)."""
+    nvars = f.nvars + 1
+    g = substitute(f, [variable(v, nvars) for v in range(f.nvars)]) + variable(f.nvars, nvars) ** k
+    for number in (milnor, tjurina):
+        want = number_of(number, f)
+        assert number_of(number, g) == (want * (k - 1) if type(want) is int else want)
+
+
+@given(source_polys(3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_unit_multiple_keeps_mu_and_tau(f, data):
+    """(1 + x_v)*f: the Tjurina ideal is the same, and mu is a topological
+    invariant of the germ."""
+    v = data.draw(st.integers(0, f.nvars - 1))
+    g = (Poly.constant(1, f.nvars) + variable(v, f.nvars)) * f
+    for number in (milnor, tjurina):
+        assert number_of(number, g) == number_of(number, f)
+
+
+@st.composite
+def triangular_images(draw, nvars):
+    """x_i + h_i(x_(i+1), ...) for each variable, each h_i of degree 1-2
+    with no constant term, or 0: an invertible change of coordinates."""
+    images = []
+    for i in range(nvars):
+        later = [e for e in product(range(3), repeat=nvars)
+                 if 1 <= sum(e) <= 2 and not any(e[:i + 1])]
+        h = draw(st.dictionaries(st.sampled_from(later), st.sampled_from([-2, -1, 1, 2]),
+                                 max_size=2)) if later else {}
+        images.append(variable(i, nvars) + Poly(h, nvars))
+    return images
+
+
+@given(source_polys(3), st.data())
+@example(parse_poly("x^2+y^3+z^4", nvars=3), None)
+@settings(max_examples=150, deadline=None)
+def test_a_triangular_change_of_coordinates_keeps_mu_and_tau(f, data):
+    """x_i -> x_i + h_i(x_(i+1), ...), expanded by substitution with ** and *."""
+    images = (data.draw(triangular_images(f.nvars)) if data is not None else
+              [parse_poly(t, nvars=3) for t in ("x+y*z-y^2", "y+z+z^2", "z")])
+    g = substitute(f, images)
+    for number in (milnor, tjurina):
+        assert number_of(number, g) == number_of(number, f)

@@ -9,8 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tjspectra.errors import PolySyntaxError, TjspectraError
-from tjspectra.localg import local_std_basis
-from tjspectra.poly import _SPACED, _TOKEN, VAR_NAMES, Poly, jacobian, parse_poly, pow_terms
+from tjspectra.localg import _lead_key, local_std_basis
+from tjspectra.poly import (_SPACED, _TOKEN, FIELD_BITS, VAR_NAMES, Poly, jacobian, parse_poly,
+                            pow_terms)
 
 
 def test_parse_three_terms():
@@ -477,3 +478,75 @@ def test_parsed_polys_pass_the_constructor(text, nvars):
     except PolySyntaxError:
         return
     assert_checked(r)
+
+
+# --- the packed representation: each exponent in a field of FIELD_BITS bits ---
+
+TOP = (1 << FIELD_BITS) - 1  # the largest exponent a field holds
+
+
+def too_large(degree):
+    return f"^a term of degree {degree} is beyond the engine's limit of 32767$"
+
+
+def test_a_field_holds_its_largest_exponent():
+    for nvars in (1, 2, 3):
+        for v in range(nvars):
+            e = tuple(TOP if w == v else 0 for w in range(nvars))
+            text = "*".join([VAR_NAMES[v]] * 2) + f"^{TOP - 1}"  # x*x^65534
+            for p in (Poly({e: 1}, nvars), Poly.monomial(e), parse_poly(text, nvars),
+                      Poly.monomial(tuple(k - (k > 0) for k in e)) * Poly.monomial(
+                          tuple(int(k > 0) for k in e))):
+                assert p.terms == {e: 1} and p.nvars == nvars
+    # a degree past a field is no exponent past it
+    assert parse_poly("x^40000*y^40000").terms == {(40000, 40000): 1}
+    assert (parse_poly("x^40000+y") * parse_poly("y^40000+x")).terms == {
+        (40000, 40000): 1, (40001, 0): 1, (0, 40001): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_an_exponent_past_its_field_is_refused(nvars):
+    """Exponent TOP + 1 = 65536, in each variable: the field below the
+    degree field would carry into it, every other one into the next
+    variable's.  Each way of building it raises one TjspectraError with
+    the engine's message for that term."""
+    for v in range(nvars):
+        x_v = tuple(int(w == v) for w in range(nvars))
+        e = tuple(k * (TOP + 1) for k in x_v)
+        name = VAR_NAMES[v]
+        builds = [
+            (lambda: parse_poly(f"{name}^{TOP + 1}+{name}", nvars), TOP + 1),
+            (lambda: parse_poly(f"{name}^{TOP}*{name}*{name}^4", nvars), TOP + 5),
+            (lambda: parse_poly(f"2*{name}^70000*({name}+1)", nvars), 70000),
+            (lambda: Poly({x_v: 1, e: 3}, nvars), TOP + 1),
+            (lambda: Poly.monomial(e, -1), TOP + 1),
+            (lambda: Poly.monomial(tuple(TOP * k for k in x_v)) * Poly.monomial(x_v), TOP + 1),
+            (lambda: Poly.monomial(tuple(32768 * k for k in x_v)) ** 2, TOP + 1),
+            (lambda: (Poly.monomial(tuple(32768 * k for k in x_v)) + Poly.constant(1, nvars))
+             ** 3, TOP + 1),
+            (lambda: (Poly.constant(1, nvars) + Poly.monomial(tuple(40000 * k for k in x_v)))
+             * (Poly.monomial(tuple(30000 * k for k in x_v)) + Poly.monomial(x_v)), 70000),
+        ]
+        for build, degree in builds:
+            with pytest.raises(TjspectraError, match=too_large(degree)):
+                build()
+
+
+@st.composite
+def wide_polys(draw):
+    """A Poly in 1-3 variables whose exponents reach the top of a field."""
+    nvars = draw(st.integers(1, 3))
+    k = st.one_of(st.integers(0, 3), st.integers(TOP - 3, TOP), st.integers(0, TOP))
+    coefficient = st.integers(-3, 3).filter(bool)
+    return Poly(draw(st.dictionaries(st.tuples(*[k] * nvars), coefficient, max_size=6)), nvars)
+
+
+@given(wide_polys())
+@settings(max_examples=200)
+def test_packed_monomials_sort_as_lead_key_sorts_the_terms_view(p):
+    # the view lists the terms in the packed map's order
+    assert len(p.packed) == len(p.terms)
+    exponents = dict(zip(p.packed, p.terms))
+    assert [exponents[m] for m in sorted(p.packed)] == sorted(p.terms, key=_lead_key)
+    assert Poly(p.terms, p.nvars) == p
+    assert p.constant_term() == p.terms.get((0,) * p.nvars, 0)
