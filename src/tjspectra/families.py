@@ -12,7 +12,8 @@ level; this is the normal form the downstream index-based operations rely
 on, and it does not change any value multiset.
 
 Every spectrum is built from int numerators by :func:`_spectrum`, which
-hands them to :func:`~tjspectra.spectra.spectrum_of_numerators` and turns a
+hands them to :func:`~tjspectra.spectra.spectrum_of_numerators`, marked as
+ints by construction so that they are not scanned again, and turns a
 failed range or symmetry check, the family's own fault and never the
 input's, into InternalConsistencyError.  Brieskorn and Puiseux
 produce them over their own denominator; the swh and three-monomial
@@ -33,7 +34,7 @@ from typing import NamedTuple
 from . import localg
 from .errors import InternalConsistencyError, InvalidFamilyParameters
 from .poly import Poly
-from .spectra import Spectrum, _numerators, spectrum_of_numerators
+from .spectra import Spectrum, _Checked, _numerators, spectrum_of_numerators
 
 
 class TjurinaInstance(NamedTuple):
@@ -173,7 +174,7 @@ FAMILIES = {"brieskorn": BrieskornParams, "swh": SwhParams,
 def _spectrum(nums: list[int], L: int) -> Spectrum:
     """The family spectrum of the numerators k/L, values in (0, 2)."""
     try:
-        return spectrum_of_numerators(nums, L, 2)
+        return spectrum_of_numerators(_Checked(nums), L, 2)  # ints by construction
     except ValueError as exc:
         raise InternalConsistencyError(str(exc)) from None
 
@@ -292,7 +293,7 @@ def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
     L = d * m
     lower: list[int] = []
     per_ed = m // e  # 1/(ed) is per_ed/L
-    for i in range(1, e):
+    for i in range(1, -(-e * (d - 1) // d)):  # i < e(d-1)/d, or no j gives a value below 1
         # j = 1, 2, ... while the value stays below 1, which forces j < d
         lower.extend(range((i * d + e) * per_ed, L, e * per_ed))
     per_abd = m // (a * b)  # 1/(abd) is per_abd/L

@@ -204,7 +204,7 @@ class Poly:
     def __init__(self, terms: IntPoly | None = None, nvars: int = 2):
         terms = {} if terms is None else terms
         _check_nvars(nvars)
-        pack = _PACKINGS[nvars].pack
+        variables = _PACKINGS[nvars].variables
         packed: PackedPoly = {}
         for e, c in terms.items():
             if type(c) is not int:
@@ -212,12 +212,16 @@ class Poly:
             if not c:
                 raise ValueError(f"zero coefficient at exponent {e!r}")
             if type(e) is tuple and len(e) == nvars:
-                for k in e:  # a plain loop: twice as fast as all() over a generator
-                    if type(k) is not int or k < 0:
+                m = 0
+                for k, x_v in zip(e, variables):  # checks and packs in one pass
+                    if type(k) is not int or not 0 <= k <= _FIELD_MASK:
                         break
+                    m += k * x_v
                 else:
-                    packed[pack(e)] = c
+                    packed[m] = c
                     continue
+                if all(type(k) is int and k >= 0 for k in e):  # an exponent past its field
+                    raise _too_large(sum(e))
             raise ValueError(f"exponent {e!r} is not a tuple of {nvars} non-negative ints")
         _set_packed(self, packed)
         _set_nvars(self, nvars)

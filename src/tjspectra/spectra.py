@@ -13,7 +13,12 @@ and builds each distinct value's ``Fraction`` once; :func:`make_spectrum`
 is the same constructor over L = 1.  Spectral input is checked in one
 place, the private ``_numerators``: L must be a positive int, and every
 value an int or a ``Fraction``; Fractions are mapped to int numerators
-over their least common denominator, and ints pass unchanged.  A
+over their least common denominator, and ints pass unchanged.  Numerators
+the package has already checked are a private tuple type, ``_Checked``,
+which ``_numerators`` returns after the L checks with no per-value type
+scan: a spectrum's ``nums``, the int lists the families build, and the
+subsets :func:`subset_stats` gathers from a spectrum's ``nums``.  Anything
+a caller hands over, a ``Spectrum`` it builds included, is scanned.  A
 :class:`Spectrum` keeps its numerators and L beside its values, and every
 statistic of a spectrum is an integer power sum over those numerators
 (``stats_of_values(s.nums, s.L)``).  A :class:`SubsetStats` record holds
@@ -23,9 +28,17 @@ of the int ``scaled_delta``.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
+
+
+class _Checked(tuple):
+    """Int numerators that the package built itself or has checked, such as
+    a :class:`Spectrum`'s ``nums``: :func:`_numerators` returns them with no
+    per-value type scan.  Equal to, and printed as, the plain tuple."""
+    __slots__ = ()
 
 
 class Spectrum(NamedTuple):
@@ -98,7 +111,8 @@ def _numerators(values: Sequence[Fraction], L: int) -> tuple[Sequence[int], int]
     check of spectral input.
 
     Returns ``(nums, L')`` with ``values[i] / L == nums[i] / L'``.  Int
-    values are already numerators and pass unchanged, with L; Fractions
+    values are already numerators and pass unchanged, with L, and
+    ``_Checked`` values pass with no type scan; Fractions
     are mapped over their least common denominator D, and L' = L * D.
     An L that is not an int (a bool included) raises TypeError, and an L
     below 1 ValueError; a bool, a float or any other value that is not an
@@ -109,6 +123,8 @@ def _numerators(values: Sequence[Fraction], L: int) -> tuple[Sequence[int], int]
         raise TypeError(f"L must be an int, not {type(L).__name__}")
     if L < 1:
         raise ValueError(f"L must be positive, got {L}")
+    if type(values) is _Checked:
+        return values, L
     types = set(map(type, values))
     if types <= {int}:
         return values, L
@@ -134,15 +150,17 @@ def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
     L the caller chose; each distinct value's ``Fraction`` is built once."""
     if type(n) is not int:
         raise TypeError(f"n must be an int, not {type(n).__name__}")
-    nums, L = _numerators(list(nums), L)
-    nums.sort()
+    nums, L = _numerators(nums if type(nums) is _Checked else list(nums), L)
+    nums = sorted(nums)
     if not nums:
         raise ValueError("a spectrum must contain at least one value")
     top = n * L
     if nums[0] <= 0 or nums[-1] >= top:
         bad = nums[0] if nums[0] <= 0 else nums[-1]
         raise ValueError(f"spectral value {Fraction(bad, L)} outside (0, {n})")
-    for i, pair_sum in enumerate(map(add, nums, reversed(nums))):
+    # pair sum i equals pair sum mu-1-i, so the first half holds the first failure
+    half = islice(nums, (len(nums) + 1) // 2)
+    for i, pair_sum in enumerate(map(add, half, reversed(nums))):
         if pair_sum != top:
             raise ValueError(
                 f"alpha_{i + 1} + alpha_{len(nums) - i} = {Fraction(pair_sum, L)} != {n}")
@@ -151,7 +169,7 @@ def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
         L //= g
         nums = [k // g for k in nums]
     value = {k: Fraction(k, L) for k in set(nums)}
-    return Spectrum(tuple(map(value.__getitem__, nums)), tuple(nums), L)
+    return Spectrum(tuple(map(value.__getitem__, nums)), _Checked(nums), L)
 
 
 def make_spectrum(values: Iterable[Fraction], n: int) -> Spectrum:
@@ -183,9 +201,10 @@ def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
 def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
     """Statistics of the sub-multiset selected by 1-based indices, each
     counted once, over s.L; no index, or one outside 1..mu, raises
-    ValueError."""
+    ValueError.  A subset of checked ``nums`` stays checked."""
     idx = frozenset(indices)  # a frozenset is not copied
     if idx and (min(idx) < 1 or max(idx) > s.mu):
         raise ValueError(f"subset index outside [1, {s.mu}]")
     nums = s.nums
-    return stats_of_values([nums[i - 1] for i in idx], s.L)
+    subset = [nums[i - 1] for i in idx]
+    return stats_of_values(_Checked(subset) if type(nums) is _Checked else subset, s.L)

@@ -370,7 +370,8 @@ def reference_puiseux_values(params):
 
 def puiseux_grid():
     """Valid PuiseuxParams with d in 1..3 and q in -4..4 for small a, b, r,
-    then every tuple of the seed-0 puiseux-sweep benchmark."""
+    a few with d = 4 and 5, then every tuple of the seed-0 puiseux-sweep
+    benchmark."""
     for a, b, d, q, r in product(range(3, 7), range(2, 6), range(1, 4), range(-4, 5), range(1, 5)):
         p = PuiseuxParams(a, b, d, q, r)
         try:
@@ -378,19 +379,24 @@ def puiseux_grid():
         except InvalidFamilyParameters:
             continue
         yield p
+    yield from (PuiseuxParams(3, 2, 4, 1, 1), PuiseuxParams(4, 3, 4, -1, 1),
+                PuiseuxParams(3, 2, 5, 2, 1), PuiseuxParams(5, 2, 5, 1, 1))
     for row in json.loads(PUISEUX_REFERENCE.read_text()):
         yield PuiseuxParams(*map(int, row["params"].split(",")))
 
 
 def test_puiseux_spectrum_matches_fraction_reference():
     grid = list(dict.fromkeys(puiseux_grid()))
-    assert {p.d for p in grid} == {1, 2, 3}
+    assert {p.d for p in grid} == {1, 2, 3, 4, 5}
     assert any(p.q < 0 for p in grid)
-    assert len(grid) == 303
+    assert len(grid) == 307
     for p in grid:
         s = puiseux_spectrum(p)
         assert list(s.values) == reference_puiseux_values(p), p
         assert all(type(v) is F for v in s.values), p
+        if p.d > 1:  # the last i of the loop over i < e(d-1)/d gives a value, at j = 1
+            i = -(-p.e * (p.d - 1) // p.d) - 1
+            assert F(i, p.e) + F(1, p.d) in s.values, p
 
 
 def reference_lattice(pairs, f, family_tag, swh):

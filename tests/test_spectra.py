@@ -1,12 +1,15 @@
 import re
 from fractions import Fraction as F
+from itertools import chain, product
 from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tjspectra.families import BrieskornParams
+from tjspectra.errors import InvalidFamilyParameters
+from tjspectra.families import (BrieskornParams, PuiseuxParams, SwhParams,
+                                puiseux_spectrum)
 from tjspectra.spectra import (Spectrum, make_spectrum, spectrum_of_numerators,
                                stats_of_values, subset_stats)
 
@@ -278,8 +281,12 @@ def test_numerator_constructor_matches_make_spectrum(L, n, mirror, nums, shift, 
     ([0, 3], False, "spectral value 0 outside (0, 2)"),
     ([3, 12], False, "spectral value 2 outside (0, 2)"),
     ([3, 5, 7], True, "alpha_1 + alpha_3 = 5/3 != 2"),
+    # only the middle pair is bad, for odd and even mu: the last pair sum checked
+    ([3, 5, 9], False, "alpha_2 + alpha_2 = 5/3 != 2"),
+    ([2, 5, 6, 10], False, "alpha_2 + alpha_3 = 11/6 != 2"),
 ], ids=["nums0-False-EmptySpectrum", "nums1-False-ValueOutOfRange",
-        "nums2-False-ValueOutOfRange", "nums3-True-SymmetryViolation"])
+        "nums2-False-ValueOutOfRange", "nums3-True-SymmetryViolation",
+        "nums4-False-MiddlePairOddMu", "nums5-False-MiddlePairEvenMu"])
 def test_numerator_constructor_raises_what_make_spectrum_raises(nums, descending, message):
     nums = sorted(nums, reverse=descending)  # the order given must not matter
     values = [F(k, 6) for k in nums]
@@ -308,3 +315,62 @@ def test_numerators_are_kept_in_lowest_terms(L, n, m, half, shift, index):
     if isinstance(scaled, Spectrum):
         assert gcd(scaled.L, *scaled.nums) == 1
         assert scaled.values == tuple(F(k, scaled.L) for k in scaled.nums)
+
+
+# --- the trust boundary: numerators a caller hands over are scanned ---
+
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=repr)
+def test_numerators_a_caller_hands_over_are_scanned(bad):
+    """A spectrum's own nums skip the type scan; a Spectrum or a tuple that
+    a caller builds does not, whatever container holds the numerators."""
+    s = BrieskornParams(5, 4).instance().spectrum
+    forged = Spectrum(s.values, (bad,) + s.nums[1:], s.L)
+    message = f"^spectral values must be int or Fraction, not {type(bad).__name__}$"
+    builds = [lambda: subset_stats(forged, range(1, forged.mu + 1)),
+              lambda: subset_stats(forged, [1]),
+              lambda: stats_of_values(forged.nums, forged.L),
+              lambda: stats_of_values(list(forged.nums), forged.L),
+              lambda: spectrum_of_numerators(forged.nums, forged.L, 2),
+              lambda: make_spectrum((bad, F(3, 2)), 2)]
+    for build in builds:
+        with pytest.raises(TypeError, match=message):
+            build()
+
+
+def _valid(params):
+    try:
+        params.validate()
+    except InvalidFamilyParameters:
+        return False
+    return True
+
+
+FAMILY_PARAMS = [p for p in chain(
+    (BrieskornParams(a, b) for a, b in product(range(2, 8), repeat=2)),
+    (SwhParams(a, b, c, d) for a, b, c, d in product(range(3, 9), range(3, 9), (1, 2), (1, 2))),
+    (PuiseuxParams(a, b, d, q, 1) for a, b, d, q in product((3, 4, 5), (2, 3), (1, 2, 3),
+                                                            (-2, 1, 2))))
+    if _valid(p)]
+
+
+def family_spectrum(params):
+    return puiseux_spectrum(params) if isinstance(params, PuiseuxParams) else \
+        params.instance().spectrum
+
+
+@st.composite
+def numerator_spectra(draw):
+    """spectrum_of_numerators over a symmetric multiset of numerators in (0, nL)."""
+    L, n = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    half = draw(st.lists(st.integers(1, n * L - 1), min_size=1, max_size=12))
+    return spectrum_of_numerators(half + [n * L - k for k in half], L, n)
+
+
+@given(st.one_of(st.sampled_from(FAMILY_PARAMS).map(family_spectrum), numerator_spectra()),
+       st.data())
+def test_checked_numerators_give_the_statistics_of_plain_ones(s, data):
+    indices = data.draw(st.sets(st.integers(1, s.mu), min_size=1))
+    plain = s._replace(nums=tuple(s.nums))
+    assert stats_of_values(s.nums, s.L) == stats_of_values(list(s.nums), s.L)
+    assert subset_stats(s, indices) == subset_stats(plain, indices) \
+        == stats_of_values([s.nums[i - 1] for i in indices], s.L)
