@@ -17,7 +17,8 @@ class TjspectraError(Exception):
     ``parse_poly`` raise TjspectraError("nvars must be in [1, 3]") for it,
     which ``--nvars 4`` reaches (exit 1).  ``parse_poly`` also raises the
     engine's TjspectraError for a group power whose degree is beyond
-    ``poly.MAX_DEGREE``, before it expands it.
+    ``poly.MAX_DEGREE``, before it expands it, and ``Poly ** k`` for a
+    power that passes an exponent field, before its first squaring.
     ``Spectrum.value_at`` raises IndexError outside 1..mu, as a tuple does.
     A family spectrum that fails its own range or symmetry check is an
     InternalConsistencyError (exit 2)."""

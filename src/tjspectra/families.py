@@ -28,7 +28,9 @@ Amer. Math. Soc. 373, 2020).
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import sub
 from typing import NamedTuple
 
 from . import localg
@@ -300,7 +302,7 @@ def puiseux_spectrum(params: PuiseuxParams) -> Spectrum:
     for i in range(1, a):
         for t in range(i * b + a, a * b, a):  # t = i*b + j*a < ab
             lower.extend(range(t * per_abd, L, a * b * per_abd))  # k = 0, ..., d-1
-    return _spectrum(lower + [2 * L - k for k in lower], L)
+    return _spectrum([*lower, *map(sub, repeat(2 * L), lower)], L)
 
 
 def puiseux_instance(params: PuiseuxParams) -> TjurinaInstance:

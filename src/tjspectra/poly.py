@@ -170,11 +170,26 @@ def mul_terms(p: PackedPoly, q: PackedPoly, nvars: int) -> PackedPoly:
 def pow_terms(p: PackedPoly, k: int, nvars: int) -> PackedPoly:
     """A new term map of p ** k by repeated squaring, starting from the
     first factor (p ** 0 is 1, also for p = 0, and p ** 1 a copy of p);
-    ValueError for k < 0."""
+    ValueError for k < 0.  A power that passes an exponent field is refused
+    before the first product, as its squaring could run for minutes: the
+    TjspectraError names the degree j * deg p of p ** j, the first power the
+    squaring would form past a field."""
     if k < 0:
         raise ValueError("negative power")
     if k < 2:
         return dict(p) if k else {0: 1}
+    shift = nvars * FIELD_BITS
+    degree = max(p, default=0) >> shift
+    if k * degree > _FIELD_MASK:  # the degree bounds every exponent
+        top = max((m >> f) & _FIELD_MASK for m in p for f in range(0, shift, FIELD_BITS))
+        fits = _FIELD_MASK // top  # p ** j fits its fields iff j <= fits; top > 0
+        if k > fits:
+            # the squaring forms p^2, p^4, ... and the partial products
+            # p^(k mod 2^i) in increasing order, so the first past `fits` is
+            # the partial product below 2^t, or else p^(2^t)
+            t = fits.bit_length()
+            j = k % (1 << t)
+            raise _too_large((j if j > fits else 1 << t) * degree)
     result = None  # k > 1, so the factor p itself is never returned
     while True:
         if k & 1:

@@ -17,7 +17,9 @@ over their least common denominator, and ints pass unchanged.  Numerators
 the package has already checked are a private tuple type, ``_Checked``,
 which ``_numerators`` returns after the L checks with no per-value type
 scan: a spectrum's ``nums``, the int lists the families build, and the
-subsets :func:`subset_stats` gathers from a spectrum's ``nums``.  Anything
+subsets :func:`subset_stats` takes from a spectrum's ``nums``: one slice
+for a run of indices lo..hi, such as a Puiseux top block or a drop-max
+subset, and a gather index by index for any other set.  Anything
 a caller hands over, a ``Spectrum`` it builds included, is scanned.  A
 :class:`Spectrum` keeps its numerators and L beside its values, and every
 statistic of a spectrum is an integer power sum over those numerators
@@ -28,7 +30,7 @@ of the int ``scaled_delta``.
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -168,7 +170,8 @@ def spectrum_of_numerators(nums: Iterable[int], L: int, n: int) -> Spectrum:
     if g > 1:
         L //= g
         nums = [k // g for k in nums]
-    value = {k: Fraction(k, L) for k in set(nums)}
+    keys = set(nums)
+    value = dict(zip(keys, map(Fraction, keys, repeat(L))))
     return Spectrum(tuple(map(value.__getitem__, nums)), _Checked(nums), L)
 
 
@@ -201,10 +204,18 @@ def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
 def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
     """Statistics of the sub-multiset selected by 1-based indices, each
     counted once, over s.L; no index, or one outside 1..mu, raises
-    ValueError.  A subset of checked ``nums`` stays checked."""
+    ValueError.  A run of indices lo..hi is read as the slice
+    ``nums[lo - 1:hi]``, any other set gathered index by index; a subset
+    of checked ``nums`` stays checked."""
     idx = frozenset(indices)  # a frozenset is not copied
-    if idx and (min(idx) < 1 or max(idx) > s.mu):
-        raise ValueError(f"subset index outside [1, {s.mu}]")
     nums = s.nums
-    subset = [nums[i - 1] for i in idx]
+    subset = ()
+    if idx:
+        lo, hi = min(idx), max(idx)
+        if lo < 1 or hi > s.mu:
+            raise ValueError(f"subset index outside [1, {s.mu}]")
+        if hi - lo + 1 == len(idx):  # distinct indices, so every one of lo..hi
+            subset = nums[lo - 1:hi]
+        else:
+            subset = [nums[i - 1] for i in idx]
     return stats_of_values(_Checked(subset) if type(nums) is _Checked else subset, s.L)

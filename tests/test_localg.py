@@ -356,10 +356,13 @@ def test_puiseux_polynomial_numbers():
     assert tjurina(f) == 14
 
 
-@pytest.mark.parametrize("text", ORACLE_CORPUS)
-def test_mu_at_least_tau(text):
-    f = parse_poly(text)
-    assert milnor(f) >= tjurina(f)
+@pytest.mark.parametrize("text, nvars", [pytest.param(t, 2, id=t) for t in ORACLE_CORPUS]
+                         + [pytest.param(t, 3, id=t) for t, _ in ORACLE_CORPUS_3])
+def test_mu_at_least_tau(text, nvars):
+    # and mu <= nvars * tau (Y. Liu, C. R. Math. Acad. Sci. Paris 356, 2018)
+    f = parse_poly(text, nvars)
+    mu, tau = milnor(f), tjurina(f)
+    assert tau <= mu <= nvars * tau
 
 
 def test_weighted_homogeneous_mu_equals_tau():

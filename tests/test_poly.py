@@ -532,6 +532,33 @@ def test_an_exponent_past_its_field_is_refused(nvars):
                 build()
 
 
+def test_a_power_past_a_field_is_refused_before_its_first_squaring():
+    """(x+1)^65536 passes the x field only in its last squaring; squaring up
+    to (x+1)^32768 runs for minutes, which then fails the test instead of
+    hanging the run."""
+    code = ("from tjspectra.errors import TjspectraError\n"
+            "from tjspectra.poly import Poly\n"
+            "try:\n    (Poly.monomial((1, 0)) + Poly.constant(1, 2)) ** 65536\n"
+            "except TjspectraError as exc:\n    print(type(exc).__name__, exc, sep=': ')\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert (r.returncode, r.stdout, r.stderr) == (
+        0, "TjspectraError: a term of degree 65536 is beyond the engine's limit of 32767\n", "")
+    # the first power the squaring forms past the field is named: p^4, a
+    # square, for p = x^21845 + 1, and p^3 = p * p^2 for p = x^30000*y + y^2
+    p = Poly.monomial((21845,)) + Poly.constant(1, 1)
+    assert (p ** 3).terms == {(65535,): 1, (43690,): 3, (21845,): 3, (0,): 1}
+    for k in (4, 5, 7, 1 << 40):
+        with pytest.raises(TjspectraError, match=too_large(4 * 21845)):
+            p ** k
+    p = Poly.monomial((30000, 1)) + Poly.monomial((0, 2))
+    assert (p ** 2).terms == {(60000, 2): 1, (30000, 3): 2, (0, 4): 1}
+    for k in (3, 7):
+        with pytest.raises(TjspectraError, match=too_large(3 * 30001)):
+            p ** k
+    with pytest.raises(TjspectraError, match=too_large(4 * 30001)):
+        p ** 4
+
+
 @st.composite
 def wide_polys(draw):
     """A Poly in 1-3 variables whose exponents reach the top of a field."""

@@ -88,6 +88,10 @@ def test_subset_stats_counts_each_index_once_in_any_iterable():
     want = stats_of_values([s.nums[i - 1] for i in sorted(set(picks))], s.L)
     for indices in (picks, (i for i in picks), frozenset(picks)):
         assert subset_stats(s, indices) == want
+    # a run lo..hi is read as one slice; the gap case has a run's min and max
+    for run in (range(3, 11), frozenset(range(5, 9)), [7], range(1, s.mu + 1),
+                [3, 4, 5, 7, 8, 9, 10], range(1, s.mu), range(2, s.mu + 1)):
+        assert subset_stats(s, run) == stats_of_values([s.nums[i - 1] for i in run], s.L)
     for bad, error in (([], "statistics of an empty subset are undefined"),
                        ([1, s.mu + 1, 1], rf"subset index outside \[1, {s.mu}\]")):
         for indices in (bad, (i for i in bad), frozenset(bad)):
