@@ -184,9 +184,8 @@ def pow_terms(p: PackedPoly, k: int, nvars: int) -> PackedPoly:
         top = max((m >> f) & _FIELD_MASK for m in p for f in range(0, shift, FIELD_BITS))
         fits = _FIELD_MASK // top  # p ** j fits its fields iff j <= fits; top > 0
         if k > fits:
-            # the squaring forms p^2, p^4, ... and the partial products
-            # p^(k mod 2^i) in increasing order, so the first past `fits` is
-            # the partial product below 2^t, or else p^(2^t)
+            # the first power formed past `fits` is p^(k mod 2^t) if that
+            # exceeds `fits`, else p^(2^t)
             t = fits.bit_length()
             j = k % (1 << t)
             raise _too_large((j if j > fits else 1 << t) * degree)

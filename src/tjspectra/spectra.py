@@ -18,8 +18,9 @@ the package has already checked are a private tuple type, ``_Checked``,
 which ``_numerators`` returns after the L checks with no per-value type
 scan: a spectrum's ``nums``, the int lists the families build, and the
 subsets :func:`subset_stats` takes from a spectrum's ``nums``: one slice
-for a run of indices lo..hi, such as a Puiseux top block or a drop-max
-subset, and a gather index by index for any other set.  Anything
+for a run of indices lo..hi, such as a Puiseux top block, a drop-max
+subset or an swh Tjurina set with c = d = 1, and a gather index by index
+for any other set.  Anything
 a caller hands over, a ``Spectrum`` it builds included, is scanned.  A
 :class:`Spectrum` keeps its numerators and L beside its values, and every
 statistic of a spectrum is an integer power sum over those numerators
@@ -204,18 +205,20 @@ def stats_of_values(values: Sequence[Fraction], L: int = 1) -> SubsetStats:
 def subset_stats(s: Spectrum, indices: Iterable[int]) -> SubsetStats:
     """Statistics of the sub-multiset selected by 1-based indices, each
     counted once, over s.L; no index, or one outside 1..mu, raises
-    ValueError.  A run of indices lo..hi is read as the slice
-    ``nums[lo - 1:hi]``, any other set gathered index by index; a subset
-    of checked ``nums`` stays checked."""
+    ValueError.  A run of indices lo..hi in checked ``nums`` is read as the
+    slice ``nums[lo - 1:hi]``, and stays checked; any other set, and any
+    run in a caller's ``nums``, is gathered index by index, so ``nums``
+    shorter than ``values`` raises IndexError rather than being cut."""
     idx = frozenset(indices)  # a frozenset is not copied
     nums = s.nums
+    checked = type(nums) is _Checked  # the package built it mu long
     subset = ()
     if idx:
         lo, hi = min(idx), max(idx)
         if lo < 1 or hi > s.mu:
             raise ValueError(f"subset index outside [1, {s.mu}]")
-        if hi - lo + 1 == len(idx):  # distinct indices, so every one of lo..hi
+        if checked and hi - lo + 1 == len(idx):  # distinct, so all of lo..hi
             subset = nums[lo - 1:hi]
         else:
             subset = [nums[i - 1] for i in idx]
-    return stats_of_values(_Checked(subset) if type(nums) is _Checked else subset, s.L)
+    return stats_of_values(_Checked(subset) if checked else subset, s.L)

@@ -339,6 +339,11 @@ def test_numerators_a_caller_hands_over_are_scanned(bad):
     for build in builds:
         with pytest.raises(TypeError, match=message):
             build()
+    # a caller's run is gathered, not sliced: nums shorter than values raise
+    short = Spectrum(s.values, tuple(s.nums[:-1]), s.L)
+    for run in (range(1, short.mu + 1), range(2, short.mu + 1), [short.mu]):
+        with pytest.raises(IndexError):
+            subset_stats(short, run)
 
 
 def _valid(params):
