@@ -15,10 +15,11 @@ class TjspectraError(Exception):
     ``spectra._numerators``, do so.
     The one exception is an nvars outside [1, 3]: ``Poly`` and
     ``parse_poly`` raise TjspectraError("nvars must be in [1, 3]") for it,
-    which ``--nvars 4`` reaches (exit 1).  ``parse_poly`` also raises the
-    engine's TjspectraError for a group power whose degree is beyond
-    ``poly.MAX_DEGREE``, before it expands it, and ``Poly ** k`` for a
-    power that passes an exponent field, before its first squaring.
+    which ``--nvars 4`` reaches (exit 1).  Every ``Poly`` builder
+    (``Poly``, ``parse_poly``, ``*`` and ``**``) also raises the engine's
+    TjspectraError for a term of degree beyond ``poly.MAX_DEGREE``, the
+    one limit, before it expands a power; ``parse_poly`` raises one too for
+    a power beyond it of a number.
     ``Spectrum.value_at`` raises IndexError outside 1..mu, as a tuple does.
     A family spectrum that fails its own range or symmetry check is an
     InternalConsistencyError (exit 2)."""

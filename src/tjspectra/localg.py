@@ -28,17 +28,16 @@ so a lead is ``min(p)``, a monomial product is ``+`` and the ecart is a
 difference of top fields.  In the engine every exponent stays below
 2^(W-1), the guard bit of its field, so ``a | b`` is one subtraction:
 ``(b - a) & guard`` is zero exactly when a divides b, because the lowest
-field where b is smaller borrows and sets its guard bit.  A degree of
-:data:`MAX_DEGREE` + 1 = 2^(W-1) or more raises
-:class:`~tjspectra.errors.TjspectraError`: in the input, read off its top
-field as it enters, and in a term the
-engine forms before it knows a highest corner N <= 2^(W-1) (below), after
-which such terms are dropped.  So no kept term reaches a guard bit, and no
-field carries into the next.  The limit and its message are defined in
-:mod:`~tjspectra.poly`, whose parser refuses a group power beyond the
-limit before it expands it.  The pair loop reads two more values off the
-fields.  The support mask ``((m | guard) - ones) & guard``, with ones
-holding 1 in each exponent field, keeps the guard bit of each variable
+field where b is smaller borrows and sets its guard bit.  Every term of a
+``Poly`` has degree at most :data:`MAX_DEGREE` = 2^(W-1) - 1, the limit
+:mod:`~tjspectra.poly` defines and checks where a term is made.  A term of
+higher degree that the engine forms before it knows a highest corner
+N <= 2^(W-1) (below) raises :class:`~tjspectra.errors.TjspectraError`
+with poly's message; after that such terms are dropped.  So no kept term
+reaches a guard bit, and no field carries into the next.  The pair loop
+reads two more values off the fields.  The support mask
+``((m | guard) - ones) & guard``, with ones holding 1 in each exponent
+field, keeps the guard bit of each variable
 with a nonzero exponent: two leads are coprime (the product criterion)
 when their masks share no bit, and a lead is a pure power of x_v when its
 mask is v's guard bit alone, or 1 when its mask is 0.  The lcm takes the
@@ -176,7 +175,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import TjspectraError
 from .poly import (_FIELD_MASK, _PACKINGS, FIELD_BITS, MAX_DEGREE, Exponent, PackedPoly, Poly,
-                   _Packing, _too_large, _unchecked)
+                   _Packing, _too_large, _unchecked, derivative_terms)
 
 INFINITE = "infinite"
 
@@ -431,41 +430,27 @@ def local_std_basis(gens: Sequence[Poly]) -> StdBasisResult:
     made once the highest corner is known have no term at or above it, and
     none has a term that the monomial of an earlier one-term generator
     divides (module docstring); an input generator left with no term is
-    not returned.  TjspectraError for a term beyond MAX_DEGREE, in gens or on the way.
+    not returned.  TjspectraError for a term beyond MAX_DEGREE formed on the way.
     """
     nvars = _shared_nvars(gens)
     packing = _PACKINGS[nvars]
-    for g in gens:
-        _check_degree(g.packed, packing.shift)
     basis, lms, pure = _std_int((_strip_content(g.packed) for g in gens), packing)
     return StdBasisResult(tuple(_unchecked(g, nvars) for g, _, _ in basis),
                           tuple(map(packing.unpack, lms)), _colength_of_leads(lms, pure))
 
 
-def _check_degree(p: PackedPoly, shift: int) -> None:
-    """TjspectraError naming p's degree, max(p)'s top field, past MAX_DEGREE."""
-    top = max(p, default=0)
-    if top >= (MAX_DEGREE + 1) << shift:
-        raise _too_large(top >> shift)
-
-
 def _colength(f: Poly, ideal: str, if_zero: str, with_f: bool = False) -> int:
     """Colength of the ideal of f's partial derivatives, with f itself when
     with_f is set (f's `ideal`); TjspectraError when no generator is
-    nonzero or the colength is infinite, and when f has a term beyond
-    MAX_DEGREE.  The partials are formed on f's packed map.  With f, where
-    f's Euler remainder has at most one term, its monomial, if any, takes
-    f's place (module docstring).
+    nonzero or the colength is infinite.  The partials are formed on f's
+    packed map.  With f, where f's Euler remainder has at most one term,
+    its monomial, if any, takes f's place (module docstring).
     """
     packing = _PACKINGS[f.nvars]
     guard, ones, axis, shift = packing.guard, packing.ones, packing.axis, packing.shift
     packed = f.packed
-    _check_degree(packed, shift)  # within the limit, no exponent reaches a guard bit
-    gens = []
-    for k, x_v in zip(packing.offsets, packing.variables):  # as in Poly.derivative
-        partial = {m - x_v: c * e for m, c in packed.items() if (e := (m >> k) & _FIELD_MASK)}
-        if partial:
-            gens.append(_strip_content(partial))
+    gens = [_strip_content(partial) for v in range(f.nvars)
+            if (partial := derivative_terms(packed, v, f.nvars))]
     if with_f and packed:
         powers: dict[int, int] = {}  # v -> the exponent of a pure power of x_v in f
         npure, others = 0, []        # the number of f's pure powers, and its other terms

@@ -5,20 +5,24 @@ coefficients, the map the engine (:mod:`~tjspectra.localg`) computes with.
 A packed monomial is one int, the sum of e_v times packed x_v: the total
 degree in the top field, and e[n-1], ..., e[0] below it in fields of
 W = :data:`FIELD_BITS` = 16 bits (:class:`_Packing`), so int order is the
-order of ``localg._lead_key`` and a product of monomials is ``+``.  An
-exponent of 2^W or more raises TjspectraError with the engine's message
-for its term.  ``Poly.terms`` is a view by exponent tuple.  Terms are
+order of ``localg._lead_key`` and a product of monomials is ``+``.  Every
+term of every ``Poly`` has total degree at most :data:`MAX_DEGREE` =
+2^(W-1) - 1, the one limit, which the engine takes too: so no exponent
+reaches the guard bit on top of its field and no field carries.  A term
+past it raises TjspectraError with the engine's message, where the term
+is made: in the constructor, :func:`mul_terms`, :func:`pow_terms` and
+the parser.  ``Poly.terms`` is a view by exponent tuple.  Terms are
 checked once, where a caller hands them over: the constructor, and with
 it ``Poly.monomial``, ``Poly.constant`` and ``Poly.zero``, rejects any
 other coefficient type, so no inexact number enters the engine.  The
 results the package builds itself need no second check, so
 :func:`_unchecked` builds them: the arithmetic, ``derivative`` and the
 parser work on term maps (:func:`add_terms`, :func:`mul_terms`,
-:func:`pow_terms`) whose coefficients are ints of checked ``Poly``s or
-``int(token)``, and whose monomials are sums and differences of checked
-ones; ints stay ints under sums and products, and a sum that reaches
-zero is dropped.  The standard bases of :mod:`~tjspectra.localg` come
-from checked generators the same way.  The text grammar accepted by
+:func:`pow_terms`, :func:`derivative_terms`) whose coefficients are ints
+of checked ``Poly``s or ``int(token)``, and whose monomials are sums and
+differences of checked ones; ints stay ints under sums and products, and
+a sum that reaches zero is dropped.  The standard bases of
+:mod:`~tjspectra.localg` come from checked generators the same way.  The text grammar accepted by
 :func:`parse_poly` covers the input syntax used throughout this package:
 
     poly    := term (('+' | '-') term)*       (optional leading sign)
@@ -38,13 +42,14 @@ multiplied straight into one coefficient and one packed monomial
 group's power goes through ``pow_terms``, which starts from the group
 itself, and a product of groups through ``mul_terms``; a term with no
 variable factor scales its group by the number and sign, with no product.
-A term's group powers are expanded at its end.  As each is read, the sum
-of their degrees, each the group's times the exponent, is checked against
-:data:`MAX_DEGREE`, the largest total degree the engine takes: past it,
-the term raises TjspectraError with the engine's message before any power
-is expanded, as their expansion could run for minutes.  A power of a
-variable is never expanded and does not count, so ``x^32768`` parses.  A
-syntax error names the character position of the token where the grammar
+A term's group powers are expanded at its end.  The term keeps one
+running degree, over its variable factors and its group powers (each the
+group's degree times the exponent), checked against :data:`MAX_DEGREE` as
+each factor is read: past it, the term raises TjspectraError with the
+engine's message before any power is expanded, as their expansion could
+run for minutes.  For the same reason a power past MAX_DEGREE of a number,
+or of a group of degree 0, raises TjspectraError as it is read.  A syntax
+error names the character position of the token where the grammar
 failed, or the length of the text at its end.
 """
 
@@ -55,9 +60,9 @@ from .errors import PolySyntaxError, TjspectraError
 
 VAR_NAMES = ("x", "y", "z")
 MAX_VARS = 3
-MAX_DEGREE = (1 << 15) - 1  # the largest total degree of a term the engine (localg) takes
+MAX_DEGREE = (1 << 15) - 1  # the largest total degree of a term of a Poly, and of the engine
 FIELD_BITS = MAX_DEGREE.bit_length() + 1  # W: the width of each packed field, guard bit on top
-_FIELD_MASK = (1 << FIELD_BITS) - 1       # also the largest exponent a Poly holds
+_FIELD_MASK = (1 << FIELD_BITS) - 1       # reads one field
 
 Exponent = tuple[int, ...]
 IntPoly = dict[Exponent, int]  # terms by exponent tuple: the view Poly.terms
@@ -118,9 +123,7 @@ class _Packing:
         return x | ((x * self._sum_up) & self._degree_field)
 
     def pack(self, e: Exponent) -> int:
-        """The packed monomial of e; TjspectraError for an exponent past its field."""
-        if max(e) > _FIELD_MASK:
-            raise _too_large(sum(e))
+        """The packed monomial of e, of degree at most MAX_DEGREE."""
         return sum(map(mul, e, self.variables))
 
     def unpack(self, m: int) -> Exponent:
@@ -147,14 +150,12 @@ def neg_terms(p: PackedPoly) -> PackedPoly:
 
 
 def mul_terms(p: PackedPoly, q: PackedPoly, nvars: int) -> PackedPoly:
-    """The term map of p * q, without the terms that cancel; TjspectraError for an
-    exponent past its field, which only degrees (top fields) summing past one can make."""
-    shift = nvars * FIELD_BITS
-    if p and q and (max(p) >> shift) + (max(q) >> shift) > _FIELD_MASK:
-        for k in range(0, shift, FIELD_BITS):
-            a, b = (max(r, key=lambda m: (m >> k) & _FIELD_MASK) for r in (p, q))
-            if ((a >> k) & _FIELD_MASK) + ((b >> k) & _FIELD_MASK) > _FIELD_MASK:
-                raise _too_large((a >> shift) + (b >> shift))
+    """The term map of p * q, without the terms that cancel; TjspectraError
+    for its degree past MAX_DEGREE.  Under the limit no field carries, so
+    max(p) + max(q) is the product's top term, which cannot cancel, and its
+    degree field holds deg p + deg q."""
+    if p and q and (degree := (max(p) + max(q)) >> nvars * FIELD_BITS) > MAX_DEGREE:
+        raise _too_large(degree)
     out: PackedPoly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -170,25 +171,15 @@ def mul_terms(p: PackedPoly, q: PackedPoly, nvars: int) -> PackedPoly:
 def pow_terms(p: PackedPoly, k: int, nvars: int) -> PackedPoly:
     """A new term map of p ** k by repeated squaring, starting from the
     first factor (p ** 0 is 1, also for p = 0, and p ** 1 a copy of p);
-    ValueError for k < 0.  A power that passes an exponent field is refused
-    before the first product, as its squaring could run for minutes: the
-    TjspectraError names the degree j * deg p of p ** j, the first power the
-    squaring would form past a field."""
+    ValueError for k < 0.  A power whose degree k * deg p passes MAX_DEGREE
+    is refused before the first product, as its squaring could run for
+    minutes."""
     if k < 0:
         raise ValueError("negative power")
     if k < 2:
         return dict(p) if k else {0: 1}
-    shift = nvars * FIELD_BITS
-    degree = max(p, default=0) >> shift
-    if k * degree > _FIELD_MASK:  # the degree bounds every exponent
-        top = max((m >> f) & _FIELD_MASK for m in p for f in range(0, shift, FIELD_BITS))
-        fits = _FIELD_MASK // top  # p ** j fits its fields iff j <= fits; top > 0
-        if k > fits:
-            # the first power formed past `fits` is p^(k mod 2^t) if that
-            # exceeds `fits`, else p^(2^t)
-            t = fits.bit_length()
-            j = k % (1 << t)
-            raise _too_large((j if j > fits else 1 << t) * degree)
+    if (degree := k * (max(p, default=0) >> nvars * FIELD_BITS)) > MAX_DEGREE:
+        raise _too_large(degree)
     result = None  # k > 1, so the factor p itself is never returned
     while True:
         if k & 1:
@@ -197,6 +188,14 @@ def pow_terms(p: PackedPoly, k: int, nvars: int) -> PackedPoly:
         if not k:
             return result
         p = mul_terms(p, p, nvars)
+
+
+def derivative_terms(p: PackedPoly, var: int, nvars: int) -> PackedPoly:
+    """The term map of dp/dx_var: c*m gives c*e_var * m/x_var, where m/x_var
+    is m minus packed x_var."""
+    packing = _PACKINGS[nvars]
+    k, x_v = packing.offsets[var], packing.variables[var]  # field var starts at bit k
+    return {m - x_v: c * e for m, c in p.items() if (e := (m >> k) & _FIELD_MASK)}
 
 
 def _read_only(self, name, *value):  # __setattr__ and __delattr__ of an immutable record
@@ -209,7 +208,7 @@ class Poly:
     for a coefficient or an nvars that is not an int (a Fraction, float or
     bool), ValueError for a zero coefficient or an exponent that is not a
     tuple of nvars non-negative ints, and TjspectraError for nvars outside
-    [1, MAX_VARS] or an exponent past its field.  The results of the
+    [1, MAX_VARS] or a term of degree past MAX_DEGREE.  The results of the
     arithmetic and the parser are built unchecked (module docstring)."""
 
     __slots__ = ("packed", "nvars")
@@ -218,7 +217,8 @@ class Poly:
     def __init__(self, terms: IntPoly | None = None, nvars: int = 2):
         terms = {} if terms is None else terms
         _check_nvars(nvars)
-        variables = _PACKINGS[nvars].variables
+        packing = _PACKINGS[nvars]
+        variables, shift = packing.variables, packing.shift
         packed: PackedPoly = {}
         for e, c in terms.items():
             if type(c) is not int:
@@ -228,14 +228,14 @@ class Poly:
             if type(e) is tuple and len(e) == nvars:
                 m = 0
                 for k, x_v in zip(e, variables):  # checks and packs in one pass
-                    if type(k) is not int or not 0 <= k <= _FIELD_MASK:
+                    if type(k) is not int or k < 0:
                         break
                     m += k * x_v
                 else:
+                    if m >> shift > MAX_DEGREE:  # the degree, or more where a field carried
+                        raise _too_large(sum(e))
                     packed[m] = c
                     continue
-                if all(type(k) is int and k >= 0 for k in e):  # an exponent past its field
-                    raise _too_large(sum(e))
             raise ValueError(f"exponent {e!r} is not a tuple of {nvars} non-negative ints")
         _set_packed(self, packed)
         _set_nvars(self, nvars)
@@ -264,15 +264,14 @@ class Poly:
     @staticmethod
     def constant(c: int, nvars: int) -> "Poly":
         _check_nvars(nvars)  # before nvars repeats a tuple
-        if c == 0:
-            return Poly.zero(nvars)
-        return Poly({(0,) * nvars: c}, nvars)
+        return Poly.monomial((0,) * nvars, c)
 
     @staticmethod
     def monomial(exps: Exponent, coeff: int = 1) -> "Poly":
-        if coeff == 0:
-            return Poly.zero(len(exps))
-        return Poly({tuple(exps): coeff}, len(exps))
+        """coeff * x^exps; an int 0 gives zero once the constructor has
+        checked the exponents with 1 in its place."""
+        p = Poly({tuple(exps): 1 if coeff == 0 and type(coeff) is int else coeff}, len(exps))
+        return p if coeff else Poly.zero(p.nvars)
 
     def is_zero(self) -> bool:
         return not self.packed
@@ -305,11 +304,7 @@ class Poly:
         return _unchecked(pow_terms(self.packed, k, self.nvars), self.nvars)
 
     def derivative(self, var: int) -> "Poly":
-        """c*m gives c*e_var * m/x_var, where m/x_var is m minus packed x_var."""
-        packing = _PACKINGS[self.nvars]
-        k, x_v = packing.offsets[var], packing.variables[var]  # field var starts at bit k
-        return _unchecked({m - x_v: c * e for m, c in self.packed.items()
-                           if (e := (m >> k) & _FIELD_MASK)}, self.nvars)
+        return _unchecked(derivative_terms(self.packed, var, self.nvars), self.nvars)
 
     def __str__(self) -> str:
         if not self.packed:
@@ -339,8 +334,8 @@ _set_packed, _set_nvars = Poly.packed.__set__, Poly.nvars.__set__  # the slots' 
 def _unchecked(packed: PackedPoly, nvars: int) -> Poly:
     """A Poly of terms the package built itself from a checked Poly or from
     ints it parsed, so they need no check: nonzero int coefficients, as each
-    sum that reaches zero is dropped, and packed monomials whose exponents
-    fit their fields.  ``packed`` must be a map no caller edits."""
+    sum that reaches zero is dropped, and packed monomials of degree at
+    most MAX_DEGREE.  ``packed`` must be a map no caller edits."""
     p = object.__new__(Poly)
     _set_packed(p, packed)
     _set_nvars(p, nvars)
@@ -367,11 +362,11 @@ def _parse_sum(tokens: list[str], i: int, variables: dict[str, int]) -> tuple[Pa
     ``tokens`` ends with "", and ``variables`` maps each available variable
     name to its packed monomial.  A syntax error raises _TokenError.  Each
     pass of the outer loop reads one term and adds it to the result.  Number
-    and variable factors go into one coefficient and one packed monomial m
-    of the given degree; only a group is a term map.  The group powers are
-    expanded at the end of the term, once the sum of their degrees is known
-    to be at most MAX_DEGREE.  In the factor loop, i is the index of a
-    factor's base, then of the factor's last token.  A token is a natural
+    and variable factors go into one coefficient and one packed monomial m;
+    only a group is a term map.  The term's degree, over m and the group
+    powers, is checked as each factor is read, and the group powers are
+    expanded at the end of the term.  In the factor loop, i is the index of
+    a factor's base, then of the factor's last token.  A token is a natural
     exactly when "0" <= token < ":", as a token that starts with an ASCII
     digit is a run of them.
     """
@@ -405,20 +400,19 @@ def _parse_sum(tokens: list[str], i: int, variables: dict[str, int]) -> tuple[Pa
                 m += k * x_v
                 degree += k
             elif token == "(":
+                degree += k * (max(base, default=0) >> shift)
                 if powers is None:
-                    powers, power_degree = [], 0
-                power_degree += k * (max(base, default=0) >> shift)
-                if power_degree > MAX_DEGREE:  # refused before any power is expanded
-                    raise _too_large(power_degree)
+                    powers = []
                 powers.append((base, k))
-            else:
+            elif k <= MAX_DEGREE:
                 coeff *= int(token) ** k
+            if degree > MAX_DEGREE:  # refused before any power is expanded
+                raise _too_large(degree)
+            if k > MAX_DEGREE:  # of a number, or a group of degree 0: it could run for minutes
+                raise TjspectraError(f"a power of {k} is beyond the limit of {MAX_DEGREE}")
             if tokens[i + 1] != "*":
                 break
             i += 2
-        if degree > _FIELD_MASK and sum(_unpack(m - (degree << shift),
-                                                range(0, shift, FIELD_BITS))) != degree:
-            raise _too_large(degree)  # a field overflowed: its carry left the fields' sum short
         if not coeff:
             terms = ()
         elif powers is None:
@@ -448,8 +442,8 @@ def _parse_sum(tokens: list[str], i: int, variables: dict[str, int]) -> tuple[Pa
 def parse_poly(text: str, nvars: int = 2) -> Poly:
     """Parse and fully expand a polynomial expression; PolySyntaxError at
     the character position of the token where the grammar fails, and
-    TjspectraError for a term whose group powers' degrees sum beyond
-    MAX_DEGREE."""
+    TjspectraError for a term of degree beyond MAX_DEGREE, or a power beyond
+    it of a number, as soon as the factor that passes it is read."""
     _check_nvars(nvars)
     tokens = text.translate(_SPACED).split() if text.isascii() else _TOKEN.findall(text)
     tokens.append("")

@@ -594,6 +594,9 @@ def test_sweep_drop_max_skips_single_value_spectrum(capsys):
 GROUP_POWERS_PAST_THE_LIMIT = [
     ["milnor", "--poly", "(x^2+y^3)^100000"],   # refused before the power is expanded
     ["milnor", "--poly", "(x^2+y^3)^10000*(x^2+y^3)^10000"],  # the powers' degrees sum past it
+    # a power of a number past the limit, refused before 9^30000000 is computed
+    ["milnor", "--poly", "9^30000000*x^2+y^2"],
+    ["milnor", "--poly", "(9)^30000000*x^2+y^2"],
 ]
 
 
@@ -615,6 +618,8 @@ GROUP_POWERS_PAST_THE_LIMIT = [
     ["milnor", "--poly", "x^40000+y^2"],        # a degree beyond MAX_DEGREE
     ["milnor", "--poly", "x^70000+y^2"],        # an exponent beyond a packed field
     *GROUP_POWERS_PAST_THE_LIMIT,
+    ["check", "brieskorn", "--a", "40000", "--b", "2"],  # a Poly term beyond MAX_DEGREE
+    ["sweep", "swh", "--a", "32768", "--b", "3", "--c", "1", "--d", "1"],
 ])
 def test_bad_input_exits_1_with_one_error_line(capsys, argv):
     from tjspectra import cli

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tjspectra.errors import PolySyntaxError, TjspectraError
 from tjspectra.localg import _lead_key, local_std_basis
-from tjspectra.poly import (_SPACED, _TOKEN, FIELD_BITS, VAR_NAMES, Poly, jacobian, parse_poly,
+from tjspectra.poly import (_SPACED, _TOKEN, MAX_DEGREE, VAR_NAMES, Poly, jacobian, parse_poly,
                             pow_terms)
 
 
@@ -79,9 +79,26 @@ def test_group_powers_of_a_term_are_refused_by_their_degree_sum():
     # one power past the limit is refused as it is read, before the rest of the term
     assert parse_error_in_a_child("(x^2+y)^20000*(") == (
         "TjspectraError: a term of degree 40000 is beyond the engine's limit of 32767\n")
-    # variable powers do not count
-    assert parse_poly("x^32768").terms == {(32768, 0): 1}
-    assert parse_poly("x^40000*(x+y)^2*(x-y)") == parse_poly("x^40000*(x^3+x^2*y-x*y^2-y^3)")
+    # variable factors count too, in the one running degree of the term
+    assert parse_error_in_a_child("x^16384*(x+y)^16384") == (
+        "TjspectraError: a term of degree 32768 is beyond the engine's limit of 32767\n")
+    assert parse_error_in_a_child("(x+y)^2*y^32766*(") == (
+        "TjspectraError: a term of degree 32768 is beyond the engine's limit of 32767\n")
+    assert parse_poly("x^32767").terms == {(32767, 0): 1}
+    assert parse_poly("x^32764*(x+y)^2*(x-y)") == parse_poly("x^32764*(x^3+x^2*y-x*y^2-y^3)")
+
+
+def test_a_number_power_past_the_limit_is_refused_as_it_is_read():
+    # 9^30000000 alone takes about 40 s; a base of degree 1 or more is
+    # refused by its degree
+    for text, k in (("9^30000000*x^2+y^2", 30000000), ("(9)^30000000*x^2+y^2", 30000000),
+                    ("x^2+(x-x)^32768*(", 32768)):
+        assert parse_error_in_a_child(text) == (
+            f"TjspectraError: a power of {k} is beyond the limit of 32767\n")
+    assert parse_error_in_a_child("x^40000") == (
+        "TjspectraError: a term of degree 40000 is beyond the engine's limit of 32767\n")
+    assert parse_poly("2^32767*x").terms == {(1, 0): 2 ** 32767}
+    assert parse_poly("(x-x)^32767+(3)^2").terms == {(0, 0): 9}
 
 
 def test_jacobian_simple():
@@ -353,7 +370,7 @@ def test_non_ascii_digits_are_syntax_errors(text, message, position):
     assert exc.value.position == position
 
 
-INEXACT = [F(1, 2), F(3), 0.5, True]
+INEXACT = [F(1, 2), F(3), 0.5, True, 0.0, False, F(0)]
 
 
 @pytest.mark.parametrize("coeff", INEXACT, ids=repr)
@@ -376,6 +393,13 @@ def test_non_int_coefficients_raise(build, coeff):
 def test_malformed_terms_raise(terms):
     with pytest.raises(ValueError):
         Poly(terms, 2)
+
+
+@pytest.mark.parametrize("exps", [(-1, 0), (1.0, 0), (True, 0)], ids=repr)
+def test_a_zero_coefficient_does_not_skip_the_exponent_check(exps):
+    with pytest.raises(ValueError, match=re.escape(f"exponent {exps!r} is not a tuple of")):
+        Poly.monomial(exps, 0)
+    assert Poly.monomial((1, 0), 0) == Poly.constant(0, 2) == Poly.zero(2)
 
 
 @pytest.mark.parametrize("terms, error, message", [
@@ -480,52 +504,78 @@ def test_parsed_polys_pass_the_constructor(text, nvars):
     assert_checked(r)
 
 
-# --- the packed representation: each exponent in a field of FIELD_BITS bits ---
-
-TOP = (1 << FIELD_BITS) - 1  # the largest exponent a field holds
-
+# --- the one degree limit: every term of every Poly has degree at most MAX_DEGREE ---
 
 def too_large(degree):
     return f"^a term of degree {degree} is beyond the engine's limit of 32767$"
 
 
-def test_a_field_holds_its_largest_exponent():
+def spread(degree, nvars):
+    """An exponent tuple of the given degree, spread evenly over nvars variables."""
+    return tuple(degree // nvars + (v < degree % nvars) for v in range(nvars))
+
+
+def test_each_build_takes_a_term_of_the_largest_degree():
     for nvars in (1, 2, 3):
-        for v in range(nvars):
-            e = tuple(TOP if w == v else 0 for w in range(nvars))
-            text = "*".join([VAR_NAMES[v]] * 2) + f"^{TOP - 1}"  # x*x^65534
+        for e in [tuple(MAX_DEGREE * (w == v) for w in range(nvars)) for v in range(nvars)] + [
+                spread(MAX_DEGREE, nvars)]:
+            text = "*".join(f"{name}^{k}" for name, k in zip(VAR_NAMES, e))
+            low = tuple(k - (k == max(e) and e.index(k) == v) for v, k in enumerate(e))
+            one = tuple(a - b for a, b in zip(e, low))
             for p in (Poly({e: 1}, nvars), Poly.monomial(e), parse_poly(text, nvars),
-                      Poly.monomial(tuple(k - (k > 0) for k in e)) * Poly.monomial(
-                          tuple(int(k > 0) for k in e))):
+                      Poly.monomial(low) * Poly.monomial(one)):
                 assert p.terms == {e: 1} and p.nvars == nvars
-    # a degree past a field is no exponent past it
-    assert parse_poly("x^40000*y^40000").terms == {(40000, 40000): 1}
-    assert (parse_poly("x^40000+y") * parse_poly("y^40000+x")).terms == {
-        (40000, 40000): 1, (40001, 0): 1, (0, 40001): 1, (1, 1): 1}
+        x = Poly.monomial(tuple(int(w == 0) for w in range(nvars)))
+        assert (x ** MAX_DEGREE).terms == {(MAX_DEGREE,) + (0,) * (nvars - 1): 1}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_a_term_past_the_limit_is_refused(nvars):
+    """Degree MAX_DEGREE + 1 = 32768, in each variable and spread over all
+    of them: each way of building such a term raises one TjspectraError
+    with the engine's message, naming the degree of the term (for the
+    parser, of the term read so far)."""
+    for v in range(nvars):
+        x_v = tuple(int(w == v) for w in range(nvars))
+        e = tuple(k * (MAX_DEGREE + 1) for k in x_v)
+        name = VAR_NAMES[v]
+        builds = [
+            (lambda: parse_poly(f"{name}^32768+{name}", nvars), 32768),
+            (lambda: parse_poly(f"{name}^32767*{name}*{name}^4", nvars), 32768),
+            (lambda: Poly({x_v: 1, e: 3}, nvars), 32768),
+            (lambda: Poly({spread(32768, nvars): 1}, nvars), 32768),
+            (lambda: Poly.monomial(e, -1), 32768),
+            (lambda: Poly.monomial(tuple(MAX_DEGREE * k for k in x_v)) * Poly.monomial(x_v),
+             32768),
+            (lambda: Poly.monomial(tuple(16384 * k for k in x_v)) ** 2, 32768),
+            (lambda: (Poly.monomial(tuple(16384 * k for k in x_v)) + Poly.constant(1, nvars))
+             ** 3, 49152),
+            (lambda: (Poly.constant(1, nvars) + Poly.monomial(tuple(20000 * k for k in x_v)))
+             * (Poly.monomial(tuple(15000 * k for k in x_v)) + Poly.monomial(x_v)), 35000),
+        ]
+        for build, degree in builds:
+            with pytest.raises(TjspectraError, match=too_large(degree)):
+                build()
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_an_exponent_past_its_field_is_refused(nvars):
-    """Exponent TOP + 1 = 65536, in each variable: the field below the
-    degree field would carry into it, every other one into the next
-    variable's.  Each way of building it raises one TjspectraError with
-    the engine's message for that term."""
+    """Exponent 65536 and more, past a 16-bit field, is past the degree
+    limit too, and stays refused: each way of building it raises one
+    TjspectraError with the engine's message, naming the degree of the
+    term (for the parser, of the term read so far)."""
     for v in range(nvars):
         x_v = tuple(int(w == v) for w in range(nvars))
-        e = tuple(k * (TOP + 1) for k in x_v)
+        e = tuple(k * 65536 for k in x_v)
         name = VAR_NAMES[v]
         builds = [
-            (lambda: parse_poly(f"{name}^{TOP + 1}+{name}", nvars), TOP + 1),
-            (lambda: parse_poly(f"{name}^{TOP}*{name}*{name}^4", nvars), TOP + 5),
+            (lambda: parse_poly(f"{name}^65536+{name}", nvars), 65536),
+            (lambda: parse_poly(f"{name}*{name}^65535*{name}^4", nvars), 65536),
             (lambda: parse_poly(f"2*{name}^70000*({name}+1)", nvars), 70000),
-            (lambda: Poly({x_v: 1, e: 3}, nvars), TOP + 1),
-            (lambda: Poly.monomial(e, -1), TOP + 1),
-            (lambda: Poly.monomial(tuple(TOP * k for k in x_v)) * Poly.monomial(x_v), TOP + 1),
-            (lambda: Poly.monomial(tuple(32768 * k for k in x_v)) ** 2, TOP + 1),
-            (lambda: (Poly.monomial(tuple(32768 * k for k in x_v)) + Poly.constant(1, nvars))
-             ** 3, TOP + 1),
-            (lambda: (Poly.constant(1, nvars) + Poly.monomial(tuple(40000 * k for k in x_v)))
-             * (Poly.monomial(tuple(30000 * k for k in x_v)) + Poly.monomial(x_v)), 70000),
+            (lambda: Poly({x_v: 1, e: 3}, nvars), 65536),
+            (lambda: Poly.monomial(e, -1), 65536),
+            (lambda: Poly.monomial(e, 0), 65536),
+            (lambda: Poly.monomial(tuple(MAX_DEGREE * k for k in x_v)) ** 3, 3 * MAX_DEGREE),
         ]
         for build, degree in builds:
             with pytest.raises(TjspectraError, match=too_large(degree)):
@@ -533,39 +583,82 @@ def test_an_exponent_past_its_field_is_refused(nvars):
 
 
 def test_a_power_past_a_field_is_refused_before_its_first_squaring():
-    """(x+1)^65536 passes the x field only in its last squaring; squaring up
-    to (x+1)^32768 runs for minutes, which then fails the test instead of
+    """(x+1)^65536, past a field, and (x+1)^32768, past the limit, are
+    refused by their degree k * deg p before any product; squaring up to
+    (x+1)^16384 runs for minutes, which then fails the test instead of
     hanging the run."""
     code = ("from tjspectra.errors import TjspectraError\n"
             "from tjspectra.poly import Poly\n"
-            "try:\n    (Poly.monomial((1, 0)) + Poly.constant(1, 2)) ** 65536\n"
-            "except TjspectraError as exc:\n    print(type(exc).__name__, exc, sep=': ')\n")
+            "for k in (65536, 32768):\n"
+            "    try:\n        (Poly.monomial((1, 0)) + Poly.constant(1, 2)) ** k\n"
+            "    except TjspectraError as exc:\n        print(type(exc).__name__, exc, sep=': ')\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
-    assert (r.returncode, r.stdout, r.stderr) == (
-        0, "TjspectraError: a term of degree 65536 is beyond the engine's limit of 32767\n", "")
-    # the first power the squaring forms past the field is named: p^4, a
-    # square, for p = x^21845 + 1, and p^3 = p * p^2 for p = x^30000*y + y^2
-    p = Poly.monomial((21845,)) + Poly.constant(1, 1)
-    assert (p ** 3).terms == {(65535,): 1, (43690,): 3, (21845,): 3, (0,): 1}
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "".join(f"TjspectraError: a term of degree {k} is beyond the engine's "
+                               "limit of 32767\n" for k in (65536, 32768))
+    # the error names k * deg p, whatever the power the squaring would pass the limit at
+    p = Poly.monomial((10922,)) + Poly.constant(1, 1)
+    assert (p ** 3).terms == {(32766,): 1, (21844,): 3, (10922,): 3, (0,): 1}
     for k in (4, 5, 7, 1 << 40):
-        with pytest.raises(TjspectraError, match=too_large(4 * 21845)):
+        with pytest.raises(TjspectraError, match=too_large(k * 10922)):
             p ** k
-    p = Poly.monomial((30000, 1)) + Poly.monomial((0, 2))
-    assert (p ** 2).terms == {(60000, 2): 1, (30000, 3): 2, (0, 4): 1}
-    for k in (3, 7):
-        with pytest.raises(TjspectraError, match=too_large(3 * 30001)):
-            p ** k
-    with pytest.raises(TjspectraError, match=too_large(4 * 30001)):
-        p ** 4
+    p = Poly.monomial((16382, 1)) + Poly.monomial((0, 2))
+    assert (p ** 2).terms == {(32764, 2): 1, (16382, 3): 2, (0, 4): 1}
+    with pytest.raises(TjspectraError, match=too_large(3 * 16383)):
+        p ** 3
 
 
 @st.composite
-def wide_polys(draw):
-    """A Poly in 1-3 variables whose exponents reach the top of a field."""
-    nvars = draw(st.integers(1, 3))
-    k = st.one_of(st.integers(0, 3), st.integers(TOP - 3, TOP), st.integers(0, TOP))
+def wide_polys(draw, nvars=None):
+    """A Poly in 1-3 variables (or nvars) whose terms reach the degree
+    limit, in one variable or spread over several."""
+    if nvars is None:
+        nvars = draw(st.integers(1, 3))
+    degrees = st.one_of(st.integers(0, 3), st.integers(MAX_DEGREE - 3, MAX_DEGREE),
+                        st.integers(0, MAX_DEGREE))
+
+    def exponent():
+        degree = draw(degrees)
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=nvars - 1,
+                                    max_size=nvars - 1)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
     coefficient = st.integers(-3, 3).filter(bool)
-    return Poly(draw(st.dictionaries(st.tuples(*[k] * nvars), coefficient, max_size=6)), nvars)
+    return Poly({exponent(): draw(coefficient) for _ in range(draw(st.integers(0, 6)))}, nvars)
+
+
+def degree(p):
+    return max(map(sum, p.terms), default=0)
+
+
+def has_degree_or_names_it(build, want):
+    """build() makes a Poly of degree want when want is at most MAX_DEGREE,
+    and raises naming want when it is more; the Poly is returned, or None."""
+    if want > MAX_DEGREE:
+        with pytest.raises(TjspectraError, match=too_large(want)):
+            build()
+        return None
+    r = build()
+    assert degree(r) == want
+    return r
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_product_and_a_power_have_their_degree_or_name_it(data):
+    """p * q has degree deg p + deg q, as its top term cannot cancel, or
+    raises naming it; p ** k likewise with k * deg p.  Large powers are
+    taken of one term, so that the expansion stays fast."""
+    p = data.draw(wide_polys(), "p")
+    q = data.draw(wide_polys(p.nvars), "q")
+    r = has_degree_or_names_it(lambda: p * q, degree(p) + degree(q) if p.terms and q.terms else 0)
+    if r is not None:
+        assert r == _ref_mul(p, q)
+    k = data.draw(st.integers(0, 3), "k")
+    has_degree_or_names_it(lambda: p ** k, k * degree(p))
+    term = Poly(dict(list(p.terms.items())[:1]), p.nvars)
+    k = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 2 * MAX_DEGREE + 2)), "k for a term")
+    has_degree_or_names_it(lambda: term ** k, k * degree(term))
 
 
 @given(wide_polys())
